@@ -240,7 +240,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility; results do not "
+                            "depend on it")
         p.set_defaults(func=func)
         return p
 

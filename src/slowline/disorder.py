@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,11 +74,6 @@ class SigmaCalibration:
                    comments="", fmt="%.12e")
 
 
-def _element_lists(spec: ArraySpec):
-    """(shunts, couplers) of the chain with the bend already applied."""
-    return spec.shunt_elements(), spec.coupler_elements()
-
-
 def _respec_with_inductances(spec: ArraySpec, inductances) -> ArraySpec:
     """Rebuild the spec with per-resonator inductances.
 
@@ -87,7 +81,7 @@ def _respec_with_inductances(spec: ArraySpec, inductances) -> ArraySpec:
     cell; couplers (including any bend) are baked in, so the result carries
     ``bend=None``.
     """
-    shunts, couplers = _element_lists(spec)
+    shunts, couplers = spec.shunt_elements(), spec.coupler_elements()
     n = len(shunts)
     if len(inductances) != n:
         raise ValidationError("need one inductance per resonator")
@@ -117,7 +111,7 @@ def _disordered_inductances(spec: ArraySpec, sigma: float,
     Shunt capacitances stay fixed; non-positive draws are redrawn and the
     count logged.
     """
-    shunts, _ = _element_lists(spec)
+    shunts = spec.shunt_elements()
     out = np.empty(len(shunts))
     redraws = 0
     for i, (c, l) in enumerate(shunts):
@@ -176,38 +170,29 @@ def extinction_curve(spec: ArraySpec, sigma_over_j, n_realizations: int,
 
     Realization i draws its standard-normal offsets from the substream
     (seed, i) once and rescales them for every sigma, so the curve is both
-    reproducible and variance-reduced across the grid.  Results are
-    reduction-order independent, hence identical for any thread count.
+    reproducible and variance-reduced across the grid.  Realizations run
+    serially; ``threads`` is accepted for compatibility and does not change
+    the result.
     """
     sigma_over_j = np.asarray(sigma_over_j, dtype=float)
     if n_realizations < 1:
         raise ValidationError("n_realizations must be >= 1")
     j = tight_binding(spec.interior)["j_tb"]
     grid = _passband_grid(spec, EXTINCTION_BAND_FRACTION)
-    shunts, _ = _element_lists(spec)
+    shunts = spec.shunt_elements()
     caps = np.array([c for c, _ in shunts])
     w_nom = np.array([1.0 / math.sqrt(l * c) for c, l in shunts])
 
-    def one_realization(i):
+    ext = np.empty((n_realizations, sigma_over_j.size))
+    for i in range(n_realizations):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
         z = rng.standard_normal(w_nom.size)
-        row = np.empty(sigma_over_j.size)
         for si, soj in enumerate(sigma_over_j):
             w = w_nom + soj * j * z
             if np.any(w <= 0):
                 raise ValidationError("non-positive disordered frequency")
             dspec = _respec_with_inductances(spec, 1.0 / (w * w * caps))
-            row[si] = _mean_passband_db(dspec, grid)
-        return i, row
-
-    ext = np.empty((n_realizations, sigma_over_j.size))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, row in pool.map(one_realization, range(n_realizations)):
-                ext[i] = row
-    else:
-        for i in range(n_realizations):
-            _, ext[i] = one_realization(i)
+            ext[i, si] = _mean_passband_db(dspec, grid)
     boot_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB0075)))
     stderr = np.array([_bootstrap_stderr(ext[:, si], boot_rng)
                        for si in range(sigma_over_j.size)])
@@ -256,8 +241,7 @@ def fsr_variance(response, band=None) -> FsrReport:
 
 
 def _mean_delta_fsr(spec: ArraySpec, sigma: float, n_realizations: int,
-                    seed_key, grid: np.ndarray,
-                    threads: int = None) -> tuple:
+                    seed_key, grid: np.ndarray) -> tuple:
     band = band_edges(spec.interior)
 
     def one(i):
@@ -267,13 +251,7 @@ def _mean_delta_fsr(spec: ArraySpec, sigma: float, n_realizations: int,
         except ValidationError:
             return math.nan   # too few resolvable ripples in this realization
 
-    vals = np.empty(n_realizations)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals[:] = list(pool.map(one, range(n_realizations)))
-    else:
-        for i in range(n_realizations):
-            vals[i] = one(i)
+    vals = np.array([one(i) for i in range(n_realizations)])
     good = vals[np.isfinite(vals)]
     n_bad = n_realizations - good.size
     if n_bad:
@@ -290,7 +268,8 @@ def calibrate_sigma(measured_delta_fsr: float, spec: ArraySpec, sigma_grid,
     """Empirical mean Delta_FSR(sigma) table and its monotone inversion.
 
     Non-monotone segments are flagged and the inversion restricted to the
-    longest increasing prefix of the table.
+    longest increasing prefix of the table.  Realizations run serially;
+    ``threads`` is accepted for compatibility and does not change the result.
     """
     sigma_grid = np.asarray(sigma_grid, dtype=float)
     grid = _passband_grid(spec)
@@ -298,7 +277,7 @@ def calibrate_sigma(measured_delta_fsr: float, spec: ArraySpec, sigma_grid,
     errs = np.empty(sigma_grid.size)
     for si, sig in enumerate(sigma_grid):
         means[si], errs[si] = _mean_delta_fsr(spec, sig, n_realizations,
-                                              (seed, si), grid, threads)
+                                              (seed, si), grid)
     increasing = np.diff(means) > 0
     monotone = bool(np.all(increasing))
     if monotone:

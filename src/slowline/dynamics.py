@@ -1,10 +1,14 @@
 """Time-domain emission dynamics of the qubit-loaded array.
 
-The circuit is linear, so traces are computed by repeated application of the
-matrix exponential of the state-space generator over one output step (exactly
-energy-preserving for lossless configurations, unlike explicit stepping).
-The initial condition is a complex rotating-wave envelope on the qubit node,
-making the excited-state population p_e a smooth energy fraction.
+The circuit is linear, so every classical protocol (quench, finite tune-in
+ramp, parametric modulation) is one piecewise-constant schedule of bare
+qubit frequencies, stepped with the matrix exponential of each slice's
+state-space generator (exactly energy-preserving for lossless
+configurations, unlike explicit stepping).  The initial condition is a
+complex rotating-wave envelope on the qubit node.  The excited-state
+population p_e is the qubit node's quanta E_q / omega_q under the
+instantaneous model, relative to its initial value; for a quench omega_q is
+fixed and p_e is the node's energy fraction.
 
 Two independent oracles are provided: the ideal-mirror delay equation
 (dispersionless semi-infinite waveguide) and a discretized quadratic-bandedge
@@ -13,6 +17,7 @@ continuum (John-Quang regime).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -141,13 +146,6 @@ def _initial_state(model: StateSpaceModel) -> np.ndarray:
     return x0
 
 
-def _node_energy(model: StateSpaceModel, x: np.ndarray, node: int) -> float:
-    n = model.n_nodes
-    v = np.linalg.solve(model.cap, x[n:])
-    return 0.5 * (model.cap[node, node] * abs(v[node]) ** 2
-                  + model.linv[node, node] * abs(x[node]) ** 2)
-
-
 def total_energy(model: StateSpaceModel, x: np.ndarray) -> float:
     """Total stored energy of a (possibly complex-envelope) state."""
     n = model.n_nodes
@@ -161,19 +159,82 @@ def _time_grid(protocol: Protocol) -> np.ndarray:
     return np.arange(n_steps + 1) * protocol.dt_output
 
 
-def _propagate_lti(model: StateSpaceModel, protocol: Protocol) -> DynamicsTrace:
-    t = _time_grid(protocol)
-    a = model.a_matrix()
-    prop = scipy.linalg.expm(a * protocol.dt_output)
-    x = _initial_state(model)
-    q_node = model.qubit_node
-    e0 = _node_energy(model, x, q_node)
-    p = np.empty(t.shape)
-    for i in range(t.size):
-        p[i] = _node_energy(model, x, q_node) / e0
-        x = prop @ x
+def _schedule(protocol: Protocol, t_out: np.ndarray, n_slices: int):
+    """Endless (bare qubit frequency, step duration) pairs of the protocol.
+
+    A quench holds omega_interact for one output step at a time.  Modulation
+    cycles the midpoint frequencies of n_slices slices of one period.  A ramp
+    takes n_slices midpoint slices from omega_park, one gap step to the first
+    output sample the stepper has not yet read, then holds omega_interact.
+    """
+    w_end = protocol.omega_interact
+    mod = protocol.modulation
+    if mod is not None:
+        dt = 2.0 * math.pi / mod.omega_mod / n_slices
+        tc = (np.arange(n_slices) + 0.5) * dt
+        freqs = w_end + mod.epsilon * np.cos(mod.omega_mod * tc)
+        yield from itertools.cycle([(w, dt) for w in freqs])
+        return
+    if protocol.tune_time > 0:
+        start = protocol.omega_park if protocol.omega_park is not None else w_end
+        dt = protocol.tune_time / n_slices
+        tc = (np.arange(n_slices) + 0.5) * dt
+        t = 0.0
+        for w in start + (w_end - start) * tc / protocol.tune_time:
+            yield w, dt
+            t += dt
+        # _propagate has read every sample up to t + dt/2
+        k = np.searchsorted(t_out, t + 0.5 * dt, side="right")
+        if k < t_out.size:
+            yield w_end, t_out[k] - t
+    yield from itertools.repeat((w_end, protocol.dt_output))
+
+
+def _qubit_quanta(model: StateSpaceModel, a: np.ndarray, x: np.ndarray) -> float:
+    """Qubit-node quanta E_q / omega_q of state x under model.
+
+    v_q = (C^-1 charge)_q, with row q of C^-1 read from A's upper-right block.
+    """
+    n, q = model.n_nodes, model.qubit_node
+    c_qq, l_qq = model.cap[q, q], model.linv[q, q]
+    v_q = a[q, n:] @ x[n:]
+    omega_q = math.sqrt(l_qq / c_qq)
+    return 0.5 * (c_qq * abs(v_q) ** 2 + l_qq * abs(x[q]) ** 2) / omega_q
+
+
+def _propagate(spec: ArraySpec, qubit: QubitCircuitParams, protocol: Protocol,
+               n_slices: int = 64) -> DynamicsTrace:
+    """Step the state through the protocol's schedule with expm propagators.
+
+    Models are cached per frequency and propagators per (frequency, step).
+    Output time t_k is read after the first step whose end t satisfies
+    t_k <= t + dt/2, as qubit-node quanta under that step's model.
+    """
+    t_out = _time_grid(protocol)
+    models = {}     # bare qubit frequency -> (model, A)
+    props = {}      # (frequency, step) -> expm(A dt)
+    p = np.empty(t_out.shape)
+    p[0] = 1.0
+    x, k, t = None, 1, 0.0
+    for w, dt in _schedule(protocol, t_out, n_slices):
+        if k == t_out.size:
+            break
+        if w not in models:
+            m = assemble_state_space(spec, _tuned_qubit(qubit, w))
+            models[w] = (m, m.a_matrix())
+        m, a = models[w]
+        if x is None:
+            x = _initial_state(m)
+            n0 = _qubit_quanta(m, a, x)
+        if (w, dt) not in props:
+            props[w, dt] = scipy.linalg.expm(a * dt)
+        x = props[w, dt] @ x
+        t += dt
+        while k < t_out.size and t_out[k] <= t + 0.5 * dt:
+            p[k] = _qubit_quanta(m, a, x) / n0
+            k += 1
     p *= protocol.initial_excited_population
-    return DynamicsTrace(t=t, p_e=p, metadata={"protocol": protocol.to_dict()})
+    return DynamicsTrace(t=t_out, p_e=p, metadata={"protocol": protocol.to_dict()})
 
 
 def simulate_emission(spec: ArraySpec, qubit: QubitCircuitParams,
@@ -185,10 +246,7 @@ def simulate_emission(spec: ArraySpec, qubit: QubitCircuitParams,
     """
     if protocol.modulation is not None:
         return simulate_modulated(spec, qubit, protocol)
-    if protocol.tune_time > 0:
-        return _simulate_ramped(spec, qubit, protocol)
-    model = assemble_state_space(spec, _tuned_qubit(qubit, protocol.omega_interact))
-    return _propagate_lti(model, protocol)
+    return _propagate(spec, qubit, protocol)
 
 
 def simulate_mirror(spec: ArraySpec, qubit: QubitCircuitParams,
@@ -199,85 +257,17 @@ def simulate_mirror(spec: ArraySpec, qubit: QubitCircuitParams,
     return simulate_emission(spec, qubit, protocol)
 
 
-def _qubit_frequency_slices(protocol: Protocol, n_slices: int):
-    """(slice duration, per-slice bare qubit frequency) for time variation."""
-    if protocol.modulation is not None:
-        mod = protocol.modulation
-        period = 2.0 * math.pi / mod.omega_mod
-        dt = period / n_slices
-        tc = (np.arange(n_slices) + 0.5) * dt
-        freqs = protocol.omega_interact + mod.epsilon * np.cos(mod.omega_mod * tc)
-        return dt, freqs, True
-    # linear ramp omega_park -> omega_interact over tune_time
-    start = protocol.omega_park if protocol.omega_park is not None \
-        else protocol.omega_interact
-    dt = protocol.tune_time / n_slices
-    tc = (np.arange(n_slices) + 0.5) * dt
-    freqs = start + (protocol.omega_interact - start) * tc / protocol.tune_time
-    return dt, freqs, False
-
-
-def _propagate_time_varying(spec: ArraySpec, qubit: QubitCircuitParams,
-                            protocol: Protocol, n_slices: int = 64) -> DynamicsTrace:
-    dt_slice, freqs, periodic = _qubit_frequency_slices(protocol, n_slices)
-    props = {}
-    models = {}
-    for w in freqs:
-        if w not in props:
-            m = assemble_state_space(spec, _tuned_qubit(qubit, w))
-            props[w] = scipy.linalg.expm(m.a_matrix() * dt_slice)
-            models[w] = m
-    model0 = models[freqs[0]]
-    x = _initial_state(model0)
-    q_node = model0.qubit_node
-    e0 = _node_energy(model0, x, q_node)
-
-    t_out = _time_grid(protocol)
-    p = np.empty(t_out.shape)
-    p[0] = 1.0
-    next_idx = 1
-    t = 0.0
-    i_slice = 0
-    n_total = int(math.ceil(protocol.t_max / dt_slice)) + 1
-    for _ in range(n_total):
-        if next_idx >= t_out.size:
-            break
-        x = props[freqs[i_slice % n_slices]] @ x
-        t += dt_slice
-        i_slice += 1
-        if not periodic and i_slice >= n_slices:
-            # ramp finished: continue LTI at omega_interact
-            break
-        while next_idx < t_out.size and t_out[next_idx] <= t + 0.5 * dt_slice:
-            p[next_idx] = _node_energy(model0, x, q_node) / e0
-            next_idx += 1
-    if next_idx < t_out.size:
-        # remaining LTI stretch after a finite ramp
-        m = assemble_state_space(spec, _tuned_qubit(qubit, protocol.omega_interact))
-        prop = scipy.linalg.expm(m.a_matrix() * protocol.dt_output)
-        # advance to the next output sample boundary
-        dt_gap = t_out[next_idx] - t
-        if dt_gap > 0:
-            x = scipy.linalg.expm(m.a_matrix() * dt_gap) @ x
-        for idx in range(next_idx, t_out.size):
-            p[idx] = _node_energy(model0, x, q_node) / e0
-            x = prop @ x
-    p *= protocol.initial_excited_population
-    return DynamicsTrace(t=t_out, p_e=p, metadata={"protocol": protocol.to_dict()})
-
-
 def simulate_modulated(spec: ArraySpec, qubit: QubitCircuitParams,
                        protocol: Protocol, n_slices: int = 64) -> DynamicsTrace:
     """Emission under parametric modulation of the bare qubit frequency,
-    omega_ge(t) = omega_interact + epsilon * cos(omega_mod * t)."""
+    omega_ge(t) = omega_interact + epsilon * cos(omega_mod * t).
+
+    Each period is split into n_slices constant-frequency slices; p_e counts
+    qubit-node quanta E_q / omega_q under each slice's own model.
+    """
     if protocol.modulation is None:
         raise ValidationError("simulate_modulated requires protocol.modulation")
-    return _propagate_time_varying(spec, qubit, protocol, n_slices)
-
-
-def _simulate_ramped(spec: ArraySpec, qubit: QubitCircuitParams,
-                     protocol: Protocol, n_slices: int = 64) -> DynamicsTrace:
-    return _propagate_time_varying(spec, qubit, protocol, n_slices)
+    return _propagate(spec, qubit, protocol, n_slices)
 
 
 def ideal_mirror_oracle(gamma_1d: float, tau_d: float, phase: float,
