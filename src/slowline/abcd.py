@@ -8,12 +8,11 @@ impedance of the spec.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ArraySpec, UnitCellParams, ValidationError
+from .params import ArraySpec, Chain, UnitCellParams, ValidationError
 
 
 @dataclass(frozen=True)
@@ -59,60 +58,70 @@ def default_grid(cell: UnitCellParams, n_points: int = 2001) -> np.ndarray:
     return np.linspace(0.93 * w0, 1.02 * w0, n_points)
 
 
-def _mat_mul(abcd, other):
-    a, b, c, d = abcd
-    a2, b2, c2, d2 = other
-    return (a * a2 + b * c2, a * b2 + b * d2,
-            c * a2 + d * c2, c * b2 + d * d2)
+# Entry magnitude that triggers rescaling.  One element grows an entry by far
+# less than the 1e158 of headroom left below the float limit.
+_RESCALE_ABOVE = 1e150
 
 
-def _series_cap(w, cap):
-    z = 1.0 / (1j * w * cap)
-    one = np.ones_like(z)
-    return (one, z, np.zeros_like(z), one)
+def _ldexp(x: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """x * 2**exp per grid point, on real and imaginary parts apart, so an
+    out-of-range entry is +-inf rather than a 0*inf NaN."""
+    parts = np.ldexp(x.view(float).reshape(*x.shape, 2), exp[..., None])
+    return parts.view(complex)[..., 0]
 
 
-def _shunt_branch(w, c_shunt, l, g_loss):
-    y = 1j * w * c_shunt + 1.0 / (1j * w * l) + g_loss
-    one = np.ones_like(y)
-    return (one, np.zeros_like(y), y, one)
+def _cascade(chain: Chain, freq_grid):
+    """Rows (a, b, c, d) of the chain's ABCD matrix over 2**exp, and exp.
 
-
-def _loss_conductance(c_shunt: float, l: float, q: float) -> float:
-    # parallel resistance R = q/(omega_res * c_shunt), valid near resonance
-    if math.isinf(q):
-        return 0.0
-    return math.sqrt(c_shunt / l) / q
-
-
-def chain_abcd(spec: ArraySpec, freq_grid: np.ndarray):
-    """Total ABCD matrix of the chain (port to port), per grid point."""
+    From the input port, each coupler right-multiplies in place by
+    [[1, z], [0, 1]] and each resonator by [[1, 0], [y, 1]].  Past
+    _RESCALE_ABOVE every point is scaled to a peak in [0.5, 1) by a power of
+    two, which is exact: no bit changes where the plain product is finite.
+    """
     w = np.asarray(freq_grid, dtype=float)
     if np.any(w <= 0):
         raise ValidationError("frequency grid must avoid DC and be positive")
-    q = spec.interior.q_internal
-    shunts = spec.shunt_elements()
-    couplers = spec.coupler_elements()
-    one = np.ones_like(w, dtype=complex)
-    total = (one, np.zeros_like(one), np.zeros_like(one), one)
-    for i, (c_sh, l) in enumerate(shunts):
-        total = _mat_mul(total, _series_cap(w, couplers[i]))
-        total = _mat_mul(total, _shunt_branch(w, c_sh, l, _loss_conductance(c_sh, l, q)))
-    total = _mat_mul(total, _series_cap(w, couplers[-1]))
-    return total
+    m = np.zeros((4, w.size), dtype=complex)
+    m[0] = m[3] = 1.0
+    a, b, c, d = m
+    parts = m.view(float).reshape(4, -1, 2)
+    exp = np.zeros(w.size, dtype=int)
+    jw = 1j * w
+    g_loss = chain.g_loss
+    for i, cap in enumerate(chain.couplers):
+        z = 1.0 / (jw * cap)
+        b += a * z
+        d += c * z
+        if i < chain.n_resonators:
+            y = jw * chain.c_shunt[i] + 1.0 / (jw * chain.l[i]) + g_loss[i]
+            a += b * y
+            c += d * y
+        if parts.max() > _RESCALE_ABOVE or parts.min() < -_RESCALE_ABOVE:
+            _, e = np.frexp(np.abs(m).max(axis=0))
+            np.ldexp(parts, -e[:, None], out=parts)
+            exp += e
+    return m, exp
+
+
+def chain_abcd(spec: ArraySpec, freq_grid: np.ndarray):
+    """Total ABCD matrix of the chain (port to port), per grid point; entries
+    beyond the float range are +-inf."""
+    return tuple(_ldexp(*_cascade(spec.lower(), freq_grid)))
 
 
 def cascade_abcd(spec: ArraySpec, freq_grid: np.ndarray) -> TwoPortResponse:
-    """S21/S11 of the finite array between its resistive ports.
+    """S21/S11 of the finite array (an ``ArraySpec`` or a lowered ``Chain``)
+    between its resistive ports.
 
     Grid points where the conversion is singular yield NaN rather than
     raising.
     """
-    a, b, c, d = chain_abcd(spec, freq_grid)
-    z0 = spec.port_impedance
+    chain = spec.lower()
+    (a, b, c, d), exp = _cascade(chain, freq_grid)
+    z0 = chain.port_impedance
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = a + b / z0 + c * z0 + d
-        s21 = 2.0 / denom
+        s21 = _ldexp(2.0 / denom, -exp)
         s11 = (a + b / z0 - c * z0 - d) / denom
     return TwoPortResponse(freq_grid=np.asarray(freq_grid, dtype=float),
                            s21=s21, s11=s11)
@@ -120,9 +129,9 @@ def cascade_abcd(spec: ArraySpec, freq_grid: np.ndarray) -> TwoPortResponse:
 
 def unit_cell_abcd(cell: UnitCellParams, freq_grid: np.ndarray):
     """ABCD of one periodic cell (series coupler followed by shunt branch)."""
-    w = np.asarray(freq_grid, dtype=float)
-    g = _loss_conductance(cell.c0, cell.l0, cell.q_internal)
-    return _mat_mul(_series_cap(w, cell.cg), _shunt_branch(w, cell.c0, cell.l0, g))
+    chain = Chain(c_shunt=np.array([cell.c0]), l=np.array([cell.l0]),
+                  couplers=np.array([cell.cg]), q_internal=cell.q_internal)
+    return tuple(_ldexp(*_cascade(chain, freq_grid)))
 
 
 def bloch_analysis(cell: UnitCellParams, freq_grid: np.ndarray) -> dict:

@@ -19,7 +19,8 @@ import scipy.signal
 
 from .abcd import cascade_abcd
 from .bands import band_edges, tight_binding
-from .params import ArraySpec, BoundaryCellParams, UnitCellParams, ValidationError
+from .params import (ArraySpec, BoundaryCellParams, Chain, UnitCellParams,
+                     ValidationError)
 
 logger = logging.getLogger(__name__)
 
@@ -29,8 +30,6 @@ PEAK_PROMINENCE_DB = 0.005
 
 # Frequency samples across the passband for ensemble transmission scans.
 SCAN_GRID_POINTS = 2001
-
-_MAX_REDRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -74,68 +73,50 @@ class SigmaCalibration:
                    comments="", fmt="%.12e")
 
 
-def _respec_with_inductances(spec: ArraySpec, inductances) -> ArraySpec:
-    """Rebuild the spec with per-resonator inductances.
+def _normal(key, n: int) -> np.ndarray:
+    """n standard-normal draws from the substream ``key``."""
+    return np.random.default_rng(np.random.SeedSequence(key)).standard_normal(n)
 
-    Every resonator except one mid-array cell becomes an explicit boundary
-    cell; couplers (including any bend) are baked in, so the result carries
-    ``bend=None``.
+
+def _shifted(chain: Chain, offsets) -> Chain:
+    """The chain with resonance i moved by offsets[i] (rad/s).
+
+    Shunt capacitances stay fixed, so only the inductances change; a
+    non-positive frequency raises.
     """
-    shunts, couplers = spec.shunt_elements(), spec.coupler_elements()
-    n = len(shunts)
-    if len(inductances) != n:
-        raise ValidationError("need one inductance per resonator")
-    mid = n // 2
-    cells_in = []
-    for i in range(mid):
-        cells_in.append(BoundaryCellParams(
-            c_shunt=shunts[i][0], c_left=couplers[i],
-            c_right=couplers[i + 1], l0=inductances[i]))
-    interior = UnitCellParams(c0=shunts[mid][0], cg=spec.interior.cg,
-                              l0=inductances[mid],
-                              q_internal=spec.interior.q_internal)
-    cells_out = []
-    for j in range(n - 1, mid, -1):   # from the output port inward
-        cells_out.append(BoundaryCellParams(
-            c_shunt=shunts[j][0], c_left=couplers[j + 1],
-            c_right=couplers[j], l0=inductances[j]))
-    return replace(spec, interior=interior, interior_count=1,
-                   boundary_in=tuple(cells_in), boundary_out=tuple(cells_out),
-                   bend=None)
-
-
-def _disordered_inductances(spec: ArraySpec, sigma: float,
-                            rng: np.random.Generator) -> np.ndarray:
-    """Per-cell inductances from frequencies drawn N(omega_nominal, sigma^2).
-
-    Shunt capacitances stay fixed; non-positive draws are redrawn and the
-    count logged.
-    """
-    shunts = spec.shunt_elements()
-    out = np.empty(len(shunts))
-    redraws = 0
-    for i, (c, l) in enumerate(shunts):
-        w_nom = 1.0 / math.sqrt(l * c)
-        w = w_nom + sigma * rng.standard_normal()
-        while w <= 0.0:
-            redraws += 1
-            if redraws > _MAX_REDRAWS:
-                raise ValidationError("too many non-positive frequency draws")
-            w = w_nom + sigma * rng.standard_normal()
-        out[i] = 1.0 / (w * w * c)
-    if redraws:
-        logger.warning("redrew %d non-positive disorder frequencies", redraws)
-    return out
+    w = 1.0 / np.sqrt(chain.l * chain.c_shunt) + offsets
+    if np.any(w <= 0):
+        raise ValidationError("non-positive disordered frequency")
+    return replace(chain, l=1.0 / (w * w * chain.c_shunt))
 
 
 def sample_disordered(spec: ArraySpec, sigma: float, rng_seed) -> ArraySpec:
-    """One disorder realization; ``sigma = 0`` returns the spec unchanged."""
+    """One disorder realization; ``sigma = 0`` returns the spec unchanged.
+
+    Frequencies are drawn N(omega_nominal, sigma^2) from the substream
+    ``rng_seed``; a non-positive draw raises ``ValidationError``.  All but one
+    mid-array resonator become boundary cells, with the couplers (bend
+    included) baked in, so the result carries ``bend=None``.
+    """
     if sigma < 0:
         raise ValidationError("sigma must be non-negative")
     if sigma == 0.0:
         return spec
-    rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-    return _respec_with_inductances(spec, _disordered_inductances(spec, sigma, rng))
+    chain = spec.lower()
+    chain = _shifted(chain, sigma * _normal(rng_seed, chain.n_resonators))
+    c, l, k = chain.c_shunt.tolist(), chain.l.tolist(), chain.couplers.tolist()
+    mid = len(c) // 2
+    cells_in = [BoundaryCellParams(c_shunt=c[i], c_left=k[i], c_right=k[i + 1],
+                                   l0=l[i]) for i in range(mid)]
+    interior = UnitCellParams(c0=c[mid], cg=spec.interior.cg, l0=l[mid],
+                              q_internal=spec.interior.q_internal)
+    # from the output port inward
+    cells_out = [BoundaryCellParams(c_shunt=c[j], c_left=k[j + 1],
+                                    c_right=k[j], l0=l[j])
+                 for j in range(len(c) - 1, mid, -1)]
+    return replace(spec, interior=interior, interior_count=1,
+                   boundary_in=tuple(cells_in), boundary_out=tuple(cells_out),
+                   bend=None)
 
 
 def _passband_grid(spec: ArraySpec, fraction: float = 1.0) -> np.ndarray:
@@ -149,10 +130,10 @@ def _passband_grid(spec: ArraySpec, fraction: float = 1.0) -> np.ndarray:
 EXTINCTION_BAND_FRACTION = 0.5
 
 
-def _mean_passband_db(spec: ArraySpec, grid: np.ndarray) -> float:
+def _mean_passband_db(chain: Chain, grid: np.ndarray) -> float:
     """Mean transmitted power over the grid, in dB (linear average)."""
-    p = np.abs(cascade_abcd(spec, grid).s21) ** 2
-    return float(10.0 * np.log10(np.mean(p[np.isfinite(p)])))
+    p = np.abs(cascade_abcd(chain, grid).s21) ** 2
+    return float(10.0 * np.log10(np.mean(p)))
 
 
 def _bootstrap_stderr(values: np.ndarray, rng: np.random.Generator,
@@ -179,20 +160,13 @@ def extinction_curve(spec: ArraySpec, sigma_over_j, n_realizations: int,
         raise ValidationError("n_realizations must be >= 1")
     j = tight_binding(spec.interior)["j_tb"]
     grid = _passband_grid(spec, EXTINCTION_BAND_FRACTION)
-    shunts = spec.shunt_elements()
-    caps = np.array([c for c, _ in shunts])
-    w_nom = np.array([1.0 / math.sqrt(l * c) for c, l in shunts])
+    chain = spec.lower()
 
     ext = np.empty((n_realizations, sigma_over_j.size))
     for i in range(n_realizations):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        z = rng.standard_normal(w_nom.size)
+        z = _normal((seed, i), chain.n_resonators)
         for si, soj in enumerate(sigma_over_j):
-            w = w_nom + soj * j * z
-            if np.any(w <= 0):
-                raise ValidationError("non-positive disordered frequency")
-            dspec = _respec_with_inductances(spec, 1.0 / (w * w * caps))
-            ext[i, si] = _mean_passband_db(dspec, grid)
+            ext[i, si] = _mean_passband_db(_shifted(chain, soj * j * z), grid)
     boot_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB0075)))
     stderr = np.array([_bootstrap_stderr(ext[:, si], boot_rng)
                        for si in range(sigma_over_j.size)])
@@ -240,14 +214,15 @@ def fsr_variance(response, band=None) -> FsrReport:
                      delta_fsr=float(np.std(spacings, ddof=1)))
 
 
-def _mean_delta_fsr(spec: ArraySpec, sigma: float, n_realizations: int,
-                    seed_key, grid: np.ndarray) -> tuple:
-    band = band_edges(spec.interior)
-
+def _mean_delta_fsr(chain: Chain, band: tuple, sigma: float,
+                    n_realizations: int, seed_key, grid: np.ndarray) -> tuple:
     def one(i):
-        dspec = sample_disordered(spec, sigma, (*seed_key, i)) if sigma > 0 else spec
+        dchain = chain
+        if sigma > 0:
+            z = _normal((*seed_key, i), chain.n_resonators)
+            dchain = _shifted(chain, sigma * z)
         try:
-            return fsr_variance(cascade_abcd(dspec, grid), band=band).delta_fsr
+            return fsr_variance(cascade_abcd(dchain, grid), band=band).delta_fsr
         except ValidationError:
             return math.nan   # too few resolvable ripples in this realization
 
@@ -273,10 +248,11 @@ def calibrate_sigma(measured_delta_fsr: float, spec: ArraySpec, sigma_grid,
     """
     sigma_grid = np.asarray(sigma_grid, dtype=float)
     grid = _passband_grid(spec)
+    chain, band = spec.lower(), band_edges(spec.interior)
     means = np.empty(sigma_grid.size)
     errs = np.empty(sigma_grid.size)
     for si, sig in enumerate(sigma_grid):
-        means[si], errs[si] = _mean_delta_fsr(spec, sig, n_realizations,
+        means[si], errs[si] = _mean_delta_fsr(chain, band, sig, n_realizations,
                                               (seed, si), grid)
     increasing = np.diff(means) > 0
     monotone = bool(np.all(increasing))

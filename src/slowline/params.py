@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -202,6 +204,15 @@ class ArraySpec:
             couplers[self.bend.position] = self.bend.c_series
         return couplers
 
+    def lower(self) -> "Chain":
+        """The chain as per-resonator arrays, the form every solver reads."""
+        c_shunt, l = np.array(self.shunt_elements()).T
+        return Chain(c_shunt=c_shunt, l=l,
+                     couplers=np.array(self.coupler_elements()),
+                     q_internal=self.interior.q_internal,
+                     port_impedance=self.port_impedance,
+                     matched_out=self.termination_out == "matched")
+
     def to_dict(self) -> dict:
         d = {
             "c0_f": self.interior.c0,
@@ -249,6 +260,34 @@ class ArraySpec:
     @classmethod
     def from_json(cls, text: str) -> "ArraySpec":
         return cls.from_dict(json.loads(text))
+
+
+@dataclass(frozen=True, eq=False)
+class Chain:
+    """A chain lowered to per-resonator arrays, input port first.  ``couplers``
+    is as in ``ArraySpec.coupler_elements``; a lone unit cell has one."""
+
+    c_shunt: np.ndarray     # F
+    l: np.ndarray           # H
+    couplers: np.ndarray    # F
+    q_internal: float = math.inf
+    port_impedance: float = 50.0
+    matched_out: bool = True
+
+    @property
+    def n_resonators(self) -> int:
+        return self.c_shunt.size
+
+    @property
+    def g_loss(self) -> np.ndarray:
+        """Parallel loss conductance omega_res * c_shunt / q, valid near
+        resonance."""
+        if math.isinf(self.q_internal):
+            return np.zeros_like(self.c_shunt)
+        return np.sqrt(self.c_shunt / self.l) / self.q_internal
+
+    def lower(self) -> "Chain":
+        return self
 
 
 @dataclass(frozen=True)

@@ -83,15 +83,15 @@ def _add_cap(cap: np.ndarray, i: int, j: int, value: float) -> None:
 
 def assemble_state_space(spec: ArraySpec,
                          qubit: Optional[QubitCircuitParams] = None) -> StateSpaceModel:
-    """Build the full-circuit model.
+    """Build the full-circuit model from an ``ArraySpec`` or a lowered
+    ``Chain``.
 
     Node order: input port, resonators 1..R, output port, then the qubit node
     if present.  The output port node keeps its coupler but loses its resistor
     for an open-mirror termination.
     """
-    shunts = spec.shunt_elements()
-    couplers = spec.coupler_elements()
-    r = len(shunts)
+    chain = spec.lower()
+    r = chain.n_resonators
     n = r + 2 + (1 if qubit is not None else 0)
     in_node, out_node = 0, r + 1
     q_node = r + 2 if qubit is not None else None
@@ -100,18 +100,16 @@ def assemble_state_space(spec: ArraySpec,
     linv = np.zeros((n, n))
     g = np.zeros((n, n))
 
-    for i, (c_sh, l) in enumerate(shunts):
-        node = i + 1
-        cap[node, node] += c_sh
-        linv[node, node] += 1.0 / l
-        if math.isfinite(spec.interior.q_internal):
-            g[node, node] += math.sqrt(c_sh / l) / spec.interior.q_internal
-    for i, c in enumerate(couplers):
+    res = np.arange(1, r + 1)
+    cap[res, res] = chain.c_shunt
+    linv[res, res] = 1.0 / chain.l
+    g[res, res] = chain.g_loss
+    for i, c in enumerate(chain.couplers):
         _add_cap(cap, i, i + 1, c)
 
-    g[in_node, in_node] += 1.0 / spec.port_impedance
-    if spec.termination_out == "matched":
-        g[out_node, out_node] += 1.0 / spec.port_impedance
+    g[in_node, in_node] += 1.0 / chain.port_impedance
+    if chain.matched_out:
+        g[out_node, out_node] += 1.0 / chain.port_impedance
 
     if qubit is not None:
         if all(c == 0.0 for c in qubit.couplings.values()):
@@ -133,4 +131,4 @@ def assemble_state_space(spec: ArraySpec,
 
     return StateSpaceModel(cap=cap, linv=linv, g=g, input_node=in_node,
                            output_node=out_node, qubit_node=q_node,
-                           port_impedance=spec.port_impedance)
+                           port_impedance=chain.port_impedance)

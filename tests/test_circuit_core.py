@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from slowline.abcd import (TwoPortResponse, bloch_analysis, cascade_abcd,
                            chain_abcd, default_grid, unit_cell_abcd)
 from slowline.bands import band_edges, dispersion
+from slowline.devices import untapered_device
 from slowline.dynamics import _initial_state, total_energy
 from slowline.fitting import fit_to_spectrum
-from slowline.params import UnitCellParams, ValidationError
+from slowline.params import (ArraySpec, Bend, BoundaryCellParams, UnitCellParams,
+                             ValidationError)
 from slowline.statespace import assemble_state_space
 
 
@@ -78,14 +80,52 @@ def test_response_csv_round_trip(tmp_path, test_spec):
     np.testing.assert_allclose(back.s21, resp.s21, rtol=1e-10)
 
 
-def test_state_space_matches_abcd(qubit_spec_nobend, q1):
-    """Nodal steady-state S21 equals the ABCD cascade (independent methods)."""
-    model = assemble_state_space(qubit_spec_nobend, None)
-    lo, hi = band_edges(qubit_spec_nobend.interior)
+def _assert_state_space_matches_abcd(chain, cell):
+    lo, hi = band_edges(cell)
     grid = np.linspace(lo * 1.001, hi * 0.999, 41)
-    s_ss = model.steady_state_s21(grid)
-    s_abcd = cascade_abcd(qubit_spec_nobend, grid).s21
+    s_ss = assemble_state_space(chain, None).steady_state_s21(grid)
+    s_abcd = cascade_abcd(chain, grid).s21
     assert np.max(np.abs(s_ss - s_abcd)) < 1e-6
+
+
+def test_state_space_matches_abcd(qubit_spec_nobend):
+    """Nodal steady-state S21 equals the ABCD cascade (independent methods)."""
+    _assert_state_space_matches_abcd(qubit_spec_nobend, qubit_spec_nobend.interior)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 20), c_port=st.floats(5e-15, 1e-13),
+       c_inner=st.floats(3e-15, 1e-14),
+       bend_at=st.one_of(st.none(), st.floats(0.0, 1.0)),
+       q=st.sampled_from([math.inf, 1e3, 9e4]),
+       spread=st.floats(0.0, 0.05), seed=st.integers(0, 2**32 - 1))
+def test_state_space_matches_abcd_random_chain(n, c_port, c_inner, bend_at,
+                                               q, spread, seed):
+    """The same agreement on random chains: boundary couplers, an optional
+    bend, finite or infinite Q, and per-resonator disorder applied to the
+    lowered chain."""
+    cell = UnitCellParams(c0=353.2e-15, cg=5.05e-15, l0=3.151e-9, q_internal=q)
+    edge = BoundaryCellParams(c_shunt=cell.c0 + 2 * cell.cg - c_port - c_inner,
+                              c_left=c_port, c_right=c_inner, l0=cell.l0)
+    spec = ArraySpec(interior=cell, interior_count=n, boundary_in=(edge,),
+                     boundary_out=(edge,),
+                     bend=None if bend_at is None
+                     else Bend(position=1 + int(bend_at * n), c_series=2.5e-15))
+    chain = spec.lower()
+    rng = np.random.default_rng(seed)
+    chain = dataclasses.replace(
+        chain, l=chain.l * (1.0 + spread * rng.standard_normal(chain.n_resonators)))
+    _assert_state_space_matches_abcd(chain, cell)
+
+
+def test_long_chain_stays_finite_and_passive():
+    """5000 untapered cells: the cascade neither overflows nor loses power,
+    in band or out of it."""
+    spec = untapered_device(5000)
+    resp = cascade_abcd(spec, default_grid(spec.interior, 401))
+    assert np.all(np.isfinite(resp.s21)) and np.all(np.isfinite(resp.s11))
+    total = np.abs(resp.s11) ** 2 + np.abs(resp.s21) ** 2
+    assert np.max(np.abs(total - 1.0)) < 1e-9
 
 
 def test_energy_conservation_lossless(qubit_spec_nobend, q1, midband):

@@ -5,7 +5,8 @@ import pytest
 
 from slowline.abcd import cascade_abcd
 from slowline.bands import band_edges, tight_binding
-from slowline.disorder import (DisorderEnsembleResult, _passband_grid,
+from slowline.disorder import (EXTINCTION_BAND_FRACTION, DisorderEnsembleResult,
+                               _passband_grid,
                                calibrate_sigma, extinction_curve,
                                fsr_variance, sample_disordered)
 from slowline.params import ValidationError
@@ -18,6 +19,38 @@ def test_sigma_zero_identity(tapered_26):
 def test_negative_sigma_rejected(tapered_26):
     with pytest.raises(ValidationError):
         sample_disordered(tapered_26, -1.0, 1)
+
+
+def _nominal_frequencies(spec):
+    return np.array([1.0 / math.sqrt(l * c) for c, l in spec.shunt_elements()])
+
+
+@pytest.mark.parametrize("sigma_scale", ["huge", "lowest_draw_negative"])
+def test_nonpositive_draw_raises(tapered_26, sigma_scale):
+    """A non-positive resonance frequency raises instead of being redrawn."""
+    w_nom = _nominal_frequencies(tapered_26)
+    if sigma_scale == "huge":
+        sigma = 100.0 * w_nom.max()
+    else:   # just enough to push one draw of this stream below zero
+        z = np.random.default_rng(np.random.SeedSequence(1)).standard_normal(
+            w_nom.size)
+        sigma = 1.01 * np.min(w_nom[z < 0] / -z[z < 0])
+    with pytest.raises(ValidationError):
+        sample_disordered(tapered_26, sigma, 1)
+
+
+def test_extinction_realizations_are_sample_disordered(tapered_26):
+    """Realization i of the extinction ensemble is the passband mean of
+    sample_disordered(spec, s*J, (seed, i))."""
+    j = tight_binding(tapered_26.interior)["j_tb"]
+    grid = _passband_grid(tapered_26, EXTINCTION_BAND_FRACTION)
+    res = extinction_curve(tapered_26, [0.1], 3, seed=6)
+    ext = []
+    for i in range(3):
+        d = sample_disordered(tapered_26, 0.1 * j, (6, i))
+        ext.append(10.0 * np.log10(np.mean(np.abs(cascade_abcd(d, grid).s21) ** 2)))
+    assert res.mean_extinction_db[0] == np.mean(ext)
+    assert res.std_extinction_db[0] == np.std(ext, ddof=1)
 
 
 def test_sample_reproducible(tapered_26):
