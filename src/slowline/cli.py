@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -22,15 +21,14 @@ import numpy as np
 from . import __version__
 from .abcd import cascade_abcd, default_grid
 from .bands import dispersion_curve
-from .dressed import solve_dressed_states
+from .dressed import EDGES, MODELS, solve_dressed_states
 from .dynamics import (Protocol, simulate_emission, simulate_emission_quantum,
                        simulate_mirror)
-from .params import (ArraySpec, EmitterParams, QubitCircuitParams,
-                     UnitCellParams, ValidationError)
+from .params import (TWO_PI, ArraySpec, EmitterParams, QubitCircuitParams,
+                     UnitCellParams, ValidationError, as_fields, hz, integer,
+                     list_of, one_of, read_object, real)
 from .taper import TaperProblem, optimize
 from . import disorder as disorder_mod
-
-TWO_PI = 2.0 * math.pi
 
 
 # --------------------------------------------------------------------------
@@ -45,22 +43,6 @@ def parse_config(path: str) -> dict:
         raise ValidationError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {path}: {exc}")
-
-
-def _check_keys(cfg: dict, known, required, path: str = "config") -> None:
-    unknown = set(cfg) - set(known)
-    if unknown:
-        raise ValidationError(f"{path}: unknown keys {sorted(unknown)}")
-    for k in required:
-        if k not in cfg:
-            raise ValidationError(f"{path}: missing required key '{k}'")
-
-
-def _sub(cfg: dict, key: str, builder, path: str = "config"):
-    try:
-        return builder(cfg[key])
-    except ValidationError as exc:
-        raise ValidationError(f"{path}.{key}: {exc}")
 
 
 def _digest(path: str) -> str:
@@ -95,33 +77,29 @@ def _write_manifest(out_dir: str, command: str, params: dict, seed,
 # subcommands: each returns the list of output file names it wrote
 
 def _cmd_band(cfg: dict, out: str, args) -> list:
-    _check_keys(cfg, {"cell", "n_points"}, {"cell"})
-    cell = _sub(cfg, "cell", UnitCellParams.from_dict)
-    curve = dispersion_curve(cell, int(cfg.get("n_points", 1001)))
+    curve = dispersion_curve(**read_object(
+        cfg, "config", {"cell": UnitCellParams.from_dict},
+        {"n_points": integer}))
     curve.to_csv(os.path.join(out, "dispersion.csv"))
     return ["dispersion.csv"]
 
 
 def _cmd_s21(cfg: dict, out: str, args) -> list:
-    _check_keys(cfg, {"spec", "n_points", "f_min_hz", "f_max_hz"}, {"spec"})
-    spec = _sub(cfg, "spec", ArraySpec.from_dict)
-    n = int(cfg.get("n_points", 2001))
-    if "f_min_hz" in cfg or "f_max_hz" in cfg:
-        for k in ("f_min_hz", "f_max_hz"):
-            if k not in cfg:
-                raise ValidationError(f"config: '{k}' required when the other "
-                                      "grid bound is given")
-        grid = np.linspace(TWO_PI * float(cfg["f_min_hz"]),
-                           TWO_PI * float(cfg["f_max_hz"]), n)
-    else:
-        grid = default_grid(spec.interior, n)
+    cfg = read_object(cfg, "config", {"spec": ArraySpec.from_dict},
+                      {"n_points": integer, "f_min_hz": hz, "f_max_hz": hz})
+    spec = cfg["spec"]
+    n = cfg.get("n_points", 2001)
+    if ("f_min_hz" in cfg) != ("f_max_hz" in cfg):
+        raise ValidationError("config: give both f_min_hz and f_max_hz or "
+                              "neither")
+    grid = (np.linspace(cfg["f_min_hz"], cfg["f_max_hz"], n)
+            if "f_min_hz" in cfg else default_grid(spec.interior, n))
     cascade_abcd(spec, grid).to_csv(os.path.join(out, "s21.csv"))
     return ["s21.csv"]
 
 
 def _cmd_taper_opt(cfg: dict, out: str, args) -> list:
-    problem = TaperProblem.from_dict(cfg)
-    report = optimize(problem)
+    report = optimize(TaperProblem.from_dict(cfg))
     with open(os.path.join(out, "tapered_spec.json"), "w", encoding="utf-8") as fh:
         fh.write(report.spec.to_json())
         fh.write("\n")
@@ -137,12 +115,10 @@ def _cmd_taper_opt(cfg: dict, out: str, args) -> list:
 
 
 def _cmd_dressed(cfg: dict, out: str, args) -> list:
-    _check_keys(cfg, {"cell", "emitter", "model", "edge"}, {"cell", "emitter"})
-    cell = _sub(cfg, "cell", UnitCellParams.from_dict)
-    emitter = _sub(cfg, "emitter", EmitterParams.from_dict)
-    sol = solve_dressed_states(emitter, cell,
-                               model=cfg.get("model", "effective_mass"),
-                               edge=cfg.get("edge", "upper"))
+    sol = solve_dressed_states(**read_object(
+        cfg, "config", {"cell": UnitCellParams.from_dict,
+                        "emitter": EmitterParams.from_dict},
+        {"model": one_of(MODELS), "edge": one_of(EDGES)}))
     payload = {
         "e_bound_hz": sol.e_bound / TWO_PI,
         "e_radiative_hz_re": sol.e_radiative.real / TWO_PI,
@@ -165,15 +141,14 @@ _DYNAMICS_METHODS = {
 
 
 def _cmd_dynamics(cfg: dict, out: str, args) -> list:
-    _check_keys(cfg, {"spec", "qubit", "protocol", "method",
-                      "sweep_omega_interact_hz"}, {"spec", "qubit", "protocol"})
-    spec = _sub(cfg, "spec", ArraySpec.from_dict)
-    qubit = _sub(cfg, "qubit", QubitCircuitParams.from_dict)
-    protocol = _sub(cfg, "protocol", Protocol.from_dict)
-    method = cfg.get("method", "emission")
-    if method not in _DYNAMICS_METHODS:
-        raise ValidationError(f"config.method: unknown method '{method}'")
-    run = _DYNAMICS_METHODS[method]
+    cfg = read_object(cfg, "config",
+                      {"spec": ArraySpec.from_dict,
+                       "qubit": QubitCircuitParams.from_dict,
+                       "protocol": Protocol.from_dict},
+                      {"method": one_of(_DYNAMICS_METHODS),
+                       "sweep_omega_interact_hz": list_of(real)})
+    spec, qubit, protocol = cfg["spec"], cfg["qubit"], cfg["protocol"]
+    run = _DYNAMICS_METHODS[cfg.get("method", "emission")]
     sweep = cfg.get("sweep_omega_interact_hz")
     if getattr(args, "sweep", False) and sweep is None:
         raise ValidationError("--sweep requires config key "
@@ -181,44 +156,38 @@ def _cmd_dynamics(cfg: dict, out: str, args) -> list:
     if sweep is None:
         run(spec, qubit, protocol).to_csv(os.path.join(out, "trace.csv"))
         return ["trace.csv"]
-    outputs = []
-    index = []
-    for i, f_hz in enumerate(sweep):
-        p = dataclasses.replace(protocol, omega_interact=TWO_PI * float(f_hz))
-        name = f"trace_{i:03d}.csv"
+    outputs = [f"trace_{i:03d}.csv" for i in range(len(sweep))]
+    for f_hz, name in zip(sweep, outputs):
+        p = dataclasses.replace(protocol, omega_interact=TWO_PI * f_hz)
         run(spec, qubit, p).to_csv(os.path.join(out, name))
-        outputs.append(name)
-        index.append((float(f_hz), name))
     with open(os.path.join(out, "index.csv"), "w", encoding="utf-8") as fh:
         fh.write("omega_interact_hz,file\n")
-        for f_hz, name in index:
+        for f_hz, name in zip(sweep, outputs):
             fh.write(f"{f_hz:.12e},{name}\n")
-    outputs.append("index.csv")
-    return outputs
+    return outputs + ["index.csv"]
+
+
+# mode -> (required, optional) keys besides "spec" and "seed", named as the
+# parameters of the mode's disorder function
+_DISORDER_KEYS = {
+    "extinction": ({"sigma_over_j": list_of(real), "n_realizations": integer},
+                   {}),
+    "calibrate": ({"measured_delta_fsr_hz": hz, "sigma_grid_hz": list_of(hz)},
+                  {"n_realizations": integer}),
+}
 
 
 def _cmd_disorder(cfg: dict, out: str, args) -> list:
-    mode = args.mode
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    threads = args.threads
-    if mode == "extinction":
-        _check_keys(cfg, {"spec", "sigma_over_j", "n_realizations", "seed"},
-                    {"spec", "sigma_over_j", "n_realizations"})
-        spec = _sub(cfg, "spec", ArraySpec.from_dict)
-        res = disorder_mod.extinction_curve(
-            spec, np.asarray(cfg["sigma_over_j"], dtype=float),
-            int(cfg["n_realizations"]), seed, threads=threads)
+    required, optional = _DISORDER_KEYS[args.mode]
+    kw = as_fields(read_object(
+        cfg, "config", {"spec": ArraySpec.from_dict, **required},
+        {"seed": integer, **optional}))
+    kw["seed"] = args.seed if args.seed is not None else kw.get("seed", 0)
+    if args.mode == "extinction":
+        res = disorder_mod.extinction_curve(**kw, threads=args.threads)
         res.to_csv(os.path.join(out, "extinction.csv"))
         return ["extinction.csv"]
-    _check_keys(cfg, {"spec", "measured_delta_fsr_hz", "sigma_grid_hz",
-                      "n_realizations", "seed"},
-                {"spec", "measured_delta_fsr_hz", "sigma_grid_hz"})
-    spec = _sub(cfg, "spec", ArraySpec.from_dict)
-    cal = disorder_mod.calibrate_sigma(
-        TWO_PI * float(cfg["measured_delta_fsr_hz"]), spec,
-        TWO_PI * np.asarray(cfg["sigma_grid_hz"], dtype=float),
-        n_realizations=int(cfg.get("n_realizations", 500)),
-        seed=seed, threads=threads)
+    cal = disorder_mod.calibrate_sigma(**kw, threads=args.threads)
     cal.to_csv(os.path.join(out, "calibration_table.csv"))
     with open(os.path.join(out, "calibration.json"), "w", encoding="utf-8") as fh:
         json.dump({"sigma_estimate_hz": cal.sigma_estimate / TWO_PI,
@@ -253,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dyn = add("dynamics", _cmd_dynamics)
     p_dyn.add_argument("--sweep", action="store_true")
     p_dis = add("disorder", _cmd_disorder)
-    p_dis.add_argument("mode", choices=("extinction", "calibrate"))
+    p_dis.add_argument("mode", choices=_DISORDER_KEYS)
     return parser
 
 
@@ -264,16 +233,12 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         outputs = args.func(cfg, args.out, args)
-    except ValidationError as exc:
-        json.dump({"error": str(exc), "type": "validation",
+    except (ValidationError, OSError) as exc:
+        bad_input = isinstance(exc, ValidationError)
+        json.dump({"error": str(exc), "type": "validation" if bad_input else "io",
                    "subcommand": args.subcommand}, sys.stderr)
         sys.stderr.write("\n")
-        return 2
-    except OSError as exc:
-        json.dump({"error": str(exc), "type": "io",
-                   "subcommand": args.subcommand}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        return 2 if bad_input else 1
     command = args.subcommand + (f" {args.mode}" if args.subcommand == "disorder" else "")
     _write_manifest(args.out, command, cfg, args.seed,
                     {args.config: _digest(args.config)}, outputs, started)

@@ -95,8 +95,9 @@ def sample_disordered(spec: ArraySpec, sigma: float, rng_seed) -> ArraySpec:
 
     Frequencies are drawn N(omega_nominal, sigma^2) from the substream
     ``rng_seed``; a non-positive draw raises ``ValidationError``.  All but one
-    mid-array resonator become boundary cells, with the couplers (bend
-    included) baked in, so the result carries ``bend=None``.
+    mid-array resonator become boundary cells and the interior cell keeps its
+    own right coupler, so every coupler (bend included) is baked in and the
+    result carries ``bend=None``.
     """
     if sigma < 0:
         raise ValidationError("sigma must be non-negative")
@@ -108,7 +109,7 @@ def sample_disordered(spec: ArraySpec, sigma: float, rng_seed) -> ArraySpec:
     mid = len(c) // 2
     cells_in = [BoundaryCellParams(c_shunt=c[i], c_left=k[i], c_right=k[i + 1],
                                    l0=l[i]) for i in range(mid)]
-    interior = UnitCellParams(c0=c[mid], cg=spec.interior.cg, l0=l[mid],
+    interior = UnitCellParams(c0=c[mid], cg=k[mid + 1], l0=l[mid],
                               q_internal=spec.interior.q_internal)
     # from the output port inward
     cells_out = [BoundaryCellParams(c_shunt=c[j], c_left=k[j + 1],
@@ -138,11 +139,8 @@ def _mean_passband_db(chain: Chain, grid: np.ndarray) -> float:
 
 def _bootstrap_stderr(values: np.ndarray, rng: np.random.Generator,
                       n_boot: int = 200) -> float:
-    n = values.size
-    means = np.empty(n_boot)
-    for b in range(n_boot):
-        means[b] = values[rng.integers(0, n, n)].mean()
-    return float(means.std(ddof=1))
+    draws = rng.integers(0, values.size, (n_boot, values.size))
+    return float(values[draws].mean(axis=1).std(ddof=1))
 
 
 def extinction_curve(spec: ArraySpec, sigma_over_j, n_realizations: int,
@@ -247,6 +245,8 @@ def calibrate_sigma(measured_delta_fsr: float, spec: ArraySpec, sigma_grid,
     ``threads`` is accepted for compatibility and does not change the result.
     """
     sigma_grid = np.asarray(sigma_grid, dtype=float)
+    if np.any(sigma_grid < 0):
+        raise ValidationError("sigma must be non-negative")
     grid = _passband_grid(spec)
     chain, band = spec.lower(), band_edges(spec.interior)
     means = np.empty(sigma_grid.size)

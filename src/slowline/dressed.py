@@ -30,6 +30,9 @@ from .params import EmitterParams, UnitCellParams, ValidationError
 # keeps clear of the van Hove singularity while capturing near-edge states.
 EDGE_MARGIN_J = 1e-6
 
+MODELS = ("effective_mass", "exact_band")
+EDGES = ("upper", "lower")
+
 
 class SingularPointError(ValidationError):
     """Evaluation exactly at a bandedge or other singular point."""
@@ -48,6 +51,14 @@ def _default_j(cell: UnitCellParams, j) -> float:
     return tight_binding(cell)["j_tb"] if j is None else float(j)
 
 
+def _edge(cell: UnitCellParams, edge: str) -> tuple:
+    """(frequency, sign) of the named band edge: +1 upper, -1 lower."""
+    if edge not in EDGES:
+        raise ValidationError(f"edge must be 'upper' or 'lower': {edge!r}")
+    lo, hi = band_edges(cell)
+    return (hi, 1.0) if edge == "upper" else (lo, -1.0)
+
+
 def self_energy(e, g_uc: float, cell: UnitCellParams,
                 model: str = "effective_mass", j: float = None,
                 edge: str = "upper", sheet: str = "first"):
@@ -58,17 +69,13 @@ def self_energy(e, g_uc: float, cell: UnitCellParams,
     integrates g^2/(E - omega_k) over the Brillouin zone; real in-band E is
     evaluated as the principal value with the retarded -i pi * DOS term.
     """
-    if model not in ("effective_mass", "exact_band"):
-        raise ValidationError(f"unknown self-energy model: {model}")
-    if edge not in ("upper", "lower"):
-        raise ValidationError(f"edge must be 'upper' or 'lower': {edge}")
+    if model not in MODELS:
+        raise ValidationError(f"unknown self-energy model: {model!r}")
+    w_edge, sign = _edge(cell, edge)
     jj = _default_j(cell, j)
-    lo, hi = band_edges(cell)
     e_arr = np.atleast_1d(np.asarray(e, dtype=complex))
 
     if model == "effective_mass":
-        w_edge = hi if edge == "upper" else lo
-        sign = 1.0 if edge == "upper" else -1.0
         z = sign * (e_arr - w_edge)
         if np.any(z == 0):
             raise SingularPointError("self-energy evaluated exactly at the bandedge")
@@ -78,6 +85,7 @@ def self_energy(e, g_uc: float, cell: UnitCellParams,
         out = sign * g_uc**2 / (2.0 * root)
         return out if np.ndim(e) else complex(out[0])
 
+    lo, hi = band_edges(cell)
     out = np.empty(e_arr.shape, dtype=complex)
     for i, ei in enumerate(e_arr):
         out[i] = _exact_band_sigma(ei, g_uc, cell, lo, hi)
@@ -129,12 +137,13 @@ def _exact_band_sigma(e: complex, g_uc: float, cell: UnitCellParams,
 def solve_dressed_states(emitter: EmitterParams, cell: UnitCellParams,
                          model: str = "effective_mass", j: float = None,
                          edge: str = "upper") -> DressedStateSolution:
-    """Bound and radiative roots of E = omega_ge + Sigma(E)."""
+    """Bound and radiative roots of E = omega_ge + Sigma(E) (effective mass)."""
+    if model != "effective_mass":
+        raise ValidationError("dressed states need model 'effective_mass', "
+                              f"got {model!r}")
+    w_edge, sign = _edge(cell, edge)
     jj = _default_j(cell, j)
     g = emitter.g_uc
-    lo, hi = band_edges(cell)
-    w_edge = hi if edge == "upper" else lo
-    sign = 1.0 if edge == "upper" else -1.0
     beta = (g**4 / (4.0 * jj)) ** (1.0 / 3.0)
 
     def f_bound(e):
@@ -194,10 +203,8 @@ def bound_profile(e: float, cell: UnitCellParams, n_cells: int,
     Amplitudes follow e^{-|x|/lambda}; when omega_ge is supplied the photonic
     part carries weight 1 - |c_e|^2 so the full state is normalized.
     """
+    w_edge, sign = _edge(cell, edge)
     jj = _default_j(cell, j)
-    lo, hi = band_edges(cell)
-    w_edge = hi if edge == "upper" else lo
-    sign = 1.0 if edge == "upper" else -1.0
     if sign * (e - w_edge) <= 0:
         raise ValidationError("bound-state energy must lie outside the band")
     lam = math.sqrt(jj / (sign * (e - w_edge)))

@@ -26,7 +26,8 @@ import numpy as np
 import scipy.linalg
 import scipy.signal
 
-from .params import ArraySpec, QubitCircuitParams, ValidationError
+from .params import (ArraySpec, QubitCircuitParams, ValidationError,
+                     _require, as_fields, hz, nullable, read_object, real)
 from .statespace import StateSpaceModel, assemble_state_space
 
 
@@ -36,10 +37,8 @@ class Modulation:
     epsilon: float      # rad/s, frequency-modulation amplitude
 
     def __post_init__(self):
-        if self.omega_mod <= 0:
-            raise ValidationError("omega_mod must be positive")
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be non-negative")
+        _require(self.omega_mod > 0, "omega_mod must be positive")
+        _require(self.epsilon >= 0, "epsilon must be non-negative")
 
     @property
     def index(self) -> float:
@@ -57,12 +56,13 @@ class Protocol:
     omega_park: Optional[float] = None      # rad/s, start of a finite ramp
 
     def __post_init__(self):
-        if self.t_max <= 0 or self.dt_output <= 0:
-            raise ValidationError("t_max and dt_output must be positive")
-        if not 0.0 <= self.initial_excited_population <= 1.0:
-            raise ValidationError("initial population must lie in [0, 1]")
-        if self.tune_time < 0:
-            raise ValidationError("tune_time must be non-negative")
+        _require(self.t_max > 0 and self.dt_output > 0,
+                 "t_max and dt_output must be positive")
+        _require(0.0 <= self.initial_excited_population <= 1.0,
+                 "initial population must lie in [0, 1]")
+        _require(self.tune_time >= 0, "tune_time must be non-negative")
+        _require(self.omega_park is None or self.omega_park > 0,
+                 "omega_park must be positive")
 
     def to_dict(self) -> dict:
         d = {"omega_interact_hz": self.omega_interact / (2 * math.pi),
@@ -79,32 +79,15 @@ class Protocol:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Protocol":
-        known = {"omega_interact_hz", "t_max_s", "dt_output_s",
-                 "initial_excited_population", "modulation", "tune_time_s",
-                 "omega_park_hz"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValidationError(f"unknown protocol keys: {sorted(unknown)}")
-        for k in ("omega_interact_hz", "t_max_s"):
-            if k not in d:
-                raise ValidationError(f"missing protocol key: {k}")
-        mod = None
-        if d.get("modulation") is not None:
-            md = d["modulation"]
-            extra = set(md) - {"omega_mod_hz", "epsilon_hz"}
-            if extra:
-                raise ValidationError(f"unknown modulation keys: {sorted(extra)}")
-            mod = Modulation(omega_mod=float(md["omega_mod_hz"]) * 2 * math.pi,
-                             epsilon=float(md["epsilon_hz"]) * 2 * math.pi)
-        park = d.get("omega_park_hz")
-        return cls(omega_interact=float(d["omega_interact_hz"]) * 2 * math.pi,
-                   t_max=float(d["t_max_s"]),
-                   dt_output=float(d.get("dt_output_s", 1e-10)),
-                   initial_excited_population=float(
-                       d.get("initial_excited_population", 1.0)),
-                   modulation=mod,
-                   tune_time=float(d.get("tune_time_s", 0.0)),
-                   omega_park=float(park) * 2 * math.pi if park else None)
+        def modulation(m):
+            return Modulation(**as_fields(read_object(
+                m, "Modulation", {"omega_mod_hz": hz, "epsilon_hz": hz})))
+
+        return cls(**as_fields(read_object(
+            d, cls.__name__, {"omega_interact_hz": hz, "t_max_s": real},
+            {"dt_output_s": real, "initial_excited_population": real,
+             "modulation": nullable(modulation), "tune_time_s": real,
+             "omega_park_hz": nullable(hz)})))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,6 +26,97 @@ class ValidationError(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValidationError(msg)
+
+
+# --------------------------------------------------------------------------
+# JSON reading.  A converter returns the value read or raises
+# ValidationError; ``read_object`` re-raises that naming the key path, which
+# grows by one key per level of nesting.  Other exceptions are bugs and pass.
+
+def _convert(where: str, key: str, convert, value):
+    try:
+        return convert(value)
+    except ValidationError as exc:
+        path = (key, *getattr(exc, "path", ()))
+        reason = getattr(exc, "reason", str(exc))
+        err = ValidationError(".".join((where, *path)) + ": " + reason)
+        err.path, err.reason = path, reason
+        raise err from None
+
+
+def read_object(d, where: str, required: dict, optional: dict = None) -> dict:
+    """The keys present in the JSON object ``d``, each read by its converter
+    in ``required`` or ``optional``; ``where`` names ``d`` in errors."""
+    _require(isinstance(d, dict),
+             f"{where}: expected a JSON object, got {type(d).__name__}")
+    converters = {**required, **(optional or {})}
+    unknown = sorted(set(d) - set(converters))
+    _require(not unknown, f"{where}: unknown keys {unknown}")
+    missing = [k for k in required if k not in d]
+    _require(not missing, f"{where}: missing required keys {missing}")
+    return {k: _convert(where, k, converters[k], v) for k, v in d.items()}
+
+
+def real(v) -> float:
+    """A finite number (Python's json also parses NaN and Infinity)."""
+    _require(isinstance(v, numbers.Real) and not isinstance(v, bool)
+             and math.isfinite(v), f"expected a finite number, got {v!r}")
+    return float(v)
+
+
+def hz(v) -> float:
+    """A frequency in Hz, read as rad/s."""
+    return real(v) * TWO_PI
+
+
+def integer(v) -> int:
+    """A number with an integral value."""
+    _require(not isinstance(v, bool) and (isinstance(v, numbers.Integral) or
+             isinstance(v, float) and v.is_integer()),
+             f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def boolean(v) -> bool:
+    _require(isinstance(v, bool), f"expected true or false, got {v!r}")
+    return v
+
+
+def one_of(options):
+    def read(v):
+        _require(isinstance(v, str) and v in options,
+                 f"expected one of {list(options)}, got {v!r}")
+        return v
+    return read
+
+
+def nullable(convert):
+    return lambda v: None if v is None else convert(v)
+
+
+def list_of(convert):
+    """A JSON list, read item by item into a tuple."""
+    def read(v):
+        _require(isinstance(v, list), f"expected a JSON list, got {v!r}")
+        return tuple(_convert("list", str(i), convert, x)
+                     for i, x in enumerate(v))
+    return read
+
+
+def index_map(convert):
+    """A JSON object keyed by integers, read into a dict."""
+    def read(v):
+        _require(isinstance(v, dict) and all(re.fullmatch(r"-?\d+", str(k))
+                                             for k in v),
+                 f"expected a JSON object keyed by integers, got {v!r}")
+        return {int(k): _convert("map", str(k), convert, x)
+                for k, x in v.items()}
+    return read
+
+
+def as_fields(values: dict) -> dict:
+    """``values`` keyed by dataclass field: the JSON key minus its unit."""
+    return {re.sub(r"_(f|h|hz|s|ohm)$", "", k): v for k, v in values.items()}
 
 
 @dataclass(frozen=True)
@@ -59,13 +152,9 @@ class UnitCellParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "UnitCellParams":
-        known = {"c0_f", "cg_f", "l0_h", "q_internal"}
-        unknown = set(d) - known
-        _require(not unknown, f"unknown unit-cell keys: {sorted(unknown)}")
-        for k in ("c0_f", "cg_f", "l0_h"):
-            _require(k in d, f"missing unit-cell key: {k}")
-        return cls(c0=float(d["c0_f"]), cg=float(d["cg_f"]),
-                   l0=float(d["l0_h"]), q_internal=float(d.get("q_internal", math.inf)))
+        return cls(**as_fields(read_object(
+            d, cls.__name__, {"c0_f": real, "cg_f": real, "l0_h": real},
+            {"q_internal": real})))
 
 
 @dataclass(frozen=True)
@@ -96,13 +185,8 @@ class BoundaryCellParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoundaryCellParams":
-        known = {"c_shunt_f", "c_left_f", "c_right_f", "l0_h"}
-        unknown = set(d) - known
-        _require(not unknown, f"unknown boundary-cell keys: {sorted(unknown)}")
-        for k in known:
-            _require(k in d, f"missing boundary-cell key: {k}")
-        return cls(c_shunt=float(d["c_shunt_f"]), c_left=float(d["c_left_f"]),
-                   c_right=float(d["c_right_f"]), l0=float(d["l0_h"]))
+        return cls(**as_fields(read_object(d, cls.__name__, dict.fromkeys(
+            ("c_shunt_f", "c_left_f", "c_right_f", "l0_h"), real))))
 
 
 @dataclass(frozen=True)
@@ -123,10 +207,8 @@ class Bend:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Bend":
-        known = {"position", "c_series_f"}
-        unknown = set(d) - known
-        _require(not unknown, f"unknown bend keys: {sorted(unknown)}")
-        return cls(position=int(d["position"]), c_series=float(d["c_series_f"]))
+        return cls(**as_fields(read_object(
+            d, cls.__name__, {"position": integer, "c_series_f": real})))
 
 
 TERMINATIONS = ("matched", "open_mirror")
@@ -214,7 +296,7 @@ class ArraySpec:
                      matched_out=self.termination_out == "matched")
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "c0_f": self.interior.c0,
             "cg_f": self.interior.cg,
             "l0_h": self.interior.l0,
@@ -226,33 +308,21 @@ class ArraySpec:
             "termination_out": self.termination_out,
             "bend": self.bend.to_dict() if self.bend else None,
         }
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArraySpec":
-        known = {"c0_f", "cg_f", "l0_h", "q_internal", "boundary_in",
-                 "boundary_out", "interior_count", "port_impedance_ohm",
-                 "termination_out", "bend"}
-        unknown = set(d) - known
-        _require(not unknown, f"unknown array-spec keys: {sorted(unknown)}")
-        for k in ("c0_f", "cg_f", "l0_h", "interior_count"):
-            _require(k in d, f"missing array-spec key: {k}")
-        q = d.get("q_internal")
-        cell = UnitCellParams(c0=float(d["c0_f"]), cg=float(d["cg_f"]),
-                              l0=float(d["l0_h"]),
-                              q_internal=float(q) if q is not None else math.inf)
-        bend = d.get("bend")
-        return cls(
-            interior=cell,
-            interior_count=int(d["interior_count"]),
-            boundary_in=tuple(BoundaryCellParams.from_dict(b)
-                              for b in d.get("boundary_in", [])),
-            boundary_out=tuple(BoundaryCellParams.from_dict(b)
-                               for b in d.get("boundary_out", [])),
-            port_impedance=float(d.get("port_impedance_ohm", 50.0)),
-            termination_out=d.get("termination_out", "matched"),
-            bend=Bend.from_dict(bend) if bend else None,
-        )
+        cells = list_of(BoundaryCellParams.from_dict)
+        v = as_fields(read_object(
+            d, cls.__name__,
+            {"c0_f": real, "cg_f": real, "l0_h": real, "interior_count": integer},
+            {"q_internal": nullable(real), "boundary_in": cells,
+             "boundary_out": cells, "port_impedance_ohm": real,
+             "termination_out": one_of(TERMINATIONS),
+             "bend": nullable(Bend.from_dict)}))
+        q = v.pop("q_internal", None)
+        interior = UnitCellParams(c0=v.pop("c0"), cg=v.pop("cg"), l0=v.pop("l0"),
+                                  q_internal=math.inf if q is None else q)
+        return cls(interior=interior, **v)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -332,15 +402,9 @@ class QubitCircuitParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QubitCircuitParams":
-        known = {"c_sigma_f", "couplings_f", "omega_ge_hz", "q_intrinsic"}
-        unknown = set(d) - known
-        _require(not unknown, f"unknown qubit keys: {sorted(unknown)}")
-        for k in ("c_sigma_f", "couplings_f", "omega_ge_hz"):
-            _require(k in d, f"missing qubit key: {k}")
-        return cls(c_sigma=float(d["c_sigma_f"]),
-                   couplings={int(k): float(v) for k, v in d["couplings_f"].items()},
-                   omega_ge=float(d["omega_ge_hz"]) * TWO_PI,
-                   q_intrinsic=float(d.get("q_intrinsic", math.inf)))
+        return cls(**as_fields(read_object(
+            d, cls.__name__, {"c_sigma_f": real, "couplings_f": index_map(real),
+                              "omega_ge_hz": hz}, {"q_intrinsic": real})))
 
 
 @dataclass(frozen=True)
@@ -371,14 +435,6 @@ class EmitterParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EmitterParams":
-        known = {"omega_ge_hz", "g_uc_hz", "extra_couplings_hz", "q_intrinsic"}
-        unknown = set(d) - known
-        _require(not unknown, f"unknown emitter keys: {sorted(unknown)}")
-        for k in ("omega_ge_hz", "g_uc_hz"):
-            _require(k in d, f"missing emitter key: {k}")
-        extra = {int(k): float(v) * TWO_PI
-                 for k, v in d.get("extra_couplings_hz", {}).items()}
-        return cls(omega_ge=float(d["omega_ge_hz"]) * TWO_PI,
-                   g_uc=float(d["g_uc_hz"]) * TWO_PI,
-                   extra_couplings=extra,
-                   q_intrinsic=float(d.get("q_intrinsic", math.inf)))
+        return cls(**as_fields(read_object(
+            d, cls.__name__, {"omega_ge_hz": hz, "g_uc_hz": hz},
+            {"extra_couplings_hz": index_map(hz), "q_intrinsic": real})))

@@ -17,9 +17,8 @@ import scipy.optimize
 
 from .abcd import cascade_abcd
 from .bands import band_edges
-from .params import ArraySpec, BoundaryCellParams, ValidationError
-
-TWO_PI = 2.0 * math.pi
+from .params import (ArraySpec, BoundaryCellParams, ValidationError, _require,
+                     boolean, integer, read_object, real)
 
 # Fixed frequency grid size for the ripple objective; pinned to the analytic
 # band limits of the interior cell so the scoring window does not move with
@@ -43,12 +42,9 @@ class TaperProblem:
     max_iterations: int = 400
 
     def __post_init__(self):
-        if self.n_modified < 0:
-            raise ValidationError("n_modified must be >= 0")
-        if not 0.0 < self.band_window <= 1.0:
-            raise ValidationError("band_window must be in (0, 1]")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
+        _require(self.n_modified >= 0, "n_modified must be >= 0")
+        _require(0.0 < self.band_window <= 1.0, "band_window must be in (0, 1]")
+        _require(self.max_iterations >= 1, "max_iterations must be >= 1")
 
     def to_dict(self) -> dict:
         return {"base": self.base.to_dict(), "n_modified": self.n_modified,
@@ -57,18 +53,10 @@ class TaperProblem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TaperProblem":
-        known = {"base", "n_modified", "band_window", "symmetric",
-                 "max_iterations"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValidationError(f"unknown taper-problem keys: {sorted(unknown)}")
-        if "base" not in d:
-            raise ValidationError("missing taper-problem key: base")
-        return cls(base=ArraySpec.from_dict(d["base"]),
-                   n_modified=int(d.get("n_modified", 2)),
-                   band_window=float(d.get("band_window", 0.5)),
-                   symmetric=bool(d.get("symmetric", True)),
-                   max_iterations=int(d.get("max_iterations", 400)))
+        return cls(**read_object(d, cls.__name__, {"base": ArraySpec.from_dict},
+                                 {"n_modified": integer, "band_window": real,
+                                  "symmetric": boolean,
+                                  "max_iterations": integer}))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import slowline
 from slowline.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -166,3 +171,73 @@ def test_unknown_top_level_key(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert "extra" in err["error"]
+
+
+SPEC = {**CELL, "interior_count": 4}
+QUBIT = {"c_sigma_f": 77.8e-15, "couplings_f": {"2": 1.9e-15},
+         "omega_ge_hz": 4.75e9}
+PROTOCOL = {"omega_interact_hz": 4.7e9, "t_max_s": 1e-9}
+EMITTER = {"omega_ge_hz": 4.745e9, "g_uc_hz": 3e7}
+
+
+@pytest.mark.parametrize("argv, cfg, path", [
+    (["s21"], {"spec": {**SPEC, "bend": {"position": 2}}},
+     "config.spec.bend: Bend: missing required keys ['c_series_f']"),
+    (["dynamics"], {"spec": SPEC, "qubit": QUBIT, "protocol": {
+        **PROTOCOL, "modulation": {"omega_mod_hz": 6e8}}},
+     "config.protocol.modulation: Modulation: missing required keys "
+     "['epsilon_hz']"),
+    (["band"], {"cell": {**CELL, "c0_f": "abc"}}, "config.cell.c0_f:"),
+    (["s21"], {"spec": None}, "config.spec:"),
+    (["disorder", "extinction"], [{"spec": SPEC}], "config: expected a JSON"),
+    (["s21"], {"spec": {**SPEC, "interior_count": 2.7}},
+     "config.spec.interior_count:"),
+    (["s21"], {"spec": {**SPEC, "boundary_in": [5]}},
+     "config.spec.boundary_in.0:"),
+    (["taper-opt"], {"base": SPEC, "n_modified": 1, "max_iterations": 1,
+                     "symmetric": "false"},
+     "TaperProblem.symmetric:"),
+    (["dynamics"], {"spec": SPEC, "qubit": {**QUBIT, "couplings_f": [1e-15]},
+                    "protocol": PROTOCOL}, "config.qubit.couplings_f:"),
+    (["dressed"], {"cell": CELL, "emitter": {
+        **EMITTER, "extra_couplings_hz": {"x": 1e6}}},
+     "config.emitter.extra_couplings_hz: expected a JSON object keyed by "
+     "integers"),
+    (["dynamics", "--sweep"], {"spec": SPEC, "qubit": QUBIT,
+                               "protocol": PROTOCOL,
+                               "sweep_omega_interact_hz": ["a"]},
+     "config.sweep_omega_interact_hz.0:"),
+    (["disorder", "extinction"], {"spec": SPEC, "sigma_over_j": [0.1],
+                                  "n_realizations": "5"},
+     "config.n_realizations:"),
+    (["s21"], {"spec": SPEC, "f_min_hz": math.nan, "f_max_hz": 4.9e9},
+     "config.f_min_hz: expected a finite number"),
+    (["dressed"], {"cell": CELL, "emitter": EMITTER, "edge": "uper"},
+     "config.edge:"),
+])
+def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, argv, cfg,
+                                                 path):
+    """Bad types, missing nested keys and non-objects are validation errors
+    naming the key path, never a raw exception or a silent conversion."""
+    cfg_path = _write(tmp_path, "cfg.json", cfg)
+    assert main([*argv, "--config", cfg_path,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "validation"
+    assert path in err["error"]
+
+
+def test_module_entry_point_reports_one_json_line(tmp_path):
+    """``python -m slowline.cli`` on a malformed config exits 2 and writes
+    exactly one JSON line to stderr, with no traceback."""
+    cfg = _write(tmp_path, "cfg.json", {"cell": {**CELL, "c0_f": "abc"}})
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(slowline.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "slowline.cli", "band", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["type"] == "validation"

@@ -6,10 +6,11 @@ import pytest
 from slowline.abcd import cascade_abcd
 from slowline.bands import band_edges, tight_binding
 from slowline.disorder import (EXTINCTION_BAND_FRACTION, DisorderEnsembleResult,
-                               _passband_grid,
+                               _bootstrap_stderr, _passband_grid,
                                calibrate_sigma, extinction_curve,
                                fsr_variance, sample_disordered)
-from slowline.params import ValidationError
+from slowline.params import (ArraySpec, BoundaryCellParams, UnitCellParams,
+                             ValidationError)
 
 
 def test_sigma_zero_identity(tapered_26):
@@ -99,6 +100,18 @@ def test_bend_baked_into_realization(qubit_spec):
                                qubit_spec.coupler_elements(), rtol=1e-12)
 
 
+def test_two_resonator_realization_keeps_port_couplers():
+    """With one interior and one 80 fF output cell the re-encoded
+    realization still ends on the 80 fF port coupler."""
+    cell = UnitCellParams(c0=353.2e-15, cg=5.05e-15, l0=3.151e-9)
+    out = BoundaryCellParams(c_shunt=283.1e-15, c_left=80e-15,
+                             c_right=5.05e-15, l0=cell.l0)
+    spec = ArraySpec(interior=cell, interior_count=1, boundary_out=(out,))
+    d = sample_disordered(spec, 0.05 * tight_binding(cell)["j_tb"], 4)
+    assert spec.coupler_elements() == [5.05e-15, 5.05e-15, 80e-15]
+    assert d.coupler_elements() == spec.coupler_elements()
+
+
 def test_extinction_deterministic_and_thread_invariant(tapered_26):
     soj = np.array([0.0, 0.05, 0.1])
     a = extinction_curve(tapered_26, soj, 8, seed=3)
@@ -107,6 +120,20 @@ def test_extinction_deterministic_and_thread_invariant(tapered_26):
     np.testing.assert_array_equal(a.stderr_db, b.stderr_db)
     c = extinction_curve(tapered_26, soj, 8, seed=4)
     assert not np.array_equal(a.mean_extinction_db, c.mean_extinction_db)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 500])
+def test_bootstrap_matches_loop_reference(n):
+    """One (n_boot, n) index draw equals n_boot successive draws of n."""
+    def loop(values, rng, n_boot=200):
+        means = np.empty(n_boot)
+        for b in range(n_boot):
+            means[b] = values[rng.integers(0, values.size, values.size)].mean()
+        return float(means.std(ddof=1))
+
+    v = np.random.default_rng(n).standard_normal(n)
+    assert (_bootstrap_stderr(v, np.random.default_rng(3))
+            == loop(v, np.random.default_rng(3)))
 
 
 def test_extinction_monotone_and_nonpositive(tapered_26):
@@ -171,3 +198,17 @@ def test_calibration_monotone_table(tapered_26):
                           threads=4)
     assert cal.monotone
     assert np.all(np.diff(cal.mean_delta_fsr) > 0)
+
+
+def test_calibration_rejects_negative_sigma(tapered_26, monkeypatch):
+    """A negative sigma raises as in sample_disordered, before any cascade."""
+    import slowline.disorder as disorder
+
+    def no_cascade(*args, **kwargs):
+        raise AssertionError("cascade run before the sigma grid was checked")
+
+    monkeypatch.setattr(disorder, "cascade_abcd", no_cascade)
+    j = tight_binding(tapered_26.interior)["j_tb"]
+    with pytest.raises(ValidationError, match="sigma must be non-negative"):
+        calibrate_sigma(1e6, tapered_26, [-0.2 * j, 0.0, 0.1 * j],
+                        n_realizations=4)

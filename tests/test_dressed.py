@@ -177,3 +177,20 @@ def test_avoided_crossing_splitting():
     top2 = np.argsort(weights)[-2:]
     gap = abs(evals[top2[0]] - evals[top2[1]])
     assert gap == pytest.approx(sol.splitting, rel=0.35)
+
+
+@pytest.mark.parametrize("call", [
+    lambda edge: solve_dressed_states(_emitter(0.3), CELL, j=J, edge=edge),
+    lambda edge: bound_profile(W0 + J, CELL, 51, j=J, edge=edge),
+    lambda edge: self_energy(W0 + J, _emitter(0.3).g_uc, CELL, j=J, edge=edge),
+])
+def test_unknown_edge_rejected(call):
+    """A misspelt edge raises instead of silently meaning the lower edge."""
+    with pytest.raises(ValidationError, match="uper"):
+        call("uper")
+
+
+@pytest.mark.parametrize("model", ["exact_band", "bogus"])
+def test_dressed_states_need_effective_mass_model(model):
+    with pytest.raises(ValidationError, match=model):
+        solve_dressed_states(_emitter(0.3), CELL, j=J, model=model)

@@ -40,6 +40,8 @@ def test_protocol_validation():
     with pytest.raises(ValidationError):
         Protocol(omega_interact=3e10, t_max=-1.0)
     with pytest.raises(ValidationError):
+        Protocol(omega_interact=3e10, t_max=math.nan)
+    with pytest.raises(ValidationError):
         Protocol(omega_interact=3e10, t_max=1e-7,
                  initial_excited_population=1.5)
     with pytest.raises(ValidationError, match="t_maxx"):

@@ -96,3 +96,22 @@ def test_emitter_round_trip():
 def test_emitter_rejects_unknown_key():
     with pytest.raises(ValidationError, match="g_uc"):
         EmitterParams.from_dict({"omega_ge_hz": 3e9, "g_uc": 1e7})
+
+
+@pytest.mark.parametrize("count, ok", [
+    (22, True), (22.0, True), (2.7, False), ("22", False), (True, False)])
+def test_integer_keys_reject_non_integral(test_spec, count, ok):
+    d = {**test_spec.to_dict(), "interior_count": count}
+    if ok:
+        assert ArraySpec.from_dict(d) == test_spec
+    else:
+        with pytest.raises(ValidationError, match="ArraySpec.interior_count"):
+            ArraySpec.from_dict(d)
+
+
+def test_nested_error_names_key_path(test_spec):
+    d = test_spec.to_dict()
+    d["boundary_out"][1]["c_left_f"] = "7.3e-15"
+    with pytest.raises(ValidationError, match=r"ArraySpec\.boundary_out\.1\."
+                                              r"c_left_f: expected a finite number"):
+        ArraySpec.from_dict(d)
