@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 import scipy.signal
 
 from .params import (ArraySpec, QubitCircuitParams, ValidationError,
@@ -288,6 +289,120 @@ def ideal_mirror_oracle(gamma_1d: float, tau_d: float, phase: float,
                                    "phase": phase})
 
 
+_CHUNK = 128                    # roots or time samples per (chunk x M) block
+_EPS = np.finfo(float).eps
+_MAX_ITER = 64                  # tested inputs have needed at most 8 passes
+
+
+def _secular_chunk(d: np.ndarray, detuning: float, rho: float, i: np.ndarray):
+    """Interior roots lam_i in (d_i, d_i+1) of the arrowhead secular equation
+
+        f(lam) = lam - detuning + sum_k rho / (d_k - lam)
+
+    and their emitter weights w_i = 1 / f'(lam_i), for the root indices i.
+
+    Each root is held as an offset tau from its nearer pole, so d_k - lam is
+    formed from pole differences and keeps full relative accuracy.  Each
+    step goes to the root of the two-pole model c + s/(D_i - eta) +
+    S/(D_i+1 - eta) that matches f and f' (the "middle way" of LAPACK dlaed4;
+    Bunch, Nielsen & Sorensen, Numer. Math. 31, 31 (1978)), and bisects the
+    bracket when a step leaves it.
+    """
+    gap = d[i + 1] - d[i]
+    org = d[i].copy()               # origin pole; pass 0 may move it to d_i+1
+    tau = 0.5 * gap                 # start at the midpoint
+    lo, hi = np.zeros_like(gap), gap.copy()
+    lam, w = np.empty(i.size), np.empty(i.size)
+    act = np.arange(i.size)         # rows still iterating
+    done = np.zeros(i.size, dtype=bool)
+    for it in range(_MAX_ITER):
+        r = i[act]
+        delta = (d - org[act, None]) - tau[act, None]       # d_k - lam
+        terms = rho / delta
+        f = ((org[act] - detuning) + tau[act]) + terms.sum(axis=1)
+        terms /= delta                                      # rho/(d_k - lam)^2
+        # poles k <= r (left group) and k > r; only columns r[0]..r[-1] mix
+        c0, c1 = r[0], r[-1] + 1
+        left = np.arange(c0, c1) <= r[:, None]
+        mixed = terms[:, c0:c1]
+        dpsi = terms[:, :c0].sum(axis=1) + np.where(left, mixed, 0.0).sum(axis=1)
+        dphi = terms[:, c1:].sum(axis=1) + np.where(left, 0.0, mixed).sum(axis=1)
+        if it == 0:                 # root right of the midpoint: origin d_i+1
+            flip = act[f < 0]
+            org[flip] = d[i[flip] + 1]
+            tau[flip] -= gap[flip]
+            lo[flip] -= gap[flip]
+            hi[flip] -= gap[flip]
+        # the linear term's slope joins the group of the far pole, which
+        # looks linear on the scale of the distance to the near one
+        right = org[act] != d[r]
+        dpsi += right
+        dphi += ~right
+        t = tau[act]
+        lo[act] = np.where(f < 0, t, lo[act])      # t lies inside the bracket
+        hi[act] = np.where(f > 0, t, hi[act])
+        di = (d[r] - org[act]) - t
+        dj = (d[r + 1] - org[act]) - t
+        a = (di + dj) * f - di * dj * (dpsi + dphi)
+        b = di * dj * f
+        c = f - di * dpsi - dj * dphi
+        disc = np.sqrt(np.maximum(a * a - 4.0 * b * c, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eta = np.where(a > 0, 2.0 * b / (a + disc), (a - disc) / (2.0 * c))
+        eta[(f == 0) | ~np.isfinite(eta)] = 0.0
+        lam[act] = org[act] + t
+        w[act] = 1.0 / (dpsi + dphi)
+        checked = done[act]         # stepped once more after converging
+        done[act] = np.abs(eta) <= 4 * _EPS * (np.abs(t) + np.abs(org[act]))
+        step = t + eta
+        keep = done[act] | ((step > lo[act]) & (step < hi[act]))
+        tau[act] = np.where(keep, step, 0.5 * (lo[act] + hi[act]))
+        act = act[~checked]
+        if act.size == 0:
+            return lam, w
+    raise RuntimeError(f"secular solver: {act.size} roots not converged "
+                       f"in {_MAX_ITER} iterations")
+
+
+def _outer_root(d: np.ndarray, detuning: float, rho: float, g: float,
+                upper: bool):
+    """The root above (upper) or below the band, by a bracketed scalar solve
+    in the offset tau from the outermost pole, and its emitter weight."""
+    pole = d[-1] if upper else d[0]
+    shifted = d - pole
+
+    def f(tau):
+        return ((pole - detuning) + tau) + np.sum(rho / (shifted - tau))
+
+    # |f| >= |far - detuning| at the pole end and >= 1.5 g at far, with
+    # opposite signs
+    if upper:
+        far = max(detuning, pole) + 2.0 * g
+        bracket = (0.5 * rho / (far - detuning), far - pole)
+    else:
+        far = min(detuning, pole) - 2.0 * g
+        bracket = (far - pole, -0.5 * rho / (detuning - far))
+    tau = scipy.optimize.brentq(f, *bracket, xtol=4 * _EPS * abs(pole),
+                                rtol=4 * _EPS)
+    return pole + tau, 1.0 / (1.0 + np.sum(rho / (shifted - tau) ** 2))
+
+
+def _bandedge_spectrum(g_uc: float, j: float, detuning: float, m: int):
+    """Eigenvalues E_i - omega0 (ascending) and emitter weights |<e|i>|^2 of
+    [[diag(omega_k), g/sqrt(m)], [g/sqrt(m), omega0 + detuning]]."""
+    k = (np.arange(m) + 0.5) / m * math.pi      # half of the BZ; even band
+    d = -j * k[::-1] ** 2                       # omega_k - omega0, ascending
+    # +/- k pairs folded into symmetric modes: g/sqrt(2m) * sqrt(2)
+    rho = g_uc * g_uc / m
+    lam, w = np.empty(m + 1), np.empty(m + 1)
+    lam[0], w[0] = _outer_root(d, detuning, rho, abs(g_uc), upper=False)
+    lam[m], w[m] = _outer_root(d, detuning, rho, abs(g_uc), upper=True)
+    for i0 in range(0, m - 1, _CHUNK):
+        i = np.arange(i0, min(i0 + _CHUNK, m - 1))
+        lam[i + 1], w[i + 1] = _secular_chunk(d, detuning, rho, i)
+    return lam, w
+
+
 def bandedge_oracle(g_uc: float, j: float, omega0: float, detuning: float,
                     t_max: float, dt_output: float = 1e-10,
                     n_modes: int = 1201, convergence_tol: float = 0.01) -> DynamicsTrace:
@@ -295,28 +410,35 @@ def bandedge_oracle(g_uc: float, j: float, omega0: float, detuning: float,
     omega_k = omega0 - J k^2 (upper-bandedge John-Quang regime).
 
     The emitter sits at omega0 + detuning and couples as g_uc/sqrt(M) to every
-    mode.  Raises if the N-mode and 2N-mode traces differ by more than
-    convergence_tol.
+    mode.  The M + 1 eigenvalues of this arrowhead Hamiltonian are the roots
+    of its secular equation, one between each pair of adjacent modes and one
+    on each side of the band, and the emitter weight of each is 1/f'(E_i)
+    in closed form (_bandedge_spectrum).  All roots are solved together in
+    O(M^2) work and O(M) memory, to about 1e-15 relative accuracy in E - omega0;
+    p_e(t) = |sum_i w_i exp(-i (E_i - omega0) t)|^2 is summed without BLAS,
+    so it does not depend on the BLAS thread count.  Raises if the M-mode
+    and 2M-mode traces differ by more than convergence_tol.
     """
-    def run(m):
-        k = (np.arange(m) + 0.5) / m * math.pi      # half of the BZ; even band
-        wk = omega0 - j * k**2
-        h = np.zeros((m + 1, m + 1))
-        h[:m, :m] = np.diag(wk)
-        h[m, m] = omega0 + detuning
-        # +/- k pairs folded into symmetric modes: g/sqrt(2m) * sqrt(2)
-        h[m, :m] = h[:m, m] = g_uc / math.sqrt(m)
-        evals, evecs = np.linalg.eigh(h)
-        t = _time_grid(Protocol(omega_interact=omega0, t_max=t_max,
-                                dt_output=dt_output))
-        # reference energies to the band edge to keep phases slow
-        amps = evecs[m, :]
-        phases = np.exp(-1j * np.outer(t, evals - omega0))
-        ce = phases @ (amps * amps)
-        return t, np.abs(ce) ** 2
+    _require(0 < j < math.inf, "j must be positive and finite")
+    _require(n_modes >= 1, "n_modes must be at least 1")
+    _require(all(map(math.isfinite, (g_uc, omega0, detuning, convergence_tol))),
+             "g_uc, omega0, detuning and convergence_tol must be finite")
+    t = _time_grid(Protocol(omega_interact=omega0, t_max=t_max,
+                            dt_output=dt_output))
 
-    t, p1 = run(n_modes)
-    _, p2 = run(2 * n_modes)
+    def run(m):
+        if g_uc * g_uc / m == 0.0:      # uncoupled: no root leaves the poles
+            return np.ones(t.shape)
+        lam, w = _bandedge_spectrum(g_uc, j, detuning, m)
+        p = np.empty(t.shape)
+        for s in range(0, t.size, _CHUNK):
+            phase = np.multiply.outer(t[s:s + _CHUNK], lam)
+            p[s:s + _CHUNK] = ((np.cos(phase) * w).sum(axis=1) ** 2
+                               + (np.sin(phase) * w).sum(axis=1) ** 2)
+        return p
+
+    p1 = run(n_modes)
+    p2 = run(2 * n_modes)
     if np.max(np.abs(p1 - p2)) > convergence_tol:
         raise ValidationError(
             f"bandedge oracle not converged at {n_modes} modes "
@@ -344,10 +466,25 @@ def simulate_emission_quantum(spec: ArraySpec, qubit: QubitCircuitParams,
     are the rotating wave and the fixed-frequency (Markovian) port response,
     so the two methods form a genuine cross-check.
     """
-    import scipy.linalg as sla
+    evals, evecs, coeff, readout = _quantum_modes(spec, qubit,
+                                                  protocol.omega_interact)
+    amps = (readout @ evecs * coeff).T           # (mode, read-out row)
+    t = _time_grid(protocol)
+    p = np.empty(t.shape)
+    for s in range(0, t.size, _CHUNK):
+        q = np.exp(-1j * np.multiply.outer(t[s:s + _CHUNK], evals)) @ amps
+        p[s:s + _CHUNK] = (q.real ** 2 + q.imag ** 2).sum(axis=1)
+    p *= protocol.initial_excited_population
+    return DynamicsTrace(t=t, p_e=p, metadata={"protocol": protocol.to_dict(),
+                                               "method": "quantum"})
 
-    model = assemble_state_space(spec, _tuned_qubit(qubit, protocol.omega_interact))
-    w_ref = protocol.omega_interact
+
+def _quantum_modes(spec: ArraySpec, qubit: QubitCircuitParams, w_ref: float):
+    """Eigenvalues lam and eigenvectors V of simulate_emission_quantum's H_eff
+    at bare qubit frequency w_ref, the initial state's coefficients c in V,
+    and the two read-out rows R with p_e(t) = sum_r |R_r V (c exp(-i lam t))|^2
+    (qubit-node charge and flux energy over the initial energy)."""
+    model = assemble_state_space(spec, _tuned_qubit(qubit, w_ref))
     nodes = [i for i in range(model.n_nodes) if model.linv[i, i] > 0]
     cap = model.cap[np.ix_(nodes, nodes)].copy()
     linv = model.linv[np.ix_(nodes, nodes)]
@@ -365,7 +502,7 @@ def simulate_emission_quantum(spec: ArraySpec, qubit: QubitCircuitParams,
                 cap[a, a] -= c * x * x / (1.0 + x * x)
                 g_red[a, a] += w_ref**2 * c**2 * model.port_impedance / (1.0 + x * x)
 
-    w2, u = sla.eigh(linv, cap)                  # u^T C u = 1
+    w2, u = scipy.linalg.eigh(linv, cap)         # u^T C u = 1
     w = np.sqrt(w2)
     gamma = u.T @ g_red @ u                      # mode-resolved decay matrix
     h_eff = np.diag(w).astype(complex) - 0.5j * gamma
@@ -382,20 +519,12 @@ def simulate_emission_quantum(spec: ArraySpec, qubit: QubitCircuitParams,
     z0 = w * eta0 + 1j * etad0                   # analytic mode amplitudes
 
     coeff = np.linalg.solve(evecs, z0)
-    t = _time_grid(protocol)
     e0 = 0.5 * (cap[q_idx, q_idx] * abs(v0[q_idx]) ** 2
                 + linv[q_idx, q_idx] * abs(phi0[q_idx]) ** 2)
-    p = np.empty(t.shape)
     uq = u[q_idx, :]
-    for i, ti in enumerate(t):
-        z = evecs @ (coeff * np.exp(-1j * evals * ti))
-        phi_q = uq @ (z / (2.0 * w))
-        v_q = uq @ (-0.5j * z)
-        p[i] = 0.5 * (cap[q_idx, q_idx] * abs(v_q) ** 2
-                      + linv[q_idx, q_idx] * abs(phi_q) ** 2) / e0
-    p *= protocol.initial_excited_population
-    return DynamicsTrace(t=t, p_e=p, metadata={"protocol": protocol.to_dict(),
-                                               "method": "quantum"})
+    readout = np.array([math.sqrt(0.5 * cap[q_idx, q_idx] / e0) * -0.5j * uq,
+                        math.sqrt(0.5 * linv[q_idx, q_idx] / e0) * uq / (2.0 * w)])
+    return evals, evecs, coeff, readout
 
 
 def lifetime_1e(trace: DynamicsTrace) -> float:

@@ -1,15 +1,21 @@
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.signal
 
+import slowline
 from slowline.bands import tight_binding
 from slowline.devices import QUBIT_CELL_INDEX, qubit_device, qubit_q1
 from slowline.dynamics import (DynamicsTrace, Modulation, Protocol,
-                               _initial_state, bandedge_oracle,
+                               _bandedge_spectrum, _initial_state,
+                               _quantum_modes, _time_grid, bandedge_oracle,
                                effective_rate, ideal_mirror_oracle,
                                lifetime_1e, revival_onsets, simulate_emission,
                                simulate_emission_quantum, simulate_mirror,
@@ -119,6 +125,61 @@ def test_bandedge_oracle_convergence_guard():
                         dt_output=1e-9, n_modes=21)
 
 
+def _dense_bandedge(g_uc, j, omega0, detuning, t, m):
+    """Dense eigh of the (m+1)-level arrowhead Hamiltonian: the reference."""
+    k = (np.arange(m) + 0.5) / m * math.pi
+    h = np.zeros((m + 1, m + 1))
+    h[:m, :m] = np.diag(omega0 - j * k**2)
+    h[m, m] = omega0 + detuning
+    h[m, :m] = h[:m, m] = g_uc / math.sqrt(m)
+    evals, evecs = np.linalg.eigh(h)
+    amps = evecs[m, :]
+    ce = np.exp(-1j * np.outer(t, evals - omega0)) @ (amps * amps)
+    return np.abs(ce) ** 2
+
+
+@pytest.mark.parametrize("detuning", [0.0, 20 * J, -3 * J])
+@pytest.mark.parametrize("n_modes", [1, 2, 21, 301])
+def test_bandedge_oracle_matches_dense_reference(detuning, n_modes):
+    g = 0.3 * J
+    tr = bandedge_oracle(g, J, CELL.omega0, detuning, t_max=1.2e-6,
+                         dt_output=1e-9, n_modes=n_modes, convergence_tol=2.0)
+    ref = _dense_bandedge(g, J, CELL.omega0, detuning, tr.t, 2 * n_modes)
+    assert np.max(np.abs(tr.p_e - ref)) < 1e-10
+    for m in (n_modes, 2 * n_modes):
+        _, w = _bandedge_spectrum(g, J, detuning, m)
+        assert abs(w.sum() - 1.0) < 1e-12
+
+
+def test_bandedge_oracle_validation():
+    ok = dict(g_uc=0.3 * J, j=J, omega0=CELL.omega0, detuning=0.0,
+              t_max=1e-8, dt_output=1e-9, n_modes=11)
+    for bad in (dict(j=0.0), dict(j=-J), dict(n_modes=0),
+                dict(g_uc=math.nan), dict(omega0=math.inf),
+                dict(detuning=math.nan), dict(convergence_tol=math.inf)):
+        with pytest.raises(ValidationError):
+            bandedge_oracle(**{**ok, **bad})
+    uncoupled = bandedge_oracle(**{**ok, "g_uc": 0.0})
+    assert np.all(uncoupled.p_e == 1.0)
+
+
+def test_bandedge_oracle_bit_identical_across_blas_threads():
+    """The oracle's p_e does not depend on the OpenBLAS thread count."""
+    code = ("from slowline.dynamics import bandedge_oracle\n"
+            f"tr = bandedge_oracle({0.3 * J!r}, {J!r}, {CELL.omega0!r}, "
+            f"{20 * J!r}, t_max=2e-7, dt_output=1e-9, n_modes=301)\n"
+            "print(tr.p_e.tobytes().hex())")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(pathlib.Path(slowline.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        out.append(proc.stdout)
+    assert out[0] == out[1]
+
+
 # --------------------------------------------------------------- estimators
 
 def test_lifetime_and_rate_on_pure_exponential():
@@ -180,6 +241,20 @@ def test_quantum_matches_classical_short(qubit_spec_nobend, q1, midband):
     pc = simulate_emission(qubit_spec_nobend, q1, prot).p_e
     pq = simulate_emission_quantum(qubit_spec_nobend, q1, prot).p_e
     assert np.max(np.abs(pc - pq)) < 5e-3
+
+
+def test_quantum_readout_matches_per_sample_loop(qubit_spec_nobend, q1,
+                                                midband):
+    prot = Protocol(omega_interact=midband, t_max=2e-7, dt_output=2e-10)
+    evals, evecs, coeff, readout = _quantum_modes(qubit_spec_nobend, q1,
+                                                  midband)
+    t = _time_grid(prot)
+    loop = np.empty(t.shape)
+    for i, ti in enumerate(t):
+        z = evecs @ (coeff * np.exp(-1j * evals * ti))
+        loop[i] = np.sum(np.abs(readout @ z) ** 2)
+    pq = simulate_emission_quantum(qubit_spec_nobend, q1, prot).p_e
+    assert np.max(np.abs(pq - loop)) < 1e-12
 
 
 def test_ramped_tune_in_slows_early_decay(qubit_spec_nobend, q1, midband):
