@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.signal
 
 from .abcd import cascade_abcd
 from .bands import band_edges, tight_binding
@@ -185,6 +184,7 @@ def fsr_variance(response, band=None) -> FsrReport:
     ``band`` is the (lower, upper) passband edge pair; when omitted the span
     between the outermost extracted peaks stands in for it.
     """
+    import scipy.signal     # slow to import (scipy.stats); only needed here
     db = response.s21_db
     freq = response.freq_grid
     idx, _ = scipy.signal.find_peaks(db, prominence=PEAK_PROMINENCE_DB)

@@ -15,20 +15,14 @@ which at omega_ge = omega0 gives the closed forms
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
-import scipy.optimize
 
 from .bands import band_edges, coupling_spectrum, dispersion, group_velocity, tight_binding
 from .params import EmitterParams, UnitCellParams, ValidationError
-
-# Offset (in units of J) above the bandedge where root bracketing starts;
-# keeps clear of the van Hove singularity while capturing near-edge states.
-EDGE_MARGIN_J = 1e-6
 
 MODELS = ("effective_mass", "exact_band")
 EDGES = ("upper", "lower")
@@ -137,53 +131,38 @@ def _exact_band_sigma(e: complex, g_uc: float, cell: UnitCellParams,
 def solve_dressed_states(emitter: EmitterParams, cell: UnitCellParams,
                          model: str = "effective_mass", j: float = None,
                          edge: str = "upper") -> DressedStateSolution:
-    """Bound and radiative roots of E = omega_ge + Sigma(E) (effective mass)."""
+    """Bound and radiative roots of E = omega_ge + Sigma(E) (effective mass).
+
+    With y = sqrt(J s (E - omega_edge)), s = +1 at the upper edge and -1 at
+    the lower, the equation is the cubic
+
+        y^3 + s J (omega_edge - omega_ge) y - g_uc^2 J / 2 = 0,
+
+    solved here in units of J.  Its roots sum to zero and multiply to
+    g_uc^2 J / 2 > 0, so for g_uc != 0 exactly one is positive real: the
+    bound state, first sheet.  The other two have negative real parts (second
+    sheet); the one furthest left is the radiative pole.
+    """
     if model != "effective_mass":
         raise ValidationError("dressed states need model 'effective_mass', "
                               f"got {model!r}")
     w_edge, sign = _edge(cell, edge)
     jj = _default_j(cell, j)
     g = emitter.g_uc
-    beta = (g**4 / (4.0 * jj)) ** (1.0 / 3.0)
-
-    def f_bound(e):
-        return e - emitter.omega_ge - sign * g**2 / (
-            2.0 * math.sqrt(jj * sign * (e - w_edge)))
-
-    a = w_edge + sign * EDGE_MARGIN_J * jj
-    b = w_edge + sign * (abs(emitter.omega_ge - w_edge) + 10.0 * (beta + g + jj))
-    lo_e, hi_e = (a, b) if a < b else (b, a)
-    if f_bound(a) * f_bound(b) > 0:
-        raise ValidationError(
-            f"no bound-state root in bracket [{lo_e:.6e}, {hi_e:.6e}]")
-    e_b = scipy.optimize.brentq(f_bound, lo_e, hi_e, xtol=1e-6, rtol=1e-15)
-
-    # radiative root: Newton on the second-sheet continuation
-    def f_rad(e):
-        return e - emitter.omega_ge + sign * g**2 / (
-            2.0 * cmath.sqrt(jj * sign * (e - w_edge)))
-
-    e_r = complex(w_edge) - sign * cmath.exp(1j * math.pi / 3.0) * beta \
-        + (emitter.omega_ge - w_edge)
-    for _ in range(200):
-        h = 1e-6 * max(beta, 1.0)
-        df = (f_rad(e_r + h) - f_rad(e_r - h)) / (2.0 * h)
-        step = f_rad(e_r) / df
-        e_r -= step
-        if abs(step) < 1e-12 * abs(e_r):
-            break
-    else:
-        raise ValidationError("radiative-root Newton iteration did not converge")
-    if e_r.imag > 0:
-        e_r = e_r.conjugate()
-
-    weight = qubit_weight(e_b, emitter.omega_ge, w_edge) if edge == "upper" \
-        else qubit_weight(2 * w_edge - e_b, 2 * w_edge - emitter.omega_ge, w_edge)
-    lam = math.sqrt(jj / (sign * (e_b - w_edge)))
-    return DressedStateSolution(e_bound=e_b, e_radiative=e_r,
-                                qubit_weight=weight,
-                                localization_length=lam,
-                                splitting=2.0 * beta)
+    u = np.roots([1.0, 0.0, sign * (w_edge - emitter.omega_ge) / jj,
+                  -0.5 * (g / jj) ** 2])                # roots y / J
+    u_b, u_r = max(u, key=lambda x: x.real), min(u, key=lambda x: x.real)
+    if u_b.imag != 0 or not u_b.real > 0:
+        raise ValidationError("no bound state: the emitter is uncoupled "
+                              "and not in the gap")
+    u_b = float(u_b.real)
+    e_r = complex(w_edge + sign * jj * u_r * u_r)
+    return DressedStateSolution(
+        e_bound=w_edge + sign * jj * u_b * u_b,
+        e_radiative=e_r.conjugate() if e_r.imag > 0 else e_r,
+        qubit_weight=1.0 / (1.0 + 0.25 * (g / jj) ** 2 / u_b**3),
+        localization_length=1.0 / u_b,
+        splitting=2.0 * (g**4 / (4.0 * jj)) ** (1.0 / 3.0))
 
 
 def qubit_weight(e: float, omega_ge: float, omega0: float) -> float:

@@ -24,8 +24,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
-import scipy.signal
 
 from .params import (ArraySpec, QubitCircuitParams, ValidationError,
                      _require, as_fields, hz, nullable, read_object, real)
@@ -291,15 +289,17 @@ def ideal_mirror_oracle(gamma_1d: float, tau_d: float, phase: float,
 
 _CHUNK = 128                    # roots or time samples per (chunk x M) block
 _EPS = np.finfo(float).eps
-_MAX_ITER = 64                  # tested inputs have needed at most 8 passes
+_MAX_ITER = 64                  # tested inputs have needed at most 13 passes
 
 
 def _secular_chunk(d: np.ndarray, detuning: float, rho: float, i: np.ndarray):
-    """Interior roots lam_i in (d_i, d_i+1) of the arrowhead secular equation
+    """Roots lam_i in (d_i, d_i+1) of the arrowhead secular equation
 
-        f(lam) = lam - detuning + sum_k rho / (d_k - lam)
+        f(lam) = lam - detuning + sum_{0 < k < n-1} rho / (d_k - lam)
 
     and their emitter weights w_i = 1 / f'(lam_i), for the root indices i.
+    The end poles d_0 and d_n-1 carry no residue: they only bound the
+    outer intervals.
 
     Each root is held as an offset tau from its nearer pole, so d_k - lam is
     formed from pole differences and keeps full relative accuracy.  Each
@@ -318,7 +318,8 @@ def _secular_chunk(d: np.ndarray, detuning: float, rho: float, i: np.ndarray):
     for it in range(_MAX_ITER):
         r = i[act]
         delta = (d - org[act, None]) - tau[act, None]       # d_k - lam
-        terms = rho / delta
+        terms = rho / delta         # scalar rho: a per-pole array divides slower
+        terms[:, [0, -1]] = 0.0     # the residue-free end poles
         f = ((org[act] - detuning) + tau[act]) + terms.sum(axis=1)
         terms /= delta                                      # rho/(d_k - lam)^2
         # poles k <= r (left group) and k > r; only columns r[0]..r[-1] mix
@@ -364,42 +365,23 @@ def _secular_chunk(d: np.ndarray, detuning: float, rho: float, i: np.ndarray):
                        f"in {_MAX_ITER} iterations")
 
 
-def _outer_root(d: np.ndarray, detuning: float, rho: float, g: float,
-                upper: bool):
-    """The root above (upper) or below the band, by a bracketed scalar solve
-    in the offset tau from the outermost pole, and its emitter weight."""
-    pole = d[-1] if upper else d[0]
-    shifted = d - pole
-
-    def f(tau):
-        return ((pole - detuning) + tau) + np.sum(rho / (shifted - tau))
-
-    # |f| >= |far - detuning| at the pole end and >= 1.5 g at far, with
-    # opposite signs
-    if upper:
-        far = max(detuning, pole) + 2.0 * g
-        bracket = (0.5 * rho / (far - detuning), far - pole)
-    else:
-        far = min(detuning, pole) - 2.0 * g
-        bracket = (far - pole, -0.5 * rho / (detuning - far))
-    tau = scipy.optimize.brentq(f, *bracket, xtol=4 * _EPS * abs(pole),
-                                rtol=4 * _EPS)
-    return pole + tau, 1.0 / (1.0 + np.sum(rho / (shifted - tau) ** 2))
-
-
 def _bandedge_spectrum(g_uc: float, j: float, detuning: float, m: int):
     """Eigenvalues E_i - omega0 (ascending) and emitter weights |<e|i>|^2 of
     [[diag(omega_k), g/sqrt(m)], [g/sqrt(m), omega0 + detuning]]."""
     k = (np.arange(m) + 0.5) / m * math.pi      # half of the BZ; even band
     d = -j * k[::-1] ** 2                       # omega_k - omega0, ascending
+    # Zero-residue end poles 2g beyond the band and the emitter close the
+    # outer intervals: there |sum_k rho / (d_k - lam)| <= m rho / 2g = g/2,
+    # so f is <= -1.5 g at the lower one and >= 1.5 g at the upper one.
+    g = abs(g_uc)
+    d = np.concatenate(([min(detuning, d[0]) - 2.0 * g], d,
+                        [max(detuning, d[-1]) + 2.0 * g]))
     # +/- k pairs folded into symmetric modes: g/sqrt(2m) * sqrt(2)
     rho = g_uc * g_uc / m
     lam, w = np.empty(m + 1), np.empty(m + 1)
-    lam[0], w[0] = _outer_root(d, detuning, rho, abs(g_uc), upper=False)
-    lam[m], w[m] = _outer_root(d, detuning, rho, abs(g_uc), upper=True)
-    for i0 in range(0, m - 1, _CHUNK):
-        i = np.arange(i0, min(i0 + _CHUNK, m - 1))
-        lam[i + 1], w[i + 1] = _secular_chunk(d, detuning, rho, i)
+    for i0 in range(0, m + 1, _CHUNK):
+        i = np.arange(i0, min(i0 + _CHUNK, m + 1))
+        lam[i], w[i] = _secular_chunk(d, detuning, rho, i)
     return lam, w
 
 
@@ -562,6 +544,7 @@ def revival_onsets(trace: DynamicsTrace, n_revivals: int = 1,
     prominence) is a revival; its onset is where p_e rises above the preceding
     floor by rise_fraction of the revival height.
     """
+    import scipy.signal     # slow to import (scipy.stats); only needed here
     p = trace.p_e
     below = np.where(p < settle_level * p[0])[0]
     if below.size == 0:

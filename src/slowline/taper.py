@@ -138,16 +138,14 @@ def optimize(problem: TaperProblem) -> TaperReport:
     if not problem.symmetric:
         raise ValidationError("only symmetric taper optimization is supported")
 
-    grid = _window_grid(base, problem.band_window)
     history = []
     state = {"best": math.inf, "neval": 0}
 
     def objective(logg):
         state["neval"] += 1
         try:
-            spec = spec_with_couplers(base, np.exp(logg))
-            db = cascade_abcd(spec, grid).s21_db
-            r = float(db.max() - db.min()) if np.all(np.isfinite(db)) else 1e3
+            r = ripple(spec_with_couplers(base, np.exp(logg)),
+                       problem.band_window)
         except ValidationError:
             r = 1e3
         if r < state["best"]:

@@ -76,6 +76,19 @@ def test_dressed_command(tmp_path):
     assert 0 < payload["qubit_weight"] < 1
 
 
+def test_dressed_command_uncoupled_emitter_in_gap(tmp_path):
+    """g_uc = 0 above the band: the bound state is the bare emitter."""
+    cfg = _write(tmp_path, "cfg.json",
+                 {"cell": CELL,
+                  "emitter": {"omega_ge_hz": 4.9e9, "g_uc_hz": 0}})
+    out = tmp_path / "out"
+    assert main(["dressed", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "dressed.json").read_text())
+    assert payload["e_bound_hz"] == pytest.approx(4.9e9, rel=1e-12)
+    assert payload["qubit_weight"] == 1.0
+    assert payload["splitting_hz"] == 0.0
+
+
 def test_dynamics_command_and_sweep(tmp_path, qubit_spec_nobend, q1, midband):
     base = {"spec": qubit_spec_nobend.to_dict(), "qubit": q1.to_dict(),
             "protocol": {"omega_interact_hz": midband / TWO_PI,
@@ -241,3 +254,16 @@ def test_module_entry_point_reports_one_json_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["type"] == "validation"
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    """Importing the CLI does not load scipy.signal or scipy.stats; only the
+    peak finders that need them import them."""
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(slowline.__file__).parents[1]))
+    code = ("import sys, slowline.cli\n"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats')"
+            " if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -194,3 +194,41 @@ def test_unknown_edge_rejected(call):
 def test_dressed_states_need_effective_mass_model(model):
     with pytest.raises(ValidationError, match=model):
         solve_dressed_states(_emitter(0.3), CELL, j=J, model=model)
+
+
+@pytest.mark.parametrize("edge", ["upper", "lower"])
+@pytest.mark.parametrize("g_over_j", [0.05, 0.3, 1.0])
+@pytest.mark.parametrize("detuning", [-2.0, -1.0, 0.0, 1.0, 10.0])
+def test_dressed_roots_solve_the_self_energy_equation(edge, g_over_j,
+                                                      detuning):
+    """Both roots satisfy E = omega_ge + Sigma(E) on their own sheet, with
+    the emitter detuned (in units of J) into the gap (> 0) or the band."""
+    lo, hi = band_edges(CELL)
+    w_edge, s = (hi, 1.0) if edge == "upper" else (lo, -1.0)
+    omega, g = w_edge + s * detuning * J, g_over_j * J
+    sol = solve_dressed_states(EmitterParams(omega_ge=omega, g_uc=g), CELL,
+                               j=J, edge=edge)
+    e_b, e_r = sol.e_bound, sol.e_radiative
+    assert s * (e_b - w_edge) > 0
+    assert abs(e_b - omega - self_energy(e_b, g, CELL, j=J, edge=edge)) \
+        <= 1e-6 * abs(e_b - omega)
+    assert e_r.imag <= 0
+    sigma_r = self_energy(e_r, g, CELL, j=J, edge=edge, sheet="second")
+    assert abs(e_r - omega - sigma_r) <= 1e-6 * abs(e_r - omega)
+
+
+@pytest.mark.parametrize("edge", ["upper", "lower"])
+def test_uncoupled_emitter_in_gap_is_its_own_bound_state(edge):
+    lo, hi = band_edges(CELL)
+    omega = hi + J if edge == "upper" else lo - J
+    sol = solve_dressed_states(EmitterParams(omega_ge=omega, g_uc=0.0), CELL,
+                               j=J, edge=edge)
+    assert sol.e_bound == pytest.approx(omega, rel=1e-15)
+    assert sol.qubit_weight == 1.0
+    assert sol.splitting == 0.0
+
+
+def test_uncoupled_emitter_in_band_has_no_bound_state():
+    with pytest.raises(ValidationError, match="no bound state"):
+        solve_dressed_states(EmitterParams(omega_ge=W0 - J, g_uc=0.0), CELL,
+                             j=J)

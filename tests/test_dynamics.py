@@ -140,8 +140,9 @@ def _dense_bandedge(g_uc, j, omega0, detuning, t, m):
 
 @pytest.mark.parametrize("detuning", [0.0, 20 * J, -3 * J])
 @pytest.mark.parametrize("n_modes", [1, 2, 21, 301])
-def test_bandedge_oracle_matches_dense_reference(detuning, n_modes):
-    g = 0.3 * J
+def test_bandedge_oracle_matches_dense_reference(detuning, n_modes,
+                                                 g_over_j=0.3):
+    g = g_over_j * J
     tr = bandedge_oracle(g, J, CELL.omega0, detuning, t_max=1.2e-6,
                          dt_output=1e-9, n_modes=n_modes, convergence_tol=2.0)
     ref = _dense_bandedge(g, J, CELL.omega0, detuning, tr.t, 2 * n_modes)
@@ -149,6 +150,16 @@ def test_bandedge_oracle_matches_dense_reference(detuning, n_modes):
     for m in (n_modes, 2 * n_modes):
         _, w = _bandedge_spectrum(g, J, detuning, m)
         assert abs(w.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("g_over_j", [1e-4, 30.0])
+@pytest.mark.parametrize("detuning", [0.0, 20 * J, -3 * J])
+@pytest.mark.parametrize("n_modes", [1, 2, 21, 301])
+def test_bandedge_oracle_outer_roots_match_dense_reference(detuning, n_modes,
+                                                           g_over_j):
+    """The same check where the outer roots hug the band (1e-4 J) and where
+    they lie far from it (30 J)."""
+    test_bandedge_oracle_matches_dense_reference(detuning, n_modes, g_over_j)
 
 
 def test_bandedge_oracle_validation():
