@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import math
 
-from .params import (ArraySpec, Bend, BoundaryCellParams, QubitCircuitParams,
-                     UnitCellParams)
-
-TWO_PI = 2.0 * math.pi
+from .params import (TWO_PI, ArraySpec, Bend, BoundaryCellParams,
+                     QubitCircuitParams, UnitCellParams)
 
 
 def test_device(q_internal: float = math.inf) -> ArraySpec:

@@ -191,16 +191,12 @@ def fsr_variance(response, band=None) -> FsrReport:
     if idx.size < 4:
         raise ValidationError("fewer than 4 ripple peaks found")
     # quadratic refinement through the three samples around each maximum
-    refined = []
-    for i in idx:
-        if i == 0 or i == db.size - 1:
-            refined.append(freq[i])
-            continue
-        y0, y1, y2 = db[i - 1], db[i], db[i + 1]
-        denom = y0 - 2.0 * y1 + y2
-        shift = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
-        refined.append(freq[i] + shift * (freq[i + 1] - freq[i]))
-    refined = np.sort(np.asarray(refined))
+    # (find_peaks never reports the first or last sample)
+    y0, y1, y2 = db[idx - 1], db[idx], db[idx + 1]
+    denom = y0 - 2.0 * y1 + y2
+    shift = np.divide(0.5 * (y0 - y2), denom, out=np.zeros(idx.size),
+                      where=denom != 0)
+    refined = np.sort(freq[idx] + shift * (freq[idx + 1] - freq[idx]))
     lo, hi = band if band is not None else (refined[0], refined[-1])
     center = 0.5 * (lo + hi)
     half = 0.25 * (hi - lo)

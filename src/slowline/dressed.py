@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
+import scipy.linalg
 
 from .bands import band_edges, coupling_spectrum, dispersion, group_velocity, tight_binding
 from .params import EmitterParams, UnitCellParams, ValidationError
@@ -88,6 +88,9 @@ def self_energy(e, g_uc: float, cell: UnitCellParams,
 
 def _exact_band_sigma(e: complex, g_uc: float, cell: UnitCellParams,
                       lo: float, hi: float) -> complex:
+    """Sigma(E) on the exact band: one complex quadrature off the real band
+    interval, the principal value plus -i pi * DOS on it."""
+    import scipy.integrate  # slow to import; only the exact band needs it
     if e.imag == 0:
         er = e.real
         if er in (lo, hi):
@@ -111,21 +114,9 @@ def _exact_band_sigma(e: complex, g_uc: float, cell: UnitCellParams,
             vg = abs(group_velocity(cell, kd_star))
             return g_uc**2 * (pv / math.pi - 1j / vg)
 
-        def integrand_real(kd):
-            return 1.0 / (er - dispersion(cell, kd))
-
-        val, _ = scipy.integrate.quad(integrand_real, 0.0, math.pi, limit=200)
-        return g_uc**2 * val / math.pi
-
-    def f_re(kd):
-        return (1.0 / (e - dispersion(cell, kd))).real
-
-    def f_im(kd):
-        return (1.0 / (e - dispersion(cell, kd))).imag
-
-    re, _ = scipy.integrate.quad(f_re, 0.0, math.pi, limit=200)
-    im, _ = scipy.integrate.quad(f_im, 0.0, math.pi, limit=200)
-    return g_uc**2 * (re + 1j * im) / math.pi
+    val, _ = scipy.integrate.quad(lambda kd: 1.0 / (e - dispersion(cell, kd)),
+                                  0.0, math.pi, limit=200, complex_func=True)
+    return g_uc**2 * val / math.pi
 
 
 def solve_dressed_states(emitter: EmitterParams, cell: UnitCellParams,
@@ -191,10 +182,9 @@ def bound_profile(e: float, cell: UnitCellParams, n_cells: int,
     amp = np.exp(-np.abs(x) / lam)
     norm = math.sqrt(np.sum(amp**2))
     amp /= norm
-    if omega_ge is not None:
-        w = qubit_weight(e, omega_ge, w_edge) if edge == "upper" \
-            else qubit_weight(2 * w_edge - e, 2 * w_edge - omega_ge, w_edge)
-        amp *= math.sqrt(1.0 - w)
+    if omega_ge is not None:    # qubit_weight's form holds at either edge
+        weight = 1.0 / (1.0 + 0.5 * (e - omega_ge) / (e - w_edge))
+        amp *= math.sqrt(1.0 - weight)
     return amp
 
 
@@ -205,17 +195,10 @@ def single_excitation_hamiltonian(cell: UnitCellParams, emitter: EmitterParams,
     coupling spectrum, the emitter level last, coupled at the central cell."""
     cs = coupling_spectrum(cell, m_cells if m_cells % 2 else m_cells + 1,
                            max_range)
-    h = np.zeros((m_cells + 1, m_cells + 1))
-    idx = np.arange(m_cells)
-    for n_dist, v in zip(cs.distance, cs.v):
-        if n_dist == 0:
-            h[idx, idx] = v
-        else:
-            rows = idx[:-n_dist]
-            h[rows, rows + n_dist] = v
-            h[rows + n_dist, rows] = v
+    hopping = np.zeros(m_cells)
+    hopping[:cs.v.size] = cs.v                  # V(n) by distance n
+    h = scipy.linalg.block_diag(scipy.linalg.toeplitz(hopping), emitter.omega_ge)
     center = (m_cells - 1) // 2
-    h[m_cells, m_cells] = emitter.omega_ge
     h[m_cells, center] = h[center, m_cells] = emitter.g_uc
     for offset, g in emitter.extra_couplings.items():
         site = center + offset

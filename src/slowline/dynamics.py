@@ -136,9 +136,11 @@ def total_energy(model: StateSpaceModel, x: np.ndarray) -> float:
                        + (x[:n].conj() @ model.linv @ x[:n]).real)
 
 
-def _time_grid(protocol: Protocol) -> np.ndarray:
-    n_steps = int(round(protocol.t_max / protocol.dt_output))
-    return np.arange(n_steps + 1) * protocol.dt_output
+def _time_grid(t_max: float, dt: float) -> np.ndarray:
+    """Output times k * dt, k = 0 .. round(t_max / dt)."""
+    _require(0 < t_max < math.inf and 0 < dt < math.inf,
+             "t_max and dt_output must be positive and finite")
+    return np.arange(int(round(t_max / dt)) + 1) * dt
 
 
 def _schedule(protocol: Protocol, t_out: np.ndarray, n_slices: int):
@@ -192,7 +194,7 @@ def _propagate(spec: ArraySpec, qubit: QubitCircuitParams, protocol: Protocol,
     Output time t_k is read after the first step whose end t satisfies
     t_k <= t + dt/2, as qubit-node quanta under that step's model.
     """
-    t_out = _time_grid(protocol)
+    t_out = _time_grid(protocol.t_max, protocol.dt_output)
     models = {}     # bare qubit frequency -> (model, A)
     props = {}      # (frequency, step) -> expm(A dt)
     p = np.empty(t_out.shape)
@@ -223,11 +225,9 @@ def simulate_emission(spec: ArraySpec, qubit: QubitCircuitParams,
                       protocol: Protocol) -> DynamicsTrace:
     """Emission after an instantaneous tune-in to protocol.omega_interact.
 
-    Modulated protocols dispatch to simulate_modulated; finite tune_time uses
+    Modulated protocols run as in simulate_modulated; finite tune_time uses
     a piecewise-constant frequency ramp from omega_park.
     """
-    if protocol.modulation is not None:
-        return simulate_modulated(spec, qubit, protocol)
     return _propagate(spec, qubit, protocol)
 
 
@@ -258,31 +258,26 @@ def ideal_mirror_oracle(gamma_1d: float, tau_d: float, phase: float,
 
         c'(t) = -(G/2) c(t) - (G/2) e^{i phi} c(t - tau) step(t - tau)
 
-    Stepped with the exact integrating factor, so p_e(t < tau) is the pure
-    exponential e^{-G t} to machine precision.
+    solved exactly as its sum over photon round trips (Tufarelli, Ciccarello
+    & Kim, PRA 87, 013820 (2013)),
+
+        c(t) = sum_{0 <= n <= t/tau} (-e^{i phi})^n P_n(G (t - n tau) / 2),
+
+    with the Poisson weight P_n(y) = y^n e^{-y} / n! <= 1, on the output grid
+    k * dt_output.  p_e(t < tau) is the pure exponential e^{-G t}.
     """
-    if gamma_1d <= 0 or tau_d <= 0:
-        raise ValidationError("gamma_1d and tau_d must be positive")
-    # use a step that divides tau_d so the delayed sample is on-grid
-    n_sub = max(1, int(round(tau_d / dt_output)))
-    dt = tau_d / n_sub
-    n_steps = int(math.ceil(t_max / dt))
+    _require(all(map(math.isfinite, (gamma_1d, tau_d, phase))),
+             "gamma_1d, tau_d and phase must be finite")
+    _require(gamma_1d > 0 and tau_d > 0, "gamma_1d and tau_d must be positive")
+    t = _time_grid(t_max, dt_output)
     g2 = gamma_1d / 2.0
-    fb = -g2 * complex(math.cos(phase), math.sin(phase))
-    decay = math.exp(-g2 * dt)
-    c = np.zeros(n_steps + 1, dtype=complex)
-    c[0] = 1.0
-    for i in range(n_steps):
-        if i + 1 <= n_sub:
-            c[i + 1] = c[i] * decay
-            continue
-        # trapezoidal convolution of the delayed drive with the exact kernel
-        f0 = fb * c[i - n_sub]
-        f1 = fb * c[i + 1 - n_sub]
-        c[i + 1] = c[i] * decay + 0.5 * dt * (f0 * decay + f1)
-    t = np.arange(n_steps + 1) * dt
-    keep = t <= t_max * (1 + 1e-12)
-    return DynamicsTrace(t=t[keep], p_e=np.abs(c[keep]) ** 2,
+    fb = -complex(math.cos(phase), math.sin(phase))
+    c = np.exp(-g2 * t).astype(complex)
+    for n in range(1, int(t[-1] / tau_d) + 1):
+        k = np.searchsorted(t, n * tau_d, side="right")
+        y = g2 * (t[k:] - n * tau_d)
+        c[k:] += fb**n * np.exp(n * np.log(y) - y - math.lgamma(n + 1))
+    return DynamicsTrace(t=t, p_e=np.abs(c) ** 2,
                          metadata={"gamma_1d": gamma_1d, "tau_d": tau_d,
                                    "phase": phase})
 
@@ -405,8 +400,7 @@ def bandedge_oracle(g_uc: float, j: float, omega0: float, detuning: float,
     _require(n_modes >= 1, "n_modes must be at least 1")
     _require(all(map(math.isfinite, (g_uc, omega0, detuning, convergence_tol))),
              "g_uc, omega0, detuning and convergence_tol must be finite")
-    t = _time_grid(Protocol(omega_interact=omega0, t_max=t_max,
-                            dt_output=dt_output))
+    t = _time_grid(t_max, dt_output)
 
     def run(m):
         if g_uc * g_uc / m == 0.0:      # uncoupled: no root leaves the poles
@@ -451,7 +445,7 @@ def simulate_emission_quantum(spec: ArraySpec, qubit: QubitCircuitParams,
     evals, evecs, coeff, readout = _quantum_modes(spec, qubit,
                                                   protocol.omega_interact)
     amps = (readout @ evecs * coeff).T           # (mode, read-out row)
-    t = _time_grid(protocol)
+    t = _time_grid(protocol.t_max, protocol.dt_output)
     p = np.empty(t.shape)
     for s in range(0, t.size, _CHUNK):
         q = np.exp(-1j * np.multiply.outer(t[s:s + _CHUNK], evals)) @ amps
@@ -467,22 +461,21 @@ def _quantum_modes(spec: ArraySpec, qubit: QubitCircuitParams, w_ref: float):
     and the two read-out rows R with p_e(t) = sum_r |R_r V (c exp(-i lam t))|^2
     (qubit-node charge and flux energy over the initial energy)."""
     model = assemble_state_space(spec, _tuned_qubit(qubit, w_ref))
-    nodes = [i for i in range(model.n_nodes) if model.linv[i, i] > 0]
-    cap = model.cap[np.ix_(nodes, nodes)].copy()
+    nodes = np.flatnonzero(model.linv.diagonal() > 0)
+    cap = model.cap[np.ix_(nodes, nodes)]
     linv = model.linv[np.ix_(nodes, nodes)]
-    g_red = np.diag([model.g[i, i] for i in nodes]).astype(float)
+    g_red = np.diag(model.g[nodes, nodes]).astype(float)
+    diag = np.diag_indices(nodes.size)
     for port in (model.input_node, model.output_node):
         if model.g[port, port] == 0.0:
             continue  # floating (mirror) port: exact zero-charge constraint
-        for a, i in enumerate(nodes):
-            c = -model.cap[i, port]
-            if c != 0.0:
-                x = w_ref * model.port_impedance * c
-                # the Maxwell slice retains the coupler's full diagonal term c;
-                # replace it by the effective shunt c/(1+x^2) of the eliminated
-                # series-C + Z0 branch
-                cap[a, a] -= c * x * x / (1.0 + x * x)
-                g_red[a, a] += w_ref**2 * c**2 * model.port_impedance / (1.0 + x * x)
+        c = -model.cap[nodes, port]
+        x = w_ref * model.port_impedance * c
+        # the Maxwell slice retains the coupler's full diagonal term c;
+        # replace it by the effective shunt c/(1+x^2) of the eliminated
+        # series-C + Z0 branch (nodes not coupled to the port have c = 0)
+        cap[diag] -= c * x * x / (1.0 + x * x)
+        g_red[diag] += w_ref**2 * c**2 * model.port_impedance / (1.0 + x * x)
 
     w2, u = scipy.linalg.eigh(linv, cap)         # u^T C u = 1
     w = np.sqrt(w2)
@@ -490,19 +483,15 @@ def _quantum_modes(spec: ArraySpec, qubit: QubitCircuitParams, w_ref: float):
     h_eff = np.diag(w).astype(complex) - 0.5j * gamma
     evals, evecs = np.linalg.eig(h_eff)
 
-    q_idx = nodes.index(model.qubit_node)
-    omega_q = math.sqrt(linv[q_idx, q_idx] / cap[q_idx, q_idx])
-    phi0 = np.zeros(len(nodes), dtype=complex)
-    v0 = np.zeros(len(nodes), dtype=complex)
-    phi0[q_idx] = 1j / omega_q
-    v0[q_idx] = 1.0
+    q_idx = int(np.searchsorted(nodes, model.qubit_node))
+    x0 = _initial_state(model)                   # unit voltage on the qubit
+    phi0 = x0[nodes]
     eta0 = u.T @ (cap @ phi0)
-    etad0 = u.T @ (cap @ v0)
+    etad0 = u.T @ x0[model.n_nodes + nodes]
     z0 = w * eta0 + 1j * etad0                   # analytic mode amplitudes
 
     coeff = np.linalg.solve(evecs, z0)
-    e0 = 0.5 * (cap[q_idx, q_idx] * abs(v0[q_idx]) ** 2
-                + linv[q_idx, q_idx] * abs(phi0[q_idx]) ** 2)
+    e0 = 0.5 * (cap[q_idx, q_idx] + linv[q_idx, q_idx] * abs(phi0[q_idx]) ** 2)
     uq = u[q_idx, :]
     readout = np.array([math.sqrt(0.5 * cap[q_idx, q_idx] / e0) * -0.5j * uq,
                         math.sqrt(0.5 * linv[q_idx, q_idx] / e0) * uq / (2.0 * w)])

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from .abcd import TwoPortResponse, cascade_abcd
 from .params import ArraySpec, BoundaryCellParams, UnitCellParams, ValidationError
@@ -69,6 +68,7 @@ def fit_to_spectrum(measured: TwoPortResponse, template: ArraySpec,
     With no free parameters the template is returned unchanged along with its
     residual.  Non-convergence returns the best iterate flagged.
     """
+    import scipy.optimize   # slow to import; only needed here
     free = tuple(free_params)
     unknown = set(free) - set(FIT_PARAM_NAMES)
     if unknown:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from .abcd import cascade_abcd
 from .bands import band_edges
@@ -130,6 +129,7 @@ def optimize(problem: TaperProblem) -> TaperReport:
     unmodified array and the analytic geometric-taper guess; the better
     endpoint wins, ties broken by smaller deviation from its seed.
     """
+    import scipy.optimize   # slow to import; only needed here
     base = problem.base
     if problem.n_modified == 0:
         r = ripple(base, problem.band_window)

@@ -257,12 +257,14 @@ def test_module_entry_point_reports_one_json_line(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_signal():
-    """Importing the CLI does not load scipy.signal or scipy.stats; only the
-    peak finders that need them import them."""
+    """Importing the CLI does not load scipy.signal, scipy.stats,
+    scipy.optimize or scipy.integrate; only the peak finders, the optimizers
+    and the exact-band quadrature that need them import them."""
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(slowline.__file__).parents[1]))
     code = ("import sys, slowline.cli\n"
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats')"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats',"
+            " 'scipy.optimize', 'scipy.integrate')"
             " if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=True)

@@ -5,10 +5,11 @@ import pytest
 
 from slowline.abcd import cascade_abcd
 from slowline.bands import band_edges, tight_binding
-from slowline.disorder import (EXTINCTION_BAND_FRACTION, DisorderEnsembleResult,
-                               _bootstrap_stderr, _passband_grid,
-                               calibrate_sigma, extinction_curve,
-                               fsr_variance, sample_disordered)
+from slowline.disorder import (EXTINCTION_BAND_FRACTION, PEAK_PROMINENCE_DB,
+                               DisorderEnsembleResult, _bootstrap_stderr,
+                               _passband_grid, calibrate_sigma,
+                               extinction_curve, fsr_variance,
+                               sample_disordered)
 from slowline.params import (ArraySpec, BoundaryCellParams, UnitCellParams,
                              ValidationError)
 
@@ -180,6 +181,37 @@ def test_fsr_disorder_increases_variance(tapered_26):
     d = sample_disordered(tapered_26, 0.05 * j, 3)
     noisy = fsr_variance(cascade_abcd(d, grid), band=band).delta_fsr
     assert noisy > 2 * clean
+
+
+def _fsr_per_peak(response, band):
+    """Reference: fsr_variance's statistic refined one peak at a time."""
+    import scipy.signal
+    db, freq = response.s21_db, response.freq_grid
+    idx, _ = scipy.signal.find_peaks(db, prominence=PEAK_PROMINENCE_DB)
+    refined = []
+    for i in idx:
+        y0, y1, y2 = db[i - 1], db[i], db[i + 1]
+        denom = y0 - 2.0 * y1 + y2
+        shift = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
+        refined.append(freq[i] + shift * (freq[i + 1] - freq[i]))
+    refined = np.sort(np.asarray(refined))
+    center, half = 0.5 * (band[0] + band[1]), 0.25 * (band[1] - band[0])
+    central = refined[(refined >= center - half) & (refined <= center + half)]
+    return central, float(np.std(np.diff(central), ddof=1))
+
+
+def test_fsr_refinement_matches_per_peak_loop(tapered_26):
+    """The vectorised peak refinement reproduces the per-peak loop exactly."""
+    j = tight_binding(tapered_26.interior)["j_tb"]
+    grid = _passband_grid(tapered_26)
+    band = band_edges(tapered_26.interior)
+    for seed in range(4):
+        d = sample_disordered(tapered_26, 0.1 * j * (seed > 0), (123, seed))
+        resp = cascade_abcd(d, grid)
+        report = fsr_variance(resp, band=band)
+        freqs, delta = _fsr_per_peak(resp, band)
+        assert report.mode_freqs.tobytes() == freqs.tobytes()
+        assert report.delta_fsr == delta
 
 
 def test_fsr_too_few_peaks_raises(untapered_26):

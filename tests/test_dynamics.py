@@ -99,6 +99,30 @@ def test_ideal_mirror_destructive_feedback_traps_population():
     assert abs(rate) < gamma / 20
 
 
+def test_ideal_mirror_series_on_output_grid():
+    """The round-trip series is exact on the k * dt_output grid, also when
+    dt_output does not divide tau: e^{-G t} before tau, and at phi = pi the
+    dark-state population 1 / (1 + G tau / 2)^2 once the revivals settle."""
+    gamma, tau, t_max, dt = 1e9, 0.2e-9, 3e-9, 7e-12
+    tr = ideal_mirror_oracle(gamma, tau, phase=math.pi, t_max=t_max,
+                             dt_output=dt)
+    np.testing.assert_array_equal(tr.t, _time_grid(t_max, dt))
+    pre = tr.t < tau
+    assert np.max(np.abs(tr.p_e[pre] - np.exp(-gamma * tr.t[pre]))) < 1e-15
+    assert abs(tr.p_e[-1] - 1.0 / (1.0 + 0.5 * gamma * tau) ** 2) < 1e-12
+
+
+def test_oracle_inputs_validated():
+    ok = dict(gamma_1d=1e8, tau_d=100e-9, phase=0.0, t_max=300e-9)
+    for bad in (dict(dt_output=0.0), dict(t_max=-1e-9), dict(t_max=math.inf),
+                dict(phase=math.nan), dict(gamma_1d=math.inf),
+                dict(tau_d=math.nan)):
+        with pytest.raises(ValidationError):
+            ideal_mirror_oracle(**{**ok, **bad})
+    with pytest.raises(ValidationError):
+        bandedge_oracle(0.3 * J, J, CELL.omega0, 0.0, t_max=math.inf)
+
+
 def test_bandedge_oracle_fractional_decay():
     """Detuning 0 at the edge: population locks near the bound-state weight
     squared (4/9) and oscillates at the dressed splitting."""
@@ -259,7 +283,7 @@ def test_quantum_readout_matches_per_sample_loop(qubit_spec_nobend, q1,
     prot = Protocol(omega_interact=midband, t_max=2e-7, dt_output=2e-10)
     evals, evecs, coeff, readout = _quantum_modes(qubit_spec_nobend, q1,
                                                   midband)
-    t = _time_grid(prot)
+    t = _time_grid(prot.t_max, prot.dt_output)
     loop = np.empty(t.shape)
     for i, ti in enumerate(t):
         z = evecs @ (coeff * np.exp(-1j * evals * ti))
