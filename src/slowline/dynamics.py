@@ -62,6 +62,8 @@ class Protocol:
         _require(self.tune_time >= 0, "tune_time must be non-negative")
         _require(self.omega_park is None or self.omega_park > 0,
                  "omega_park must be positive")
+        _require((self.tune_time > 0) == (self.omega_park is not None),
+                 "a ramp needs both tune_time > 0 and omega_park")
 
     def to_dict(self) -> dict:
         d = {"omega_interact_hz": self.omega_interact / (2 * math.pi),
@@ -107,10 +109,6 @@ class DynamicsTrace:
     def from_csv(cls, path) -> "DynamicsTrace":
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         return cls(t=data[:, 0], p_e=data[:, 1])
-
-
-def _tuned_qubit(qubit: QubitCircuitParams, omega: float) -> QubitCircuitParams:
-    return replace(qubit, omega_ge=omega)
 
 
 def _initial_state(model: StateSpaceModel) -> np.ndarray:
@@ -160,11 +158,10 @@ def _schedule(protocol: Protocol, t_out: np.ndarray, n_slices: int):
         yield from itertools.cycle([(w, dt) for w in freqs])
         return
     if protocol.tune_time > 0:
-        start = protocol.omega_park if protocol.omega_park is not None else w_end
-        dt = protocol.tune_time / n_slices
+        w0, dt = protocol.omega_park, protocol.tune_time / n_slices
         tc = (np.arange(n_slices) + 0.5) * dt
         t = 0.0
-        for w in start + (w_end - start) * tc / protocol.tune_time:
+        for w in w0 + (w_end - w0) * tc / protocol.tune_time:
             yield w, dt
             t += dt
         # _propagate has read every sample up to t + dt/2
@@ -204,7 +201,7 @@ def _propagate(spec: ArraySpec, qubit: QubitCircuitParams, protocol: Protocol,
         if k == t_out.size:
             break
         if w not in models:
-            m = assemble_state_space(spec, _tuned_qubit(qubit, w))
+            m = assemble_state_space(spec, replace(qubit, omega_ge=w))
             models[w] = (m, m.a_matrix())
         m, a = models[w]
         if x is None:
@@ -426,25 +423,32 @@ def bandedge_oracle(g_uc: float, j: float, omega0: float, detuning: float,
 
 def simulate_emission_quantum(spec: ArraySpec, qubit: QubitCircuitParams,
                               protocol: Protocol) -> DynamicsTrace:
-    """Single-excitation Schrodinger trace for the same circuit.
+    """Single-excitation Schrodinger trace for the same circuit after a quench
+    to protocol.omega_interact; modulated and ramped protocols raise.
 
     The overdamped port nodes (series coupler + resistor) are eliminated
     analytically: at the interaction frequency a matched port looks to its
     boundary resonator like a shunt capacitance C/(1+x^2) plus a conductance
-    w^2 C^2 Z0/(1+x^2), x = w Z0 C.  The remaining lossless network (qubit
+    w^2 C^2 Z0/(1+x^2), x = w Z0 C, and a floating (open-mirror) port's
+    coupler drops out (Z0 -> inf).  The remaining lossless network (qubit
     included) is diagonalized exactly into normal modes and dissipation enters
     as a mode-resolved imaginary matrix, giving the effective non-Hermitian
     single-excitation Hamiltonian
 
         H_eff[mu, nu] = omega_mu delta_{mu nu} - (i/2) u_mu^T G u_nu.
 
-    The only approximations relative to the classical state-space propagation
-    are the rotating wave and the fixed-frequency (Markovian) port response,
-    so the two methods form a genuine cross-check.
+    The qubit starts in a_q^dag|0>, with a_q the rotating-wave part of the
+    qubit node's annihilation operator, and p_e = |<0|a_q|psi(t)>|^2; so
+    p_e(0) = 1, and p_e <= 1 as H_eff's anti-Hermitian part is negative
+    semidefinite.  Only the circuit assembly is shared with the classical
+    propagation, which differs by the rotating wave and the fixed-frequency
+    (Markovian) port response, so the two form a genuine cross-check.
     """
+    _require(protocol.modulation is None and protocol.tune_time == 0,
+             "simulate_emission_quantum runs quench protocols only")
     evals, evecs, coeff, readout = _quantum_modes(spec, qubit,
                                                   protocol.omega_interact)
-    amps = (readout @ evecs * coeff).T           # (mode, read-out row)
+    amps = (readout @ evecs * coeff).T           # (mode, 1)
     t = _time_grid(protocol.t_max, protocol.dt_output)
     p = np.empty(t.shape)
     for s in range(0, t.size, _CHUNK):
@@ -457,23 +461,24 @@ def simulate_emission_quantum(spec: ArraySpec, qubit: QubitCircuitParams,
 
 def _quantum_modes(spec: ArraySpec, qubit: QubitCircuitParams, w_ref: float):
     """Eigenvalues lam and eigenvectors V of simulate_emission_quantum's H_eff
-    at bare qubit frequency w_ref, the initial state's coefficients c in V,
-    and the two read-out rows R with p_e(t) = sum_r |R_r V (c exp(-i lam t))|^2
-    (qubit-node charge and flux energy over the initial energy)."""
-    model = assemble_state_space(spec, _tuned_qubit(qubit, w_ref))
+    at bare qubit frequency w_ref, the coefficients c of the initial state
+    a_q^dag|0> in V, and the read-out row r of a_q, with
+    p_e(t) = |r V (c exp(-i lam t))|^2."""
+    model = assemble_state_space(spec, replace(qubit, omega_ge=w_ref))
     nodes = np.flatnonzero(model.linv.diagonal() > 0)
     cap = model.cap[np.ix_(nodes, nodes)]
     linv = model.linv[np.ix_(nodes, nodes)]
     g_red = np.diag(model.g[nodes, nodes]).astype(float)
     diag = np.diag_indices(nodes.size)
     for port in (model.input_node, model.output_node):
-        if model.g[port, port] == 0.0:
-            continue  # floating (mirror) port: exact zero-charge constraint
-        c = -model.cap[nodes, port]
+        c = -model.cap[nodes, port]     # zero on nodes not coupled to the port
+        if model.g[port, port] == 0.0:  # floating (mirror) port: Z0 -> inf
+            cap[diag] -= c
+            continue
         x = w_ref * model.port_impedance * c
         # the Maxwell slice retains the coupler's full diagonal term c;
         # replace it by the effective shunt c/(1+x^2) of the eliminated
-        # series-C + Z0 branch (nodes not coupled to the port have c = 0)
+        # series-C + Z0 branch
         cap[diag] -= c * x * x / (1.0 + x * x)
         g_red[diag] += w_ref**2 * c**2 * model.port_impedance / (1.0 + x * x)
 
@@ -483,19 +488,13 @@ def _quantum_modes(spec: ArraySpec, qubit: QubitCircuitParams, w_ref: float):
     h_eff = np.diag(w).astype(complex) - 0.5j * gamma
     evals, evecs = np.linalg.eig(h_eff)
 
-    q_idx = int(np.searchsorted(nodes, model.qubit_node))
-    x0 = _initial_state(model)                   # unit voltage on the qubit
-    phi0 = x0[nodes]
-    eta0 = u.T @ (cap @ phi0)
-    etad0 = u.T @ x0[model.n_nodes + nodes]
-    z0 = w * eta0 + 1j * etad0                   # analytic mode amplitudes
-
-    coeff = np.linalg.solve(evecs, z0)
-    e0 = 0.5 * (cap[q_idx, q_idx] + linv[q_idx, q_idx] * abs(phi0[q_idx]) ** 2)
-    uq = u[q_idx, :]
-    readout = np.array([math.sqrt(0.5 * cap[q_idx, q_idx] / e0) * -0.5j * uq,
-                        math.sqrt(0.5 * linv[q_idx, q_idx] / e0) * uq / (2.0 * w)])
-    return evals, evecs, coeff, readout
+    # rotating-wave part of a_q = sqrt(C_qq w_q/2) phi_q + i Q_q/sqrt(2 C_qq w_q)
+    # in the mode operators b = sqrt(w/2) eta + i eta'/sqrt(2 w)
+    q = int(np.searchsorted(nodes, model.qubit_node))
+    cw = math.sqrt(cap[q, q] * linv[q, q])       # C_qq w_q
+    r = u[q] * np.sqrt(cw / (4.0 * w)) + (cap[q] @ u) * np.sqrt(w / (4.0 * cw))
+    r /= np.linalg.norm(r)
+    return evals, evecs, np.linalg.solve(evecs, r), r[None, :]
 
 
 def lifetime_1e(trace: DynamicsTrace) -> float:

@@ -227,6 +227,8 @@ EMITTER = {"omega_ge_hz": 4.745e9, "g_uc_hz": 3e7}
      "config.f_min_hz: expected a finite number"),
     (["dressed"], {"cell": CELL, "emitter": EMITTER, "edge": "uper"},
      "config.edge:"),
+    (["dynamics"], {"spec": SPEC, "qubit": QUBIT, "protocol": {
+        **PROTOCOL, "omega_park_hz": 4.9e9}}, "config.protocol:"),
 ])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, argv, cfg,
                                                  path):

@@ -52,6 +52,10 @@ def test_protocol_validation():
                  initial_excited_population=1.5)
     with pytest.raises(ValidationError, match="t_maxx"):
         Protocol.from_dict({"omega_interact_hz": 5e9, "t_maxx": 1e-7})
+    with pytest.raises(ValidationError, match="ramp"):
+        Protocol(omega_interact=3e10, t_max=1e-7, omega_park=3.1e10)
+    with pytest.raises(ValidationError, match="ramp"):
+        Protocol(omega_interact=3e10, t_max=1e-7, tune_time=5e-9)
 
 
 def test_modulation_index():
@@ -278,6 +282,22 @@ def test_quantum_matches_classical_short(qubit_spec_nobend, q1, midband):
     assert np.max(np.abs(pc - pq)) < 5e-3
 
 
+@pytest.mark.parametrize("detuning_hz", [0.0, -40e6, 40e6])
+def test_quantum_starts_excited_and_matches_mirror(q1, midband, detuning_hz):
+    """The quantum trace starts at p_e = 1 and follows the classical mirror
+    trace through the first revival within criterion 7's 0.02."""
+    mirror = qubit_device(bend_c_series=None, termination_out="open_mirror")
+    prot = Protocol(omega_interact=midband + 2 * math.pi * detuning_hz,
+                    t_max=5.5e-7, dt_output=2.5e-10)
+    pq = simulate_emission_quantum(mirror, q1, prot).p_e
+    assert abs(pq[0] - 1.0) <= 1e-12
+    assert np.max(np.abs(pq - simulate_mirror(mirror, q1, prot).p_e)) <= 0.02
+    short = dataclasses.replace(prot, t_max=1e-9)
+    matched = qubit_device(bend_c_series=None)
+    assert abs(simulate_emission_quantum(matched, q1, short).p_e[0]
+               - 1.0) <= 1e-12
+
+
 def test_quantum_readout_matches_per_sample_loop(qubit_spec_nobend, q1,
                                                 midband):
     prot = Protocol(omega_interact=midband, t_max=2e-7, dt_output=2e-10)
@@ -336,16 +356,21 @@ _WMOD = 2 * math.pi * 600e6
 
 @pytest.mark.parametrize("kind, value", [
     ("quench", None), ("mirror", None), ("ramp", 1.2e9), ("ramp", 1.8e9),
-    ("index", 0.2), ("index", 0.8)])
+    ("index", 0.2), ("index", 0.8), ("quantum", "matched"),
+    ("quantum", "open_mirror")])
 def test_population_stays_in_unit_interval(qubit_spec_nobend, q1, midband,
                                            kind, value):
     """0 <= p_e <= 1 also while the qubit frequency moves: ramps parked
-    `value` Hz above the band centre, modulation of index `value`."""
+    `value` Hz above the band centre, modulation of index `value`; and for
+    the quantum method with a `value` output termination."""
     spec, sim = qubit_spec_nobend, simulate_emission
     prot = Protocol(omega_interact=midband, t_max=6e-8)
     if kind == "mirror":
         spec = qubit_device(bend_c_series=None, termination_out="open_mirror")
         sim = simulate_mirror
+    elif kind == "quantum":
+        spec = qubit_device(bend_c_series=None, termination_out=value)
+        sim = simulate_emission_quantum
     elif kind == "ramp":
         prot = dataclasses.replace(prot, tune_time=4e-9,
                                    omega_park=midband + 2 * math.pi * value)
@@ -357,6 +382,16 @@ def test_population_stays_in_unit_interval(qubit_spec_nobend, q1, midband,
     p = sim(spec, q1, prot).p_e
     assert p.min() >= 0.0
     assert p.max() <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("protocol", [
+    dict(modulation=Modulation(omega_mod=_WMOD, epsilon=0.4 * _WMOD)),
+    dict(tune_time=4e-9, omega_park=3.1e10)])
+def test_quantum_requires_quench(qubit_spec_nobend, q1, midband, protocol):
+    with pytest.raises(ValidationError, match="quench"):
+        simulate_emission_quantum(
+            qubit_spec_nobend, q1,
+            Protocol(omega_interact=midband, t_max=1e-9, **protocol))
 
 
 def test_decoupled_qubit_keeps_population_under_modulation(qubit_spec_nobend,
