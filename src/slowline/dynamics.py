@@ -17,6 +17,8 @@ continuum (John-Quang regime).
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -29,6 +31,8 @@ from .params import (ArraySpec, QubitCircuitParams, ValidationError,
                      _require, as_fields, hz, nullable, read_object, real)
 from .statespace import StateSpaceModel, assemble_state_space
 
+_SLICES = 64        # steps per modulation period; ramp steps <= tune_time / 64
+
 
 @dataclass(frozen=True)
 class Modulation:
@@ -36,8 +40,8 @@ class Modulation:
     epsilon: float      # rad/s, frequency-modulation amplitude
 
     def __post_init__(self):
-        _require(self.omega_mod > 0, "omega_mod must be positive")
-        _require(self.epsilon >= 0, "epsilon must be non-negative")
+        _require(0 < self.omega_mod < math.inf and 0 <= self.epsilon < math.inf,
+                 "omega_mod must be positive, epsilon non-negative, both finite")
 
     @property
     def index(self) -> float:
@@ -46,6 +50,15 @@ class Modulation:
 
 @dataclass(frozen=True)
 class Protocol:
+    """A tune-in to omega_interact, sampled at t_k = k * dt_output.
+
+    A ramp (tune_time > 0, finite, and it may exceed t_max) moves the bare
+    qubit frequency linearly from omega_park to omega_interact.  It crosses
+    each output interval (the last one cut at tune_time) in the fewest equal
+    steps no longer than tune_time / 64, each at the ramp frequency of its
+    midpoint, and is read at t_k exactly.  A modulation follows from
+    tune_time, with phase zero there.
+    """
     omega_interact: float                   # rad/s, bare qubit frequency
     t_max: float                            # s
     dt_output: float = 1e-10                # s
@@ -59,7 +72,8 @@ class Protocol:
                  "t_max and dt_output must be positive")
         _require(0.0 <= self.initial_excited_population <= 1.0,
                  "initial population must lie in [0, 1]")
-        _require(self.tune_time >= 0, "tune_time must be non-negative")
+        _require(0 <= self.tune_time < math.inf,
+                 "tune_time must be non-negative and finite")
         _require(self.omega_park is None or self.omega_park > 0,
                  "omega_park must be positive")
         _require((self.tune_time > 0) == (self.omega_park is not None),
@@ -141,34 +155,37 @@ def _time_grid(t_max: float, dt: float) -> np.ndarray:
     return np.arange(int(round(t_max / dt)) + 1) * dt
 
 
-def _schedule(protocol: Protocol, t_out: np.ndarray, n_slices: int):
-    """Endless (bare qubit frequency, step duration) pairs of the protocol.
-
-    A quench holds omega_interact for one output step at a time.  Modulation
-    cycles the midpoint frequencies of n_slices slices of one period.  A ramp
-    takes n_slices midpoint slices from omega_park, one gap step to the first
-    output sample the stepper has not yet read, then holds omega_interact.
+def _schedule(protocol: Protocol, t_out: list):
+    """(bare qubit frequency, step duration, samples read after the step)
+    triples up to t_out[-1]: the ramp as Protocol says, then the modulation
+    as simulate_modulated says, or else omega_interact held to the next
+    sample and then stepped by dt_output.
     """
-    w_end = protocol.omega_interact
+    w0, w_end = protocol.omega_park, protocol.omega_interact
+    tune = protocol.tune_time
+    for k in range(1, min(bisect.bisect_left(t_out, tune), len(t_out) - 1) + 1):
+        a, e = t_out[k - 1], min(t_out[k], tune)
+        n = max(1, math.ceil(_SLICES * (e - a) / tune))
+        h = (e - a) / n
+        for j in range(n):
+            w = w0 + (w_end - w0) * (a + (j + 0.5) * h) / tune
+            yield w, h, int(j == n - 1 and e == t_out[k])
+    t, k = tune, bisect.bisect_right(t_out, tune)
     mod = protocol.modulation
     if mod is not None:
-        dt = 2.0 * math.pi / mod.omega_mod / n_slices
-        tc = (np.arange(n_slices) + 0.5) * dt
-        freqs = w_end + mod.epsilon * np.cos(mod.omega_mod * tc)
-        yield from itertools.cycle([(w, dt) for w in freqs])
-        return
-    if protocol.tune_time > 0:
-        w0, dt = protocol.omega_park, protocol.tune_time / n_slices
-        tc = (np.arange(n_slices) + 0.5) * dt
-        t = 0.0
-        for w in w0 + (w_end - w0) * tc / protocol.tune_time:
-            yield w, dt
+        dt = 2.0 * math.pi / mod.omega_mod / _SLICES
+        tc = (np.arange(_SLICES) + 0.5) * dt
+        for w in itertools.cycle(w_end + mod.epsilon * np.cos(mod.omega_mod * tc)):
+            if k == len(t_out):
+                return
             t += dt
-        # _propagate has read every sample up to t + dt/2
-        k = np.searchsorted(t_out, t + 0.5 * dt, side="right")
-        if k < t_out.size:
-            yield w_end, t_out[k] - t
-    yield from itertools.repeat((w_end, protocol.dt_output))
+            n = bisect.bisect_right(t_out, t + 0.5 * dt) - k
+            yield w, dt, n
+            k += n
+    if k < len(t_out):
+        yield w_end, t_out[k] - t, 1
+        yield from itertools.repeat((w_end, protocol.dt_output, 1),
+                                    len(t_out) - k - 1)
 
 
 def _qubit_quanta(model: StateSpaceModel, a: np.ndarray, x: np.ndarray) -> float:
@@ -183,48 +200,39 @@ def _qubit_quanta(model: StateSpaceModel, a: np.ndarray, x: np.ndarray) -> float
     return 0.5 * (c_qq * abs(v_q) ** 2 + l_qq * abs(x[q]) ** 2) / omega_q
 
 
-def _propagate(spec: ArraySpec, qubit: QubitCircuitParams, protocol: Protocol,
-               n_slices: int = 64) -> DynamicsTrace:
-    """Step the state through the protocol's schedule with expm propagators.
+def _propagate(spec: ArraySpec, qubit: QubitCircuitParams,
+               protocol: Protocol) -> DynamicsTrace:
+    """Step the state through the protocol's schedule with expm propagators,
+    the last _SLICES + 1 of them cached, and read the samples each step names
+    as qubit-node quanta under that step's model."""
+    @functools.lru_cache(maxsize=_SLICES + 1)
+    def stepper(w, dt):
+        m = assemble_state_space(spec, replace(qubit, omega_ge=w))
+        a = m.a_matrix()
+        return m, a, scipy.linalg.expm(a * dt)
 
-    Models are cached per frequency and propagators per (frequency, step).
-    Output time t_k is read after the first step whose end t satisfies
-    t_k <= t + dt/2, as qubit-node quanta under that step's model.
-    """
     t_out = _time_grid(protocol.t_max, protocol.dt_output)
-    models = {}     # bare qubit frequency -> (model, A)
-    props = {}      # (frequency, step) -> expm(A dt)
     p = np.empty(t_out.shape)
     p[0] = 1.0
-    x, k, t = None, 1, 0.0
-    for w, dt in _schedule(protocol, t_out, n_slices):
-        if k == t_out.size:
-            break
-        if w not in models:
-            m = assemble_state_space(spec, replace(qubit, omega_ge=w))
-            models[w] = (m, m.a_matrix())
-        m, a = models[w]
+    x, k = None, 1
+    for w, dt, n in _schedule(protocol, t_out.tolist()):
+        m, a, prop = stepper(w, dt)
         if x is None:
             x = _initial_state(m)
             n0 = _qubit_quanta(m, a, x)
-        if (w, dt) not in props:
-            props[w, dt] = scipy.linalg.expm(a * dt)
-        x = props[w, dt] @ x
-        t += dt
-        while k < t_out.size and t_out[k] <= t + 0.5 * dt:
-            p[k] = _qubit_quanta(m, a, x) / n0
-            k += 1
+        x = prop @ x
+        if n:
+            p[k:k + n] = _qubit_quanta(m, a, x) / n0
+            k += n
     p *= protocol.initial_excited_population
     return DynamicsTrace(t=t_out, p_e=p, metadata={"protocol": protocol.to_dict()})
 
 
 def simulate_emission(spec: ArraySpec, qubit: QubitCircuitParams,
                       protocol: Protocol) -> DynamicsTrace:
-    """Emission after an instantaneous tune-in to protocol.omega_interact.
-
-    Modulated protocols run as in simulate_modulated; finite tune_time uses
-    a piecewise-constant frequency ramp from omega_park.
-    """
+    """Emission after an instantaneous tune-in to protocol.omega_interact or
+    after the protocol's ramp from omega_park (see Protocol); modulated
+    protocols run as in simulate_modulated."""
     return _propagate(spec, qubit, protocol)
 
 
@@ -237,16 +245,17 @@ def simulate_mirror(spec: ArraySpec, qubit: QubitCircuitParams,
 
 
 def simulate_modulated(spec: ArraySpec, qubit: QubitCircuitParams,
-                       protocol: Protocol, n_slices: int = 64) -> DynamicsTrace:
+                       protocol: Protocol) -> DynamicsTrace:
     """Emission under parametric modulation of the bare qubit frequency,
-    omega_ge(t) = omega_interact + epsilon * cos(omega_mod * t).
-
-    Each period is split into n_slices constant-frequency slices; p_e counts
-    qubit-node quanta E_q / omega_q under each slice's own model.
+    omega_ge(t) = omega_interact + epsilon * cos(omega_mod * (t - tune_time))
+    from the end of the protocol's ramp, if any.  Each period is split into
+    64 constant-frequency slices; each sample is read after the first slice
+    ending within half a slice of it, as qubit-node quanta E_q / omega_q
+    under that slice's own model.
     """
     if protocol.modulation is None:
         raise ValidationError("simulate_modulated requires protocol.modulation")
-    return _propagate(spec, qubit, protocol, n_slices)
+    return _propagate(spec, qubit, protocol)
 
 
 def ideal_mirror_oracle(gamma_1d: float, tau_d: float, phase: float,

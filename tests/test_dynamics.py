@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import pathlib
@@ -56,6 +57,13 @@ def test_protocol_validation():
         Protocol(omega_interact=3e10, t_max=1e-7, omega_park=3.1e10)
     with pytest.raises(ValidationError, match="ramp"):
         Protocol(omega_interact=3e10, t_max=1e-7, tune_time=5e-9)
+    with pytest.raises(ValidationError, match="tune_time"):
+        Protocol(omega_interact=3e10, t_max=1e-7, tune_time=math.inf,
+                 omega_park=3.1e10)
+    for bad in (dict(omega_mod=math.inf, epsilon=1.5e9),
+                dict(omega_mod=3.77e9, epsilon=math.inf)):
+        with pytest.raises(ValidationError, match="finite"):
+            Modulation(**bad)
 
 
 def test_modulation_index():
@@ -312,17 +320,74 @@ def test_quantum_readout_matches_per_sample_loop(qubit_spec_nobend, q1,
     assert np.max(np.abs(pq - loop)) < 1e-12
 
 
-def test_ramped_tune_in_slows_early_decay(qubit_spec_nobend, q1, midband):
-    """A finite ramp from a far-detuned park keeps early population higher."""
+def test_ramped_tune_in_slows_early_decay(qubit_spec_nobend, q1, midband,
+                                          tune_time=4e-9):
+    """A finite ramp from a far-detuned park keeps early population higher,
+    and every sample is read at its own time: no two of the first 100 agree."""
     quench = simulate_emission(
         qubit_spec_nobend, q1,
         Protocol(omega_interact=midband, t_max=1e-8))
     ramped = simulate_emission(
         qubit_spec_nobend, q1,
-        Protocol(omega_interact=midband, t_max=1e-8, tune_time=4e-9,
+        Protocol(omega_interact=midband, t_max=1e-8, tune_time=tune_time,
                  omega_park=midband + 2 * math.pi * 1.5e9))
     i = np.searchsorted(quench.t, 4e-9)
     assert ramped.p_e[i] > quench.p_e[i]
+    assert np.unique(ramped.p_e[:100]).size == 100
+
+
+def test_slow_ramp_reads_every_sample(qubit_spec_nobend, q1, midband):
+    """The same for a 64 ns ramp, longer than t_max, whose tune_time / 64
+    steps are ten times dt_output."""
+    test_ramped_tune_in_slows_early_decay(qubit_spec_nobend, q1, midband,
+                                          tune_time=64e-9)
+
+
+def _ramp_reference(spec, qubit, protocol, h_max=1e-11):
+    """Literal ramp stepping: a fresh expm per sub-step of at most h_max at
+    the ramp frequency of its midpoint (one step per interval after
+    tune_time, where the frequency stays put), with steps ending on every
+    t_k and on tune_time; p_e read at t_k as qubit-node quanta, v = C^-1 q
+    by solve, under the model at the frequency of t_k."""
+    w0, w1 = protocol.omega_park, protocol.omega_interact
+    tune = protocol.tune_time
+
+    def model(t):
+        w = w0 + (w1 - w0) * min(t, tune) / tune
+        return assemble_state_space(spec,
+                                    dataclasses.replace(qubit, omega_ge=w))
+
+    def quanta(m, x):
+        n, q = m.n_nodes, m.qubit_node
+        v = np.linalg.solve(m.cap, x[n:])
+        return (0.5 * (m.cap[q, q] * abs(v[q]) ** 2
+                       + m.linv[q, q] * abs(x[q]) ** 2)
+                / math.sqrt(m.linv[q, q] / m.cap[q, q]))
+
+    t = _time_grid(protocol.t_max, protocol.dt_output)
+    x = _initial_state(model(0.0))
+    p = [quanta(model(0.0), x)]
+    for a, b in itertools.pairwise(np.union1d(t, [tune])):
+        m = math.ceil((b - a) / h_max) if a < tune else 1
+        for j in range(m):
+            x = scipy.linalg.expm(model(a + (j + 0.5) * (b - a) / m).a_matrix()
+                                  * ((b - a) / m)) @ x
+        if b in t:
+            p.append(quanta(model(b), x))
+    return np.array(p[:t.size]) / p[0]
+
+
+@pytest.mark.parametrize("tune_time", [4e-9, 4.05e-9])
+def test_ramp_matches_exact_sampling_reference(qubit_spec_nobend, q1, midband,
+                                               tune_time):
+    """A ramp from +1.5 GHz, on and off the output grid, follows 10 ps
+    literal sub-stepping read at t_k within 1e-4 (measured: 3.6e-5 for
+    both; 4 ps sub-steps move the reference by at most 2.3e-7)."""
+    prot = Protocol(omega_interact=midband, t_max=1e-8, tune_time=tune_time,
+                    omega_park=midband + 2 * math.pi * 1.5e9)
+    p = simulate_emission(qubit_spec_nobend, q1, prot).p_e
+    ref = _ramp_reference(qubit_spec_nobend, q1, prot)
+    assert np.max(np.abs(p - ref)) <= 1e-4
 
 
 def _expm_reference(spec, qubit, protocol):
@@ -357,13 +422,16 @@ _WMOD = 2 * math.pi * 600e6
 @pytest.mark.parametrize("kind, value", [
     ("quench", None), ("mirror", None), ("ramp", 1.2e9), ("ramp", 1.8e9),
     ("index", 0.2), ("index", 0.8), ("quantum", "matched"),
-    ("quantum", "open_mirror")])
+    ("quantum", "open_mirror"), ("ramped index", 0.4), ("tune_time", 1e300)])
 def test_population_stays_in_unit_interval(qubit_spec_nobend, q1, midband,
                                            kind, value):
     """0 <= p_e <= 1 also while the qubit frequency moves: ramps parked
-    `value` Hz above the band centre, modulation of index `value`; and for
-    the quantum method with a `value` output termination."""
+    `value` Hz above the band centre, modulation of index `value` (also
+    after a 4 ns ramp from +1.5 GHz, which must change the trace), a ramp of
+    tune_time `value` far beyond t_max; and for the quantum method with a
+    `value` output termination."""
     spec, sim = qubit_spec_nobend, simulate_emission
+    park = midband + 2 * math.pi * 1.5e9
     prot = Protocol(omega_interact=midband, t_max=6e-8)
     if kind == "mirror":
         spec = qubit_device(bend_c_series=None, termination_out="open_mirror")
@@ -374,14 +442,22 @@ def test_population_stays_in_unit_interval(qubit_spec_nobend, q1, midband,
     elif kind == "ramp":
         prot = dataclasses.replace(prot, tune_time=4e-9,
                                    omega_park=midband + 2 * math.pi * value)
-    elif kind == "index":
+    elif kind in ("index", "ramped index"):
         prot = Protocol(omega_interact=midband + _WMOD, t_max=6e-8,
                         dt_output=5e-10,
                         modulation=Modulation(omega_mod=_WMOD,
                                               epsilon=value * _WMOD))
+    elif kind == "tune_time":
+        prot = Protocol(omega_interact=midband, t_max=1e-9, tune_time=value,
+                        omega_park=park)
+    if kind == "ramped index":
+        unramped = sim(spec, q1, prot).p_e
+        prot = dataclasses.replace(prot, tune_time=4e-9, omega_park=park)
     p = sim(spec, q1, prot).p_e
     assert p.min() >= 0.0
     assert p.max() <= 1.0 + 1e-9
+    if kind == "ramped index":
+        assert np.max(np.abs(p - unramped)) > 1e-3
 
 
 @pytest.mark.parametrize("protocol", [
@@ -399,8 +475,8 @@ def test_decoupled_qubit_keeps_population_under_modulation(qubit_spec_nobend,
     """A 1e-20 F lossless qubit under index-0.4 modulation keeps p_e = 1.
 
     The residual is the modulated linear oscillator's own parametric
-    response, not slicing error: it converges to 3.4e-6 as n_slices goes
-    from 64 to 256.
+    response, not slicing error: it converges to 3.4e-6 as the slices per
+    modulation period go from 64 to 256.
     """
     qubit = dataclasses.replace(qubit_q1(q_intrinsic=math.inf),
                                 couplings={QUBIT_CELL_INDEX: 1e-20})
