@@ -64,6 +64,14 @@ def band_edges(cell: UnitCellParams) -> tuple:
     return (cell.omega0 / math.sqrt(1.0 + 4.0 * cell.coupling_ratio), cell.omega0)
 
 
+def window_grid(cell: UnitCellParams, fraction: float,
+                n_points: int) -> np.ndarray:
+    """``n_points`` frequencies across the central ``fraction`` of the band."""
+    lo, hi = band_edges(cell)
+    center, half = 0.5 * (lo + hi), 0.5 * fraction * (hi - lo)
+    return np.linspace(center - half, center + half, n_points)
+
+
 def bandwidth(cell: UnitCellParams) -> float:
     lo, hi = band_edges(cell)
     return hi - lo

@@ -2,7 +2,8 @@
 
 Per-cell resonance frequencies are drawn Gaussian around each cell's nominal
 value; disorder enters the inductances only (fixed shunt capacitance), the
-dominant fabrication channel.  The module computes the transmission
+dominant fabrication channel.  A realization is the lowered ``Chain`` with
+its inductances redrawn.  The module computes the transmission
 extinction versus sigma/J, extracts normal-mode frequencies from passband
 ripple maxima, and calibrates the Delta_FSR -> sigma map used to infer the
 disorder of a measured device.
@@ -17,9 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .abcd import cascade_abcd
-from .bands import band_edges, tight_binding
-from .params import (ArraySpec, BoundaryCellParams, Chain, UnitCellParams,
-                     ValidationError)
+from .bands import band_edges, tight_binding, window_grid
+from .params import ArraySpec, Chain, ValidationError, _require
 
 logger = logging.getLogger(__name__)
 
@@ -52,7 +52,6 @@ class DisorderEnsembleResult:
 class FsrReport:
     mode_freqs: np.ndarray   # rad/s, ripple maxima in the central half-band
     delta_fsr: float         # rad/s, std of adjacent spacings
-    calibration: dict = None  # optional sigma -> mean Delta_FSR map
 
 
 @dataclass(frozen=True)
@@ -72,57 +71,43 @@ class SigmaCalibration:
                    comments="", fmt="%.12e")
 
 
-def _normal(key, n: int) -> np.ndarray:
-    """n standard-normal draws from the substream ``key``."""
-    return np.random.default_rng(np.random.SeedSequence(key)).standard_normal(n)
+def _sigmas(sigma) -> np.ndarray:
+    """``sigma`` as a float array; raises unless every entry is finite and
+    non-negative."""
+    sigma = np.asarray(sigma, dtype=float)
+    _require(np.all(np.isfinite(sigma) & (sigma >= 0)),
+             "sigma must be non-negative and finite")
+    return sigma
 
 
-def _shifted(chain: Chain, offsets) -> Chain:
-    """The chain with resonance i moved by offsets[i] (rad/s).
+def _realization(chain: Chain, sigma: float, key) -> Chain:
+    """The chain with resonance i moved by sigma * z[i] (rad/s), z drawn
+    standard-normal from the substream ``key``; ``sigma = 0`` returns
+    ``chain`` itself.
 
     Shunt capacitances stay fixed, so only the inductances change; a
     non-positive frequency raises.
     """
-    w = 1.0 / np.sqrt(chain.l * chain.c_shunt) + offsets
+    if sigma == 0.0:
+        return chain
+    z = np.random.default_rng(np.random.SeedSequence(key)).standard_normal(
+        chain.n_resonators)
+    w = 1.0 / np.sqrt(chain.l * chain.c_shunt) + sigma * z
     if np.any(w <= 0):
         raise ValidationError("non-positive disordered frequency")
     return replace(chain, l=1.0 / (w * w * chain.c_shunt))
 
 
-def sample_disordered(spec: ArraySpec, sigma: float, rng_seed) -> ArraySpec:
-    """One disorder realization; ``sigma = 0`` returns the spec unchanged.
+def sample_disordered(spec: ArraySpec, sigma: float, rng_seed) -> Chain:
+    """One disorder realization of ``spec`` as a lowered ``Chain``.
 
     Frequencies are drawn N(omega_nominal, sigma^2) from the substream
-    ``rng_seed``; a non-positive draw raises ``ValidationError``.  All but one
-    mid-array resonator become boundary cells and the interior cell keeps its
-    own right coupler, so every coupler (bend included) is baked in and the
-    result carries ``bend=None``.
+    ``rng_seed``; a non-positive draw raises ``ValidationError``, as does a
+    negative or non-finite ``sigma``.  ``sigma = 0`` gives the clean chain
+    ``spec.lower()``.  Every coupler, the bend's included, is carried over
+    unchanged.
     """
-    if sigma < 0:
-        raise ValidationError("sigma must be non-negative")
-    if sigma == 0.0:
-        return spec
-    chain = spec.lower()
-    chain = _shifted(chain, sigma * _normal(rng_seed, chain.n_resonators))
-    c, l, k = chain.c_shunt.tolist(), chain.l.tolist(), chain.couplers.tolist()
-    mid = len(c) // 2
-    cells_in = [BoundaryCellParams(c_shunt=c[i], c_left=k[i], c_right=k[i + 1],
-                                   l0=l[i]) for i in range(mid)]
-    interior = UnitCellParams(c0=c[mid], cg=k[mid + 1], l0=l[mid],
-                              q_internal=spec.interior.q_internal)
-    # from the output port inward
-    cells_out = [BoundaryCellParams(c_shunt=c[j], c_left=k[j + 1],
-                                    c_right=k[j], l0=l[j])
-                 for j in range(len(c) - 1, mid, -1)]
-    return replace(spec, interior=interior, interior_count=1,
-                   boundary_in=tuple(cells_in), boundary_out=tuple(cells_out),
-                   bend=None)
-
-
-def _passband_grid(spec: ArraySpec, fraction: float = 1.0) -> np.ndarray:
-    lo, hi = band_edges(spec.interior)
-    center, half = 0.5 * (lo + hi), 0.5 * fraction * (hi - lo)
-    return np.linspace(center - half, center + half, SCAN_GRID_POINTS)
+    return _realization(spec.lower(), float(_sigmas(sigma)), rng_seed)
 
 
 # Fraction of the band scored by the extinction statistic; the central half
@@ -146,24 +131,26 @@ def extinction_curve(spec: ArraySpec, sigma_over_j, n_realizations: int,
                      seed: int, threads: int = None) -> DisorderEnsembleResult:
     """Mean passband transmission versus sigma/J over a seeded ensemble.
 
-    Realization i draws its standard-normal offsets from the substream
-    (seed, i) once and rescales them for every sigma, so the curve is both
-    reproducible and variance-reduced across the grid.  Realizations run
-    serially; ``threads`` is accepted for compatibility and does not change
-    the result.
+    Realization i at every sigma is ``sample_disordered(spec, sigma, (seed,
+    i))``: the same standard-normal draws rescaled, so the curve is both
+    reproducible and variance-reduced across the grid, and ``sigma = 0``
+    scores the clean chain.  Every sigma/J must be finite and >= 0; it is
+    checked before any cascade.  Realizations run serially; ``threads`` is
+    accepted for compatibility and does not change the result.
     """
-    sigma_over_j = np.asarray(sigma_over_j, dtype=float)
+    sigma_over_j = _sigmas(sigma_over_j)
     if n_realizations < 1:
         raise ValidationError("n_realizations must be >= 1")
     j = tight_binding(spec.interior)["j_tb"]
-    grid = _passband_grid(spec, EXTINCTION_BAND_FRACTION)
+    grid = window_grid(spec.interior, EXTINCTION_BAND_FRACTION,
+                       SCAN_GRID_POINTS)
     chain = spec.lower()
 
     ext = np.empty((n_realizations, sigma_over_j.size))
     for i in range(n_realizations):
-        z = _normal((seed, i), chain.n_resonators)
         for si, soj in enumerate(sigma_over_j):
-            ext[i, si] = _mean_passband_db(_shifted(chain, soj * j * z), grid)
+            ext[i, si] = _mean_passband_db(
+                _realization(chain, soj * j, (seed, i)), grid)
     boot_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB0075)))
     stderr = np.array([_bootstrap_stderr(ext[:, si], boot_rng)
                        for si in range(sigma_over_j.size)])
@@ -211,10 +198,7 @@ def fsr_variance(response, band=None) -> FsrReport:
 def _mean_delta_fsr(chain: Chain, band: tuple, sigma: float,
                     n_realizations: int, seed_key, grid: np.ndarray) -> tuple:
     def one(i):
-        dchain = chain
-        if sigma > 0:
-            z = _normal((*seed_key, i), chain.n_resonators)
-            dchain = _shifted(chain, sigma * z)
+        dchain = _realization(chain, sigma, (*seed_key, i))
         try:
             return fsr_variance(cascade_abcd(dchain, grid), band=band).delta_fsr
         except ValidationError:
@@ -236,14 +220,16 @@ def calibrate_sigma(measured_delta_fsr: float, spec: ArraySpec, sigma_grid,
                     threads: int = None) -> SigmaCalibration:
     """Empirical mean Delta_FSR(sigma) table and its monotone inversion.
 
-    Non-monotone segments are flagged and the inversion restricted to the
-    longest increasing prefix of the table.  Realizations run serially;
-    ``threads`` is accepted for compatibility and does not change the result.
+    Realization i at ``sigma_grid[k]`` is ``sample_disordered(spec,
+    sigma_grid[k], (seed, k, i))``; ``sigma = 0`` gives the clean chain.
+    Every sigma must be finite and >= 0; the grid is checked before any
+    cascade.  Non-monotone segments are flagged and the inversion restricted
+    to the longest increasing prefix of the table.  Realizations run
+    serially; ``threads`` is accepted for compatibility and does not change
+    the result.
     """
-    sigma_grid = np.asarray(sigma_grid, dtype=float)
-    if np.any(sigma_grid < 0):
-        raise ValidationError("sigma must be non-negative")
-    grid = _passband_grid(spec)
+    sigma_grid = _sigmas(sigma_grid)
+    grid = window_grid(spec.interior, 1.0, SCAN_GRID_POINTS)
     chain, band = spec.lower(), band_edges(spec.interior)
     means = np.empty(sigma_grid.size)
     errs = np.empty(sigma_grid.size)

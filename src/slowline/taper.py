@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .abcd import cascade_abcd
-from .bands import band_edges
+from .bands import window_grid
 from .params import (ArraySpec, BoundaryCellParams, ValidationError, _require,
                      boolean, integer, read_object, real)
 
@@ -67,18 +67,11 @@ class TaperReport:
     history: tuple          # (iteration, best ripple_db) pairs, non-increasing
 
 
-def _window_grid(spec: ArraySpec, band_window: float) -> np.ndarray:
-    if not 0.0 < band_window <= 1.0:
-        raise ValidationError("band_window must be in (0, 1]")
-    lo, hi = band_edges(spec.interior)
-    center = 0.5 * (lo + hi)
-    half = 0.5 * band_window * (hi - lo)
-    return np.linspace(center - half, center + half, RIPPLE_GRID_POINTS)
-
-
 def ripple(spec: ArraySpec, band_window: float = 0.5) -> float:
     """Peak-to-peak |S21| in dB over the central fraction of the passband."""
-    grid = _window_grid(spec, band_window)
+    if not 0.0 < band_window <= 1.0:
+        raise ValidationError("band_window must be in (0, 1]")
+    grid = window_grid(spec.interior, band_window, RIPPLE_GRID_POINTS)
     db = cascade_abcd(spec, grid).s21_db
     if not np.all(np.isfinite(db)):
         raise ValidationError("non-finite transmission inside the band window")

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from slowline.abcd import (TwoPortResponse, bloch_analysis, cascade_abcd,
                            chain_abcd, default_grid, unit_cell_abcd)
-from slowline.bands import band_edges, dispersion
+from slowline.bands import band_edges, dispersion, tight_binding
 from slowline.devices import untapered_device
+from slowline.disorder import sample_disordered
 from slowline.dynamics import _initial_state, total_energy
 from slowline.fitting import fit_to_spectrum
 from slowline.params import (ArraySpec, Bend, BoundaryCellParams, UnitCellParams,
@@ -28,15 +29,24 @@ def test_unit_cell_reciprocity(c0, cg, l0, f):
     assert abs((a * d - b * c)[0] - 1.0) < 1e-10
 
 
-def test_chain_reciprocity(test_spec):
+@pytest.fixture(params=["spec", "realization"])
+def spec_or_realization(request, test_spec):
+    """The test device, and one disorder realization of it as a Chain."""
+    if request.param == "spec":
+        return test_spec
+    j = tight_binding(test_spec.interior)["j_tb"]
+    return sample_disordered(test_spec, 0.2 * j, (5, 0))
+
+
+def test_chain_reciprocity(test_spec, spec_or_realization):
     grid = default_grid(test_spec.interior, 101)
-    a, b, c, d = chain_abcd(test_spec, grid)
+    a, b, c, d = chain_abcd(spec_or_realization, grid)
     scale = np.abs(a * d) + np.abs(b * c)
     assert np.max(np.abs(a * d - b * c - 1.0) / scale) < 1e-10
 
 
-def test_transmission_passive(test_spec):
-    resp = cascade_abcd(test_spec, default_grid(test_spec.interior))
+def test_transmission_passive(test_spec, spec_or_realization):
+    resp = cascade_abcd(spec_or_realization, default_grid(test_spec.interior))
     mag = np.abs(resp.s21)
     assert np.all(mag[np.isfinite(mag)] <= 1.0 + 1e-9)
     # lossless: |S11|^2 + |S21|^2 = 1

@@ -4,23 +4,54 @@ import numpy as np
 import pytest
 
 from slowline.abcd import cascade_abcd
-from slowline.bands import band_edges, tight_binding
+from slowline.bands import band_edges, tight_binding, window_grid
 from slowline.disorder import (EXTINCTION_BAND_FRACTION, PEAK_PROMINENCE_DB,
-                               DisorderEnsembleResult, _bootstrap_stderr,
-                               _passband_grid, calibrate_sigma,
+                               SCAN_GRID_POINTS, DisorderEnsembleResult,
+                               _bootstrap_stderr, calibrate_sigma,
                                extinction_curve, fsr_variance,
                                sample_disordered)
 from slowline.params import (ArraySpec, BoundaryCellParams, UnitCellParams,
                              ValidationError)
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _forbid_cascade(monkeypatch):
+    import slowline.disorder as disorder
+
+    def no_cascade(*args, **kwargs):
+        raise AssertionError("cascade run before the sigma grid was checked")
+
+    monkeypatch.setattr(disorder, "cascade_abcd", no_cascade)
+
+
 def test_sigma_zero_identity(tapered_26):
-    assert sample_disordered(tapered_26, 0.0, 1) is tapered_26
+    d, clean = sample_disordered(tapered_26, 0.0, 1), tapered_26.lower()
+    for name in ("c_shunt", "l", "couplers"):
+        np.testing.assert_array_equal(getattr(d, name), getattr(clean, name))
 
 
-def test_negative_sigma_rejected(tapered_26):
-    with pytest.raises(ValidationError):
-        sample_disordered(tapered_26, -1.0, 1)
+def test_negative_sigma_rejected(tapered_26, monkeypatch):
+    """A negative or non-finite sigma raises, in extinction_curve before
+    any cascade."""
+    _forbid_cascade(monkeypatch)
+    for sigma in (-1.0, *NON_FINITE):
+        with pytest.raises(ValidationError,
+                           match="sigma must be non-negative and finite"):
+            sample_disordered(tapered_26, sigma, 1)
+        with pytest.raises(ValidationError,
+                           match="sigma must be non-negative and finite"):
+            extinction_curve(tapered_26, [0.1, sigma], 2, seed=0)
+
+
+def test_seeded_stream_pinned(test_spec):
+    """Realizations are drawn from the seeded substream they always were."""
+    j = tight_binding(test_spec.interior)["j_tb"]
+    l = sample_disordered(test_spec, 0.05 * j, (7, 3)).lower().l
+    assert l[0] == 3.154319638654602e-09
+    assert l[12] == 3.1493059969092063e-09
+    assert l[25] == 3.1479016837200367e-09
 
 
 def _nominal_frequencies(spec):
@@ -45,7 +76,8 @@ def test_extinction_realizations_are_sample_disordered(tapered_26):
     """Realization i of the extinction ensemble is the passband mean of
     sample_disordered(spec, s*J, (seed, i))."""
     j = tight_binding(tapered_26.interior)["j_tb"]
-    grid = _passband_grid(tapered_26, EXTINCTION_BAND_FRACTION)
+    grid = window_grid(tapered_26.interior, EXTINCTION_BAND_FRACTION,
+                       SCAN_GRID_POINTS)
     res = extinction_curve(tapered_26, [0.1], 3, seed=6)
     ext = []
     for i in range(3):
@@ -60,23 +92,18 @@ def test_sample_reproducible(tapered_26):
     a = sample_disordered(tapered_26, 0.05 * j, 42)
     b = sample_disordered(tapered_26, 0.05 * j, 42)
     c = sample_disordered(tapered_26, 0.05 * j, 43)
-    assert a == b
-    assert a != c
+    np.testing.assert_array_equal(a.l, b.l)
+    assert not np.array_equal(a.l, c.l)
 
 
 def test_sample_preserves_topology(tapered_26):
     """Shunt capacitances and coupler chain unchanged; only L varies."""
     j = tight_binding(tapered_26.interior)["j_tb"]
-    d = sample_disordered(tapered_26, 0.05 * j, 7)
+    d, clean = sample_disordered(tapered_26, 0.05 * j, 7), tapered_26.lower()
     assert d.n_resonators == tapered_26.n_resonators
-    np.testing.assert_allclose(
-        [c for c, _ in d.shunt_elements()],
-        [c for c, _ in tapered_26.shunt_elements()], rtol=1e-12)
-    np.testing.assert_allclose(d.coupler_elements(),
-                               tapered_26.coupler_elements(), rtol=1e-12)
-    l_new = np.array([l for _, l in d.shunt_elements()])
-    l_old = np.array([l for _, l in tapered_26.shunt_elements()])
-    assert np.all(l_new != l_old)
+    np.testing.assert_allclose(d.c_shunt, clean.c_shunt, rtol=1e-12)
+    np.testing.assert_allclose(d.couplers, clean.couplers, rtol=1e-12)
+    assert np.all(d.l != clean.l)
 
 
 def test_sample_frequency_statistics(tapered_26):
@@ -86,8 +113,7 @@ def test_sample_frequency_statistics(tapered_26):
     draws = []
     for i in range(40):
         d = sample_disordered(tapered_26, sigma, (77, i))
-        for c, l in d.shunt_elements():
-            draws.append(1.0 / math.sqrt(l * c))
+        draws.extend(1.0 / np.sqrt(d.l * d.c_shunt))
     noms = [1.0 / math.sqrt(l * c) for c, l in tapered_26.shunt_elements()]
     n = len(draws)
     assert abs(np.mean(draws) - np.mean(noms)) < 3 * sigma / math.sqrt(n)
@@ -96,21 +122,20 @@ def test_sample_frequency_statistics(tapered_26):
 def test_bend_baked_into_realization(qubit_spec):
     j = tight_binding(qubit_spec.interior)["j_tb"]
     d = sample_disordered(qubit_spec, 0.02 * j, 5)
-    assert d.bend is None
-    np.testing.assert_allclose(d.coupler_elements(),
+    np.testing.assert_allclose(d.couplers,
                                qubit_spec.coupler_elements(), rtol=1e-12)
 
 
 def test_two_resonator_realization_keeps_port_couplers():
-    """With one interior and one 80 fF output cell the re-encoded
-    realization still ends on the 80 fF port coupler."""
+    """With one interior and one 80 fF output cell the realization still
+    ends on the 80 fF port coupler."""
     cell = UnitCellParams(c0=353.2e-15, cg=5.05e-15, l0=3.151e-9)
     out = BoundaryCellParams(c_shunt=283.1e-15, c_left=80e-15,
                              c_right=5.05e-15, l0=cell.l0)
     spec = ArraySpec(interior=cell, interior_count=1, boundary_out=(out,))
     d = sample_disordered(spec, 0.05 * tight_binding(cell)["j_tb"], 4)
     assert spec.coupler_elements() == [5.05e-15, 5.05e-15, 80e-15]
-    assert d.coupler_elements() == spec.coupler_elements()
+    assert d.couplers.tolist() == spec.coupler_elements()
 
 
 def test_extinction_deterministic_and_thread_invariant(tapered_26):
@@ -175,7 +200,7 @@ def test_fsr_peak_extraction_clean(tapered_26):
 
 def test_fsr_disorder_increases_variance(tapered_26):
     j = tight_binding(tapered_26.interior)["j_tb"]
-    grid = _passband_grid(tapered_26)
+    grid = window_grid(tapered_26.interior, 1.0, SCAN_GRID_POINTS)
     band = band_edges(tapered_26.interior)
     clean = fsr_variance(cascade_abcd(tapered_26, grid), band=band).delta_fsr
     d = sample_disordered(tapered_26, 0.05 * j, 3)
@@ -203,7 +228,7 @@ def _fsr_per_peak(response, band):
 def test_fsr_refinement_matches_per_peak_loop(tapered_26):
     """The vectorised peak refinement reproduces the per-peak loop exactly."""
     j = tight_binding(tapered_26.interior)["j_tb"]
-    grid = _passband_grid(tapered_26)
+    grid = window_grid(tapered_26.interior, 1.0, SCAN_GRID_POINTS)
     band = band_edges(tapered_26.interior)
     for seed in range(4):
         d = sample_disordered(tapered_26, 0.1 * j * (seed > 0), (123, seed))
@@ -233,14 +258,11 @@ def test_calibration_monotone_table(tapered_26):
 
 
 def test_calibration_rejects_negative_sigma(tapered_26, monkeypatch):
-    """A negative sigma raises as in sample_disordered, before any cascade."""
-    import slowline.disorder as disorder
-
-    def no_cascade(*args, **kwargs):
-        raise AssertionError("cascade run before the sigma grid was checked")
-
-    monkeypatch.setattr(disorder, "cascade_abcd", no_cascade)
+    """A negative or non-finite sigma raises as in sample_disordered, before
+    any cascade."""
+    _forbid_cascade(monkeypatch)
     j = tight_binding(tapered_26.interior)["j_tb"]
-    with pytest.raises(ValidationError, match="sigma must be non-negative"):
-        calibrate_sigma(1e6, tapered_26, [-0.2 * j, 0.0, 0.1 * j],
-                        n_realizations=4)
+    for bad in (-0.2, *NON_FINITE):
+        with pytest.raises(ValidationError, match="sigma must be non-negative"):
+            calibrate_sigma(1e6, tapered_26, [bad * j, 0.0, 0.1 * j],
+                            n_realizations=4)
