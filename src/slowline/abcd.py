@@ -8,6 +8,7 @@ impedance of the spec.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,35 +72,62 @@ def _ldexp(x: np.ndarray, exp: np.ndarray) -> np.ndarray:
 
 
 def _cascade(chain: Chain, freq_grid):
-    """Rows (a, b, c, d) of the chain's ABCD matrix over 2**exp, and exp.
+    """Rows (a, b, c, d) of the chain's ABCD matrix over 2**exp, and exp, each
+    of shape ``chain.l.shape[:-1] + freq_grid.shape``: one row per stacked
+    realization when ``chain.l`` is 2-D.
 
-    From the input port, each coupler right-multiplies in place by
-    [[1, z], [0, 1]] and each resonator by [[1, 0], [y, 1]].  Past
-    _RESCALE_ABOVE every point is scaled to a peak in [0.5, 1) by a power of
-    two, which is exact: no bit changes where the plain product is finite.
+    From the input port, each coupler right-multiplies by [[1, z], [0, 1]]
+    and each resonator by [[1, 0], [y, 1]].  The loop keeps (a, b/i, c/i, d),
+    real when the chain is lossless: with zh = z/i = -1/(wC) a coupler does
+    b/i += a*zh and d -= (c/i)*zh; with yh = y/i a resonator does
+    a -= (b/i)*yh and c/i += d*yh.  Each product and sum is the one the
+    complex update computes, so the entries are bit for bit the same.
+
+    Past _RESCALE_ABOVE every point is scaled to a peak in [0.5, 1) by a power
+    of two, which is exact: no bit changes where the plain product is finite.
+    The entries are searched only once a bound on them passes the threshold:
+    an element multiplies the largest entry by at most 1 + max|zh| or
+    1 + max|yh|, so no entry passes the threshold unseen, and a cascade
+    makes a few searches rather than one per element.
     """
     w = np.asarray(freq_grid, dtype=float)
     if np.any(w <= 0):
         raise ValidationError("frequency grid must avoid DC and be positive")
-    m = np.zeros((4, w.size), dtype=complex)
-    m[0] = m[3] = 1.0
-    a, b, c, d = m
-    parts = m.view(float).reshape(4, -1, 2)
-    exp = np.zeros(w.size, dtype=int)
-    jw = 1j * w
+    lossy = math.isfinite(chain.q_internal)
     g_loss = chain.g_loss
+    m = np.zeros((4, *chain.l.shape[:-1], w.size),
+                 dtype=complex if lossy else float)
+    m[0] = m[3] = 1.0
+    a, bh, ch, d = m
+    parts = m.view(float).reshape(*m.shape, -1)
+    exp = np.zeros(m.shape[1:], dtype=int)
+    w_lo, w_hi = w.min(), w.max()
+    y_bound = (w_hi * chain.c_shunt
+               + 1.0 / (w_lo * np.atleast_2d(chain.l).min(axis=0))
+               + np.atleast_2d(g_loss).max(axis=0))
+    bound = 1.0     # no entry is larger in magnitude
     for i, cap in enumerate(chain.couplers):
-        z = 1.0 / (jw * cap)
-        b += a * z
-        d += c * z
+        zh = -1.0 / (w * cap)
+        bh += a * zh
+        d -= ch * zh
+        bound *= 1.0 + 1.0 / (w_lo * cap)
         if i < chain.n_resonators:
-            y = jw * chain.c_shunt[i] + 1.0 / (jw * chain.l[i]) + g_loss[i]
-            a += b * y
-            c += d * y
-        if parts.max() > _RESCALE_ABOVE or parts.min() < -_RESCALE_ABOVE:
-            _, e = np.frexp(np.abs(m).max(axis=0))
-            np.ldexp(parts, -e[:, None], out=parts)
-            exp += e
+            yh = w * chain.c_shunt[i] - 1.0 / (w * chain.l[..., i, None])
+            if lossy:
+                yh = yh - 1j * g_loss[..., i, None]
+            a -= bh * yh
+            ch += d * yh
+            bound *= 1.0 + y_bound[i]
+        if bound > _RESCALE_ABOVE:
+            peak = np.abs(m).max(axis=0)
+            bound = peak.max()
+            if bound > _RESCALE_ABOVE:
+                _, e = np.frexp(peak)
+                np.ldexp(parts, -e[..., None], out=parts)
+                exp += e
+                bound = 1.0
+    m = m.astype(complex, copy=False)
+    m[1:3] *= 1j
     return m, exp
 
 
@@ -111,7 +139,8 @@ def chain_abcd(spec: ArraySpec, freq_grid: np.ndarray):
 
 def cascade_abcd(spec: ArraySpec, freq_grid: np.ndarray) -> TwoPortResponse:
     """S21/S11 of the finite array (an ``ArraySpec`` or a lowered ``Chain``)
-    between its resistive ports.
+    between its resistive ports.  A ``Chain`` stacking R realizations gives
+    S21/S11 of shape (R, len(freq_grid)), row k that of realization k alone.
 
     Grid points where the conversion is singular yield NaN rather than
     raising.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .abcd import cascade_abcd
+from .abcd import TwoPortResponse, cascade_abcd
 from .bands import band_edges, tight_binding, window_grid
 from .params import ArraySpec, Chain, ValidationError, _require
 
@@ -29,6 +29,12 @@ PEAK_PROMINENCE_DB = 0.005
 
 # Frequency samples across the passband for ensemble transmission scans.
 SCAN_GRID_POINTS = 2001
+
+# Realizations cascaded together as one stacked Chain.  On a 50-cell chain
+# and a 2001-point grid each stacked realization adds about 0.4 MiB to peak
+# memory; 4 runs within 5% of the fastest size (8) at half its memory and
+# 1.5x faster than 1.
+STACK_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -115,9 +121,21 @@ def sample_disordered(spec: ArraySpec, sigma: float, rng_seed) -> Chain:
 EXTINCTION_BAND_FRACTION = 0.5
 
 
-def _mean_passband_db(chain: Chain, grid: np.ndarray) -> float:
+def _responses(chain: Chain, draws: list, grid: np.ndarray):
+    """The response of ``_realization(chain, sigma, key)`` for each (sigma,
+    key) in ``draws``, in order, cascaded STACK_SIZE realizations at a time.
+    """
+    for start in range(0, len(draws), STACK_SIZE):
+        l = np.stack([_realization(chain, sigma, key).l
+                      for sigma, key in draws[start:start + STACK_SIZE]])
+        resp = cascade_abcd(replace(chain, l=l), grid)
+        for s21, s11 in zip(resp.s21, resp.s11):
+            yield TwoPortResponse(freq_grid=resp.freq_grid, s21=s21, s11=s11)
+
+
+def _mean_passband_db(resp: TwoPortResponse) -> float:
     """Mean transmitted power over the grid, in dB (linear average)."""
-    p = np.abs(cascade_abcd(chain, grid).s21) ** 2
+    p = np.abs(resp.s21) ** 2
     return float(10.0 * np.log10(np.mean(p)))
 
 
@@ -135,8 +153,9 @@ def extinction_curve(spec: ArraySpec, sigma_over_j, n_realizations: int,
     i))``: the same standard-normal draws rescaled, so the curve is both
     reproducible and variance-reduced across the grid, and ``sigma = 0``
     scores the clean chain.  Every sigma/J must be finite and >= 0; it is
-    checked before any cascade.  Realizations run serially; ``threads`` is
-    accepted for compatibility and does not change the result.
+    checked before any cascade.  Realizations are cascaded STACK_SIZE at a
+    time, in one thread; ``threads`` is accepted for compatibility and does
+    not change the result.
     """
     sigma_over_j = _sigmas(sigma_over_j)
     if n_realizations < 1:
@@ -146,11 +165,11 @@ def extinction_curve(spec: ArraySpec, sigma_over_j, n_realizations: int,
                        SCAN_GRID_POINTS)
     chain = spec.lower()
 
-    ext = np.empty((n_realizations, sigma_over_j.size))
-    for i in range(n_realizations):
-        for si, soj in enumerate(sigma_over_j):
-            ext[i, si] = _mean_passband_db(
-                _realization(chain, soj * j, (seed, i)), grid)
+    draws = [(soj * j, (seed, i)) for i in range(n_realizations)
+             for soj in sigma_over_j]
+    ext = np.array([_mean_passband_db(r)
+                    for r in _responses(chain, draws, grid)]).reshape(
+                        n_realizations, sigma_over_j.size)
     boot_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB0075)))
     stderr = np.array([_bootstrap_stderr(ext[:, si], boot_rng)
                        for si in range(sigma_over_j.size)])
@@ -171,6 +190,8 @@ def fsr_variance(response, band=None) -> FsrReport:
     ``band`` is the (lower, upper) passband edge pair; when omitted the span
     between the outermost extracted peaks stands in for it.
     """
+    _require(np.ndim(response.s21) == 1,
+             "fsr_variance takes one response, not a stack")
     import scipy.signal     # slow to import (scipy.stats); only needed here
     db = response.s21_db
     freq = response.freq_grid
@@ -197,14 +218,14 @@ def fsr_variance(response, band=None) -> FsrReport:
 
 def _mean_delta_fsr(chain: Chain, band: tuple, sigma: float,
                     n_realizations: int, seed_key, grid: np.ndarray) -> tuple:
-    def one(i):
-        dchain = _realization(chain, sigma, (*seed_key, i))
+    def one(resp):
         try:
-            return fsr_variance(cascade_abcd(dchain, grid), band=band).delta_fsr
+            return fsr_variance(resp, band=band).delta_fsr
         except ValidationError:
             return math.nan   # too few resolvable ripples in this realization
 
-    vals = np.array([one(i) for i in range(n_realizations)])
+    draws = [(sigma, (*seed_key, i)) for i in range(n_realizations)]
+    vals = np.array([one(r) for r in _responses(chain, draws, grid)])
     good = vals[np.isfinite(vals)]
     n_bad = n_realizations - good.size
     if n_bad:
@@ -224,9 +245,11 @@ def calibrate_sigma(measured_delta_fsr: float, spec: ArraySpec, sigma_grid,
     sigma_grid[k], (seed, k, i))``; ``sigma = 0`` gives the clean chain.
     Every sigma must be finite and >= 0; the grid is checked before any
     cascade.  Non-monotone segments are flagged and the inversion restricted
-    to the longest increasing prefix of the table.  Realizations run
-    serially; ``threads`` is accepted for compatibility and does not change
-    the result.
+    to the longest increasing prefix of the table; a measurement outside
+    that prefix's range of Delta_FSR raises ``ValidationError``.
+    Realizations are cascaded STACK_SIZE at a time, in one thread;
+    ``threads`` is accepted for compatibility and does not change the
+    result.
     """
     sigma_grid = _sigmas(sigma_grid)
     grid = window_grid(spec.interior, 1.0, SCAN_GRID_POINTS)
@@ -246,6 +269,10 @@ def calibrate_sigma(measured_delta_fsr: float, spec: ArraySpec, sigma_grid,
                        "inversion restricted", stop - 1)
     if stop < 2:
         raise ValidationError("calibration table has no increasing segment")
+    _require(means[0] <= measured_delta_fsr <= means[stop - 1],
+             f"measured Delta_FSR {measured_delta_fsr:.6g} rad/s is outside "
+             f"the calibrated range [{means[0]:.6g}, {means[stop - 1]:.6g}] "
+             "rad/s")
     est = float(np.interp(measured_delta_fsr, means[:stop], sigma_grid[:stop]))
     return SigmaCalibration(sigma_grid=sigma_grid, mean_delta_fsr=means,
                             stderr_delta_fsr=errs, sigma_estimate=est,

@@ -335,7 +335,11 @@ class ArraySpec:
 @dataclass(frozen=True, eq=False)
 class Chain:
     """A chain lowered to per-resonator arrays, input port first.  ``couplers``
-    is as in ``ArraySpec.coupler_elements``; a lone unit cell has one."""
+    is as in ``ArraySpec.coupler_elements``; a lone unit cell has one.
+
+    ``l`` may stack realizations as shape (realizations, n_resonators);
+    ``c_shunt`` and ``couplers`` are then shared by all of them.  The ABCD
+    cascade reads a stack; the state-space model takes one realization."""
 
     c_shunt: np.ndarray     # F
     l: np.ndarray           # H
@@ -343,6 +347,12 @@ class Chain:
     q_internal: float = math.inf
     port_impedance: float = 50.0
     matched_out: bool = True
+
+    def __post_init__(self):
+        _require(np.ndim(self.l) in (1, 2)
+                 and np.shape(self.l)[-1] == self.n_resonators,
+                 "Chain.l must have shape (n_resonators,) or "
+                 "(realizations, n_resonators)")
 
     @property
     def n_resonators(self) -> int:

@@ -91,6 +91,9 @@ def assemble_state_space(spec: ArraySpec,
     for an open-mirror termination.
     """
     chain = spec.lower()
+    if chain.l.ndim != 1:
+        raise ValidationError("a state-space model takes one realization, "
+                              "not a stack")
     r = chain.n_resonators
     n = r + 2 + (1 if qubit is not None else 0)
     in_node, out_node = 0, r + 1

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowline.abcd import (TwoPortResponse, bloch_analysis, cascade_abcd,
-                           chain_abcd, default_grid, unit_cell_abcd)
+from slowline.abcd import (TwoPortResponse, _cascade, bloch_analysis,
+                           cascade_abcd, chain_abcd, default_grid,
+                           unit_cell_abcd)
 from slowline.bands import band_edges, dispersion, tight_binding
-from slowline.devices import untapered_device
+from slowline.devices import qubit_device, untapered_device
 from slowline.disorder import sample_disordered
 from slowline.dynamics import _initial_state, total_energy
 from slowline.fitting import fit_to_spectrum
-from slowline.params import (ArraySpec, Bend, BoundaryCellParams, UnitCellParams,
-                             ValidationError)
+from slowline.params import (ArraySpec, Bend, BoundaryCellParams, Chain,
+                             UnitCellParams, ValidationError)
 from slowline.statespace import assemble_state_space
 
 
@@ -136,6 +137,105 @@ def test_long_chain_stays_finite_and_passive():
     assert np.all(np.isfinite(resp.s21)) and np.all(np.isfinite(resp.s11))
     total = np.abs(resp.s11) ** 2 + np.abs(resp.s21) ** 2
     assert np.max(np.abs(total - 1.0)) < 1e-9
+
+
+def _complex_cascade(chain, w):
+    """Reference: the ABCD rows of one realization multiplied out in complex
+    arithmetic, with the overflow check made after every element."""
+    m = np.zeros((4, w.size), dtype=complex)
+    m[0] = m[3] = 1.0
+    a, b, c, d = m
+    parts = m.view(float).reshape(4, -1, 2)
+    exp = np.zeros(w.size, dtype=int)
+    jw = 1j * w
+    for i, cap in enumerate(chain.couplers):
+        z = 1.0 / (jw * cap)
+        b += a * z
+        d += c * z
+        if i < chain.n_resonators:
+            y = (jw * chain.c_shunt[i] + 1.0 / (jw * chain.l[i])
+                 + chain.g_loss[i])
+            a += b * y
+            c += d * y
+        if parts.max() > 1e150 or parts.min() < -1e150:
+            _, e = np.frexp(np.abs(m).max(axis=0))
+            np.ldexp(parts, -e[:, None], out=parts)
+            exp += e
+    return m, exp
+
+
+@pytest.mark.parametrize("n_cells", [50, 1000])
+def test_real_cascade_matches_complex_reference_lossless(n_cells):
+    """Lossless, the real-arithmetic cascade is the complex one bit for bit,
+    on the 1000-cell chain through the overflow rescale as well."""
+    spec = untapered_device(n_cells)
+    grid = default_grid(spec.interior)
+    m, exp = _cascade(spec.lower(), grid)
+    m_ref, exp_ref = _complex_cascade(spec.lower(), grid)
+    assert (exp.max() > 0) == (n_cells == 1000)
+    assert np.array_equal(exp, exp_ref)
+    assert np.array_equal(m, m_ref)
+
+
+def test_real_cascade_matches_complex_reference_lossy(qubit_spec):
+    """Lossy, the products round differently (numpy's complex multiply
+    fuses them); on the qubit device with its bend the entries differ by
+    1.0e-13 of each point's largest entry at most, bounded here by 1e-12."""
+    grid = default_grid(qubit_spec.interior)
+    m, exp = _cascade(qubit_spec.lower(), grid)
+    m_ref, exp_ref = _complex_cascade(qubit_spec.lower(), grid)
+    assert np.array_equal(exp, exp_ref)
+    assert np.max(np.abs(m - m_ref) / np.abs(m_ref).max(axis=0)) < 1e-12
+
+
+def _realizations(spec, n):
+    j = tight_binding(spec.interior)["j_tb"]
+    return [sample_disordered(spec, 0.1 * j * k, (11, k)) for k in range(n)]
+
+
+def _stacked(realizations):
+    return dataclasses.replace(realizations[0],
+                               l=np.stack([r.l for r in realizations]))
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda: untapered_device(50),
+    qubit_device,                                   # lossy, with its bend
+    lambda: untapered_device(1000, q_internal=1e4),  # takes the rescale
+], ids=["untapered_50", "qubit_device", "lossy_1000"])
+def test_stacked_rows_equal_single_cascades(make_spec):
+    """Row k of a stacked cascade is realization k cascaded alone, on the
+    1000-cell chain through the overflow rescale as well."""
+    spec = make_spec()
+    grid = default_grid(spec.interior)
+    reals = _realizations(spec, 3)
+    stacked = cascade_abcd(_stacked(reals), grid)
+    assert stacked.s21.shape == stacked.s11.shape == (3, grid.size)
+    for k, r in enumerate(reals):
+        one = cascade_abcd(r, grid)
+        assert np.array_equal(stacked.s21[k], one.s21)
+        assert np.array_equal(stacked.s11[k], one.s11)
+
+
+def test_stacked_lossy_chain_passive(qubit_spec):
+    resp = cascade_abcd(_stacked(_realizations(qubit_spec, 4)),
+                        default_grid(qubit_spec.interior))
+    total = np.abs(resp.s11) ** 2 + np.abs(resp.s21) ** 2
+    assert np.all(np.isfinite(total))
+    assert np.max(total) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("l_shape", [(), (2, 2, 3), (3, 4), (4,)])
+def test_malformed_chain_rejected(l_shape):
+    """l must be (n_resonators,) or (realizations, n_resonators)."""
+    with pytest.raises(ValidationError, match="Chain.l must have shape"):
+        Chain(c_shunt=np.full(3, 3e-13), l=np.full(l_shape, 3e-9),
+              couplers=np.full(4, 5e-15))
+
+
+def test_state_space_rejects_stacked_chain(test_spec):
+    with pytest.raises(ValidationError, match="one realization"):
+        assemble_state_space(_stacked(_realizations(test_spec, 2)), None)
 
 
 def test_energy_conservation_lossless(qubit_spec_nobend, q1, midband):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -255,6 +256,46 @@ def test_calibration_monotone_table(tapered_26):
                           threads=4)
     assert cal.monotone
     assert np.all(np.diff(cal.mean_delta_fsr) > 0)
+
+
+@pytest.mark.parametrize("measured", [0.0, 1e9])
+def test_calibration_rejects_measurement_outside_table(tapered_26, measured):
+    """A measured Delta_FSR below the table or above its increasing prefix
+    raises, naming the calibrated range, instead of clamping to its end."""
+    j = tight_binding(tapered_26.interior)["j_tb"]
+    with pytest.raises(ValidationError, match="outside the calibrated range"):
+        calibrate_sigma(measured, tapered_26, np.array([0.02, 0.3]) * j,
+                        n_realizations=6, seed=5)
+
+
+@pytest.mark.parametrize("stack_size", [1, 3])
+def test_results_independent_of_stack_size(tapered_26, monkeypatch,
+                                           stack_size):
+    """Seeded ensembles do not depend on how many realizations are cascaded
+    together."""
+    import slowline.disorder as disorder
+    j = tight_binding(tapered_26.interior)["j_tb"]
+
+    def run():
+        ext = extinction_curve(tapered_26, [0.0, 0.05, 0.1], 5, seed=3)
+        cal = calibrate_sigma(15e6, tapered_26, np.array([0.02, 0.3]) * j,
+                              n_realizations=7, seed=2)
+        return (ext.mean_extinction_db, ext.std_extinction_db, ext.stderr_db,
+                cal.mean_delta_fsr, cal.stderr_delta_fsr, cal.sigma_estimate)
+
+    default = run()
+    monkeypatch.setattr(disorder, "STACK_SIZE", stack_size)
+    for got, want in zip(run(), default):
+        assert np.array_equal(got, want)
+
+
+def test_fsr_variance_rejects_stacked_response(tapered_26):
+    grid = window_grid(tapered_26.interior, 1.0, SCAN_GRID_POINTS)
+    chain = tapered_26.lower()
+    stacked = cascade_abcd(replace(chain, l=np.stack([chain.l, chain.l])),
+                           grid)
+    with pytest.raises(ValidationError, match="one response"):
+        fsr_variance(stacked)
 
 
 def test_calibration_rejects_negative_sigma(tapered_26, monkeypatch):
