@@ -5,10 +5,13 @@ ramp, parametric modulation) is one piecewise-constant schedule of bare
 qubit frequencies, stepped with the matrix exponential of each slice's
 state-space generator (exactly energy-preserving for lossless
 configurations, unlike explicit stepping).  The initial condition is a
-complex rotating-wave envelope on the qubit node.  The excited-state
+complex rotating-wave envelope on the qubit node; the propagators are real,
+so it steps in real arithmetic as two real columns.  The excited-state
 population p_e is the qubit node's quanta E_q / omega_q under the
 instantaneous model, relative to its initial value; for a quench omega_q is
-fixed and p_e is the node's energy fraction.
+fixed and p_e is the node's energy fraction.  A held step read after every
+step (the quench tail) is read _CHUNK samples per gemm through its
+precomputed read-out rows.
 
 Two independent oracles are provided: the ideal-mirror delay equation
 (dispersionless semi-infinite waveguide) and a discretized quadratic-bandedge
@@ -32,6 +35,7 @@ from .params import (ArraySpec, QubitCircuitParams, ValidationError,
 from .statespace import StateSpaceModel, assemble_state_space
 
 _SLICES = 64        # steps per modulation period; ramp steps <= tune_time / 64
+_CHUNK = 128        # roots or time samples per (chunk x M) block
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,12 @@ class DynamicsTrace:
             raise ValidationError("t and p_e must have matching shapes")
 
     def to_csv(self, path) -> None:
-        np.savetxt(path, np.column_stack([self.t, self.p_e]), delimiter=",",
-                   header="t_s,p_e", comments="", fmt="%.12e")
+        """The bytes of np.savetxt(..., delimiter=",", header="t_s,p_e",
+        comments="", fmt="%.12e"), formatted in one pass."""
+        rows = map("%.12e,%.12e\n".__mod__,
+                   zip(self.t.tolist(), self.p_e.tolist()))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("t_s,p_e\n" + "".join(rows))
 
     @classmethod
     def from_csv(cls, path) -> "DynamicsTrace":
@@ -188,42 +196,70 @@ def _schedule(protocol: Protocol, t_out: list):
                                     len(t_out) - k - 1)
 
 
-def _qubit_quanta(model: StateSpaceModel, a: np.ndarray, x: np.ndarray) -> float:
-    """Qubit-node quanta E_q / omega_q of state x under model.
-
-    v_q = (C^-1 charge)_q, with row q of C^-1 read from A's upper-right block.
-    """
-    n, q = model.n_nodes, model.qubit_node
-    c_qq, l_qq = model.cap[q, q], model.linv[q, q]
-    v_q = a[q, n:] @ x[n:]
-    omega_q = math.sqrt(l_qq / c_qq)
-    return 0.5 * (c_qq * abs(v_q) ** 2 + l_qq * abs(x[q]) ** 2) / omega_q
-
-
 def _propagate(spec: ArraySpec, qubit: QubitCircuitParams,
                protocol: Protocol) -> DynamicsTrace:
     """Step the state through the protocol's schedule with expm propagators,
     the last _SLICES + 1 of them cached, and read the samples each step names
-    as qubit-node quanta under that step's model."""
+    as qubit-node quanta under that step's model.
+
+    A and expm(A dt) are real, so the complex envelope is stepped as a real
+    (2n, 2) array of its real and imaginary parts, which never mix.  The
+    quanta E_q / omega_q are sum(weights * (R x)^2) over the read-out rows
+    R = [e_q; (0, row q of C^-1)] (the flux and voltage of the qubit node;
+    C^-1 is A's upper-right block) with weights (L^-1_qq, C_qq) / 2 omega_q.
+    A held step read after every step (the quench tail) is read _CHUNK
+    samples per gemm: the rows R P, R P^2, ..., R P^_CHUNK of its
+    propagator P are stacked once, and the state jumps by P^_CHUNK between
+    blocks.  Every other step is taken one at a time.
+    """
     @functools.lru_cache(maxsize=_SLICES + 1)
     def stepper(w, dt):
         m = assemble_state_space(spec, replace(qubit, omega_ge=w))
         a = m.a_matrix()
-        return m, a, scipy.linalg.expm(a * dt)
+        n, q = m.n_nodes, m.qubit_node
+        rows = np.zeros((2, 2 * n))
+        rows[0, q] = 1.0
+        rows[1, n:] = a[q, n:]
+        c_qq, l_qq = m.cap[q, q], m.linv[q, q]
+        weights = np.array([l_qq, c_qq]) / (2.0 * math.sqrt(l_qq / c_qq))
+        return m, scipy.linalg.expm(a * dt), rows, weights
+
+    def quanta(weights, y):         # y = R x, one (2, 2) block per sample
+        return (y.reshape(-1, 2, 2) ** 2).sum(axis=2) @ weights
 
     t_out = _time_grid(protocol.t_max, protocol.dt_output)
     p = np.empty(t_out.shape)
     p[0] = 1.0
     x, k = None, 1
-    for w, dt, n in _schedule(protocol, t_out.tolist()):
-        m, a, prop = stepper(w, dt)
+    runs = ((key, sum(1 for _ in group)) for key, group
+            in itertools.groupby(_schedule(protocol, t_out.tolist())))
+    for ((w, dt, n), r), later in itertools.pairwise(
+            itertools.chain(runs, [None])):
+        m, prop, rows, weights = stepper(w, dt)
         if x is None:
-            x = _initial_state(m)
-            n0 = _qubit_quanta(m, a, x)
-        x = prop @ x
-        if n:
-            p[k:k + n] = _qubit_quanta(m, a, x) / n0
-            k += n
+            x0 = _initial_state(m)
+            x = np.column_stack([x0.real, x0.imag])
+            n0 = quanta(weights, rows @ x)[0]
+        if n != 1 or r == 1:
+            for _ in range(r):
+                x = prop @ x
+                if n:
+                    p[k:k + n] = quanta(weights, rows @ x) / n0
+                    k += n
+            continue
+        block = [rows @ prop]
+        for _ in range(min(r, _CHUNK) - 1):
+            block.append(block[-1] @ prop)
+        block = np.concatenate(block)
+        jump = np.linalg.matrix_power(prop, _CHUNK) if r > _CHUNK else None
+        for s in range(0, r, _CHUNK):
+            b = min(_CHUNK, r - s)
+            p[k:k + b] = quanta(weights, block[:2 * b] @ x) / n0
+            k += b
+            if s + b < r:
+                x = jump @ x
+            elif later is not None:
+                x = np.linalg.matrix_power(prop, b) @ x
     p *= protocol.initial_excited_population
     return DynamicsTrace(t=t_out, p_e=p, metadata={"protocol": protocol.to_dict()})
 
@@ -288,7 +324,6 @@ def ideal_mirror_oracle(gamma_1d: float, tau_d: float, phase: float,
                                    "phase": phase})
 
 
-_CHUNK = 128                    # roots or time samples per (chunk x M) block
 _EPS = np.finfo(float).eps
 _MAX_ITER = 64                  # tested inputs have needed at most 13 passes
 

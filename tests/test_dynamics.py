@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -12,13 +13,14 @@ import scipy.linalg
 import scipy.signal
 
 import slowline
-from slowline.bands import tight_binding
+from slowline.bands import band_edges, tight_binding
 from slowline.devices import QUBIT_CELL_INDEX, qubit_device, qubit_q1
-from slowline.dynamics import (DynamicsTrace, Modulation, Protocol,
+from slowline.dynamics import (_CHUNK, DynamicsTrace, Modulation, Protocol,
                                _bandedge_spectrum, _initial_state,
-                               _quantum_modes, _time_grid, bandedge_oracle,
-                               effective_rate, ideal_mirror_oracle,
-                               lifetime_1e, revival_onsets, simulate_emission,
+                               _quantum_modes, _schedule, _time_grid,
+                               bandedge_oracle, effective_rate,
+                               ideal_mirror_oracle, lifetime_1e,
+                               revival_onsets, simulate_emission,
                                simulate_emission_quantum, simulate_mirror,
                                simulate_modulated)
 from slowline.params import UnitCellParams, ValidationError
@@ -78,6 +80,16 @@ def test_trace_csv_round_trip(tmp_path):
     assert path.read_text().splitlines()[0] == "t_s,p_e"
     back = DynamicsTrace.from_csv(path)
     np.testing.assert_allclose(back.p_e, tr.p_e, atol=1e-12)
+
+
+def test_trace_csv_bytes_match_savetxt(tmp_path):
+    p_e = np.array([0.0, 1.0, 1e-300, -0.25, math.nan, -0.0, 5e-324])
+    tr = DynamicsTrace(t=np.arange(p_e.size) * 2.5e-10, p_e=p_e)
+    tr.to_csv(tmp_path / "tr.csv")
+    np.savetxt(tmp_path / "ref.csv", np.column_stack([tr.t, tr.p_e]),
+               delimiter=",", header="t_s,p_e", comments="", fmt="%.12e")
+    assert ((tmp_path / "tr.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
 
 
 # ------------------------------------------------------------------ oracles
@@ -416,7 +428,101 @@ def test_quench_matches_literal_expm_stepping(q1, midband, termination):
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("steps", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                   2 * _CHUNK + 1])
+@pytest.mark.parametrize("termination", ["matched", "open_mirror"])
+def test_quench_blocks_match_literal_expm_stepping(q1, midband, termination,
+                                                   steps):
+    """A quench reads its `steps` held steps _CHUNK samples per block:
+    short of one block, one exact block, one sample past it, and two blocks
+    and a sample.  Measured worst case against literal stepping 1.1e-15 on
+    both terminations; the bound is 1e-12."""
+    spec = qubit_device(termination_out=termination)
+    prot = Protocol(omega_interact=midband, t_max=steps * 2e-10,
+                    dt_output=2e-10)
+    tr = simulate_emission(spec, q1, prot)
+    assert tr.t.size == steps + 1
+    np.testing.assert_allclose(tr.p_e, _expm_reference(spec, q1, prot),
+                               rtol=0, atol=1e-12)
+
+
+def test_far_detuned_quench_matches_literal_expm_stepping(qubit_spec, q1):
+    """Criterion 6's 10 us, 2 ns far-detuned trace (5000 held steps in 40
+    blocks, so 39 jumps by the block's propagator power) against literal
+    stepping.  Measured worst case 6.2e-14; the bound is 1e-12."""
+    lo, _ = band_edges(qubit_spec.interior)
+    prot = Protocol(omega_interact=lo - 2 * math.pi * 300e6, t_max=10e-6,
+                    dt_output=2e-9)
+    tr = simulate_emission(qubit_spec, q1, prot)
+    np.testing.assert_allclose(tr.p_e, _expm_reference(qubit_spec, q1, prot),
+                               rtol=0, atol=1e-12)
+
+
+def _schedule_reference(spec, qubit, protocol):
+    """Literal complex stepping over the same _schedule triples: one expm
+    per distinct step and x = prop @ x on the complex envelope, each sample
+    read as qubit-node quanta 0.5 (C_qq |v_q|^2 + L^-1_qq |flux_q|^2) /
+    omega_q with v_q from row q of C^-1 (A's upper-right block)."""
+    t = _time_grid(protocol.t_max, protocol.dt_output)
+
+    def quanta(m, a, x):
+        n, q = m.n_nodes, m.qubit_node
+        c_qq, l_qq = m.cap[q, q], m.linv[q, q]
+        v_q = a[q, n:] @ x[n:]
+        return (0.5 * (c_qq * abs(v_q) ** 2 + l_qq * abs(x[q]) ** 2)
+                / math.sqrt(l_qq / c_qq))
+
+    @functools.cache
+    def step(w, dt):
+        m = assemble_state_space(spec, dataclasses.replace(qubit, omega_ge=w))
+        a = m.a_matrix()
+        return m, a, scipy.linalg.expm(a * dt)
+
+    p, x = [1.0], None
+    for w, dt, n in _schedule(protocol, t.tolist()):
+        m, a, prop = step(w, dt)
+        if x is None:
+            x = _initial_state(m)
+            n0 = quanta(m, a, x)
+        x = prop @ x
+        p += [quanta(m, a, x) / n0] * n
+    assert len(p) == t.size
+    return np.array(p)
+
+
 _WMOD = 2 * math.pi * 600e6
+
+
+@pytest.mark.parametrize("kind", ["index 0.4", "ramp", "held mid-schedule"])
+def test_real_state_matches_complex_schedule_stepping(qubit_spec_nobend, q1,
+                                                      midband, kind):
+    """Off the quench path the real two-column state steps one step at a
+    time: a 20 ns index-0.4 modulation and a 4 ns ramp from +1.5 GHz follow
+    literal complex stepping of the same schedule within 1e-12.  So does an
+    unmodulated (index 0) modulation read just faster than its slices, whose
+    held runs of single reads are read in blocks and are followed by a
+    double read.  Measured worst cases 3.9e-15, 2.1e-15 and 1.4e-14."""
+    if kind == "index 0.4":
+        prot = Protocol(omega_interact=midband + _WMOD, t_max=2e-8,
+                        dt_output=5e-10,
+                        modulation=Modulation(omega_mod=_WMOD,
+                                              epsilon=0.4 * _WMOD))
+    elif kind == "ramp":
+        prot = Protocol(omega_interact=midband, t_max=1e-8, tune_time=4e-9,
+                        omega_park=midband + 2 * math.pi * 1.5e9)
+    else:
+        slice_dt = 2 * math.pi / _WMOD / 64
+        prot = Protocol(omega_interact=midband, t_max=500 * slice_dt,
+                        dt_output=slice_dt * (1 - 1 / 150),
+                        modulation=Modulation(omega_mod=_WMOD, epsilon=0.0))
+        runs = [(n, len(list(g))) for (_, _, n), g in itertools.groupby(
+            _schedule(prot, _time_grid(prot.t_max, prot.dt_output).tolist()))]
+        assert max(r for n, r in runs if n == 1) > _CHUNK
+        assert (2, 1) in runs[:-1]
+    p = simulate_emission(qubit_spec_nobend, q1, prot).p_e
+    np.testing.assert_allclose(p, _schedule_reference(qubit_spec_nobend, q1,
+                                                      prot),
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind, value", [
