@@ -131,13 +131,14 @@ def _cascade(chain: Chain, freq_grid):
     return m, exp
 
 
-def chain_abcd(spec: ArraySpec, freq_grid: np.ndarray):
+def chain_abcd(spec: ArraySpec | Chain, freq_grid: np.ndarray):
     """Total ABCD matrix of the chain (port to port), per grid point; entries
     beyond the float range are +-inf."""
     return tuple(_ldexp(*_cascade(spec.lower(), freq_grid)))
 
 
-def cascade_abcd(spec: ArraySpec, freq_grid: np.ndarray) -> TwoPortResponse:
+def cascade_abcd(spec: ArraySpec | Chain,
+                 freq_grid: np.ndarray) -> TwoPortResponse:
     """S21/S11 of the finite array (an ``ArraySpec`` or a lowered ``Chain``)
     between its resistive ports.  A ``Chain`` stacking R realizations gives
     S21/S11 of shape (R, len(freq_grid)), row k that of realization k alone.

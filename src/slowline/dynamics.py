@@ -1,17 +1,16 @@
 """Time-domain emission dynamics of the qubit-loaded array.
 
-The circuit is linear, so every classical protocol (quench, finite tune-in
-ramp, parametric modulation) is one piecewise-constant schedule of bare
-qubit frequencies, stepped with the matrix exponential of each slice's
-state-space generator (exactly energy-preserving for lossless
-configurations, unlike explicit stepping).  The initial condition is a
-complex rotating-wave envelope on the qubit node; the propagators are real,
-so it steps in real arithmetic as two real columns.  The excited-state
-population p_e is the qubit node's quanta E_q / omega_q under the
-instantaneous model, relative to its initial value; for a quench omega_q is
-fixed and p_e is the node's energy fraction.  A held step read after every
-step (the quench tail) is read _CHUNK samples per gemm through its
-precomputed read-out rows.
+Every entry point takes one chain, an ``ArraySpec`` or a lowered ``Chain``
+(a disorder realization included), lowers it once per trace and reads only
+the ``Chain``; a stacked ``Chain`` raises ``ValidationError``.  The circuit
+is linear, so every classical protocol (quench, finite tune-in ramp,
+parametric modulation) is one piecewise-constant schedule of bare qubit
+frequencies, which simulate_emission steps with the matrix exponential of
+each slice's state-space generator (exactly energy-preserving for lossless
+configurations, unlike explicit stepping).  The excited-state population
+p_e is the qubit node's quanta E_q / omega_q under the instantaneous model,
+relative to its initial value; for a quench omega_q is fixed and p_e is the
+node's energy fraction.
 
 Two independent oracles are provided: the ideal-mirror delay equation
 (dispersionless semi-infinite waveguide) and a discretized quadratic-bandedge
@@ -30,7 +29,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .params import (ArraySpec, QubitCircuitParams, ValidationError,
+from .params import (ArraySpec, Chain, QubitCircuitParams, ValidationError,
                      _require, as_fields, hz, nullable, read_object, real)
 from .statespace import StateSpaceModel, assemble_state_space
 
@@ -60,8 +59,10 @@ class Protocol:
     qubit frequency linearly from omega_park to omega_interact.  It crosses
     each output interval (the last one cut at tune_time) in the fewest equal
     steps no longer than tune_time / 64, each at the ramp frequency of its
-    midpoint, and is read at t_k exactly.  A modulation follows from
-    tune_time, with phase zero there.
+    midpoint, and is read at t_k exactly.  A modulation, omega_interact +
+    epsilon * cos(omega_mod * (t - tune_time)), follows from tune_time in 64
+    constant-frequency slices per period; each sample is read after the
+    first slice ending within half a slice of it.
     """
     omega_interact: float                   # rad/s, bare qubit frequency
     t_max: float                            # s
@@ -78,8 +79,10 @@ class Protocol:
                  "initial population must lie in [0, 1]")
         _require(0 <= self.tune_time < math.inf,
                  "tune_time must be non-negative and finite")
-        _require(self.omega_park is None or self.omega_park > 0,
-                 "omega_park must be positive")
+        _require(0 < self.omega_interact < math.inf,
+                 "omega_interact must be positive and finite")
+        _require(self.omega_park is None or 0 < self.omega_park < math.inf,
+                 "omega_park must be positive and finite")
         _require((self.tune_time > 0) == (self.omega_park is not None),
                  "a ramp needs both tune_time > 0 and omega_park")
 
@@ -165,9 +168,9 @@ def _time_grid(t_max: float, dt: float) -> np.ndarray:
 
 def _schedule(protocol: Protocol, t_out: list):
     """(bare qubit frequency, step duration, samples read after the step)
-    triples up to t_out[-1]: the ramp as Protocol says, then the modulation
-    as simulate_modulated says, or else omega_interact held to the next
-    sample and then stepped by dt_output.
+    triples up to t_out[-1]: the ramp and then the modulation as Protocol
+    says, or else omega_interact held to the next sample and then stepped by
+    dt_output.
     """
     w0, w_end = protocol.omega_park, protocol.omega_interact
     tune = protocol.tune_time
@@ -196,11 +199,15 @@ def _schedule(protocol: Protocol, t_out: list):
                                     len(t_out) - k - 1)
 
 
-def _propagate(spec: ArraySpec, qubit: QubitCircuitParams,
-               protocol: Protocol) -> DynamicsTrace:
-    """Step the state through the protocol's schedule with expm propagators,
-    the last _SLICES + 1 of them cached, and read the samples each step names
-    as qubit-node quanta under that step's model.
+def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
+                      protocol: Protocol) -> DynamicsTrace:
+    """Emission of the qubit on one chain, an ``ArraySpec`` or a lowered
+    ``Chain`` (a stacked ``Chain`` raises ``ValidationError``), through the
+    protocol's quench, ramp or modulation.
+
+    The chain is lowered once.  The state steps through _schedule with expm
+    propagators, the last _SLICES + 1 of them cached, and each sample a step
+    names is read as qubit-node quanta under that step's model.
 
     A and expm(A dt) are real, so the complex envelope is stepped as a real
     (2n, 2) array of its real and imaginary parts, which never mix.  The
@@ -212,9 +219,11 @@ def _propagate(spec: ArraySpec, qubit: QubitCircuitParams,
     propagator P are stacked once, and the state jumps by P^_CHUNK between
     blocks.  Every other step is taken one at a time.
     """
+    chain = spec.lower()
+
     @functools.lru_cache(maxsize=_SLICES + 1)
     def stepper(w, dt):
-        m = assemble_state_space(spec, replace(qubit, omega_ge=w))
+        m = assemble_state_space(chain, replace(qubit, omega_ge=w))
         a = m.a_matrix()
         n, q = m.n_nodes, m.qubit_node
         rows = np.zeros((2, 2 * n))
@@ -264,34 +273,23 @@ def _propagate(spec: ArraySpec, qubit: QubitCircuitParams,
     return DynamicsTrace(t=t_out, p_e=p, metadata={"protocol": protocol.to_dict()})
 
 
-def simulate_emission(spec: ArraySpec, qubit: QubitCircuitParams,
-                      protocol: Protocol) -> DynamicsTrace:
-    """Emission after an instantaneous tune-in to protocol.omega_interact or
-    after the protocol's ramp from omega_park (see Protocol); modulated
-    protocols run as in simulate_modulated."""
-    return _propagate(spec, qubit, protocol)
-
-
-def simulate_mirror(spec: ArraySpec, qubit: QubitCircuitParams,
+def simulate_mirror(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
                     protocol: Protocol) -> DynamicsTrace:
-    """Emission with the far end terminated as an open mirror."""
-    if spec.termination_out != "open_mirror":
-        raise ValidationError("simulate_mirror requires termination_out='open_mirror'")
-    return simulate_emission(spec, qubit, protocol)
+    """simulate_emission on a chain whose far end is an open mirror; a
+    matched chain raises, as does a stacked one."""
+    chain = spec.lower()
+    if chain.matched_out:
+        raise ValidationError("simulate_mirror requires an open_mirror output")
+    return simulate_emission(chain, qubit, protocol)
 
 
-def simulate_modulated(spec: ArraySpec, qubit: QubitCircuitParams,
+def simulate_modulated(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
                        protocol: Protocol) -> DynamicsTrace:
-    """Emission under parametric modulation of the bare qubit frequency,
-    omega_ge(t) = omega_interact + epsilon * cos(omega_mod * (t - tune_time))
-    from the end of the protocol's ramp, if any.  Each period is split into
-    64 constant-frequency slices; each sample is read after the first slice
-    ending within half a slice of it, as qubit-node quanta E_q / omega_q
-    under that slice's own model.
-    """
+    """simulate_emission under the protocol's parametric modulation (see
+    Protocol); a protocol without one raises, as does a stacked chain."""
     if protocol.modulation is None:
         raise ValidationError("simulate_modulated requires protocol.modulation")
-    return _propagate(spec, qubit, protocol)
+    return simulate_emission(spec.lower(), qubit, protocol)
 
 
 def ideal_mirror_oracle(gamma_1d: float, tau_d: float, phase: float,
@@ -465,10 +463,11 @@ def bandedge_oracle(g_uc: float, j: float, omega0: float, detuning: float,
                                    "detuning": detuning, "n_modes": 2 * n_modes})
 
 
-def simulate_emission_quantum(spec: ArraySpec, qubit: QubitCircuitParams,
+def simulate_emission_quantum(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
                               protocol: Protocol) -> DynamicsTrace:
     """Single-excitation Schrodinger trace for the same circuit after a quench
-    to protocol.omega_interact; modulated and ramped protocols raise.
+    to protocol.omega_interact; modulated and ramped protocols raise, as does
+    a stacked ``Chain``.
 
     The overdamped port nodes (series coupler + resistor) are eliminated
     analytically: at the interaction frequency a matched port looks to its
@@ -503,7 +502,8 @@ def simulate_emission_quantum(spec: ArraySpec, qubit: QubitCircuitParams,
                                                "method": "quantum"})
 
 
-def _quantum_modes(spec: ArraySpec, qubit: QubitCircuitParams, w_ref: float):
+def _quantum_modes(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
+                   w_ref: float):
     """Eigenvalues lam and eigenvectors V of simulate_emission_quantum's H_eff
     at bare qubit frequency w_ref, the coefficients c of the initial state
     a_q^dag|0> in V, and the read-out row r of a_q, with

@@ -386,7 +386,8 @@ class QubitCircuitParams:
         for idx, c in self.couplings.items():
             _require(int(idx) >= 1, "coupling index must be >= 1")
             _require(c >= 0, "coupling capacitance must be non-negative")
-        _require(self.omega_ge > 0, "omega_ge must be positive")
+        _require(0 < self.omega_ge < math.inf,
+                 "omega_ge must be positive and finite")
         _require(self.q_intrinsic > 0, "q_intrinsic must be positive")
         object.__setattr__(self, "couplings",
                            {int(k): float(v) for k, v in self.couplings.items()})

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .params import ArraySpec, QubitCircuitParams, ValidationError
+from .params import ArraySpec, Chain, QubitCircuitParams, ValidationError
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class StateSpaceModel:
         w = np.atleast_1d(np.asarray(freq_grid, dtype=float))
         n = self.n_nodes
         a = self.a_matrix()
-        cinv = np.linalg.inv(self.cap)
+        cinv = a[:n, n:]
         out = np.empty(w.shape, dtype=complex)
         b = np.zeros(2 * n, dtype=complex)
         b[n + self.input_node] = 1.0 / self.port_impedance  # Norton source, V_s = 1
@@ -81,7 +81,7 @@ def _add_cap(cap: np.ndarray, i: int, j: int, value: float) -> None:
     cap[j, i] -= value
 
 
-def assemble_state_space(spec: ArraySpec,
+def assemble_state_space(spec: ArraySpec | Chain,
                          qubit: Optional[QubitCircuitParams] = None) -> StateSpaceModel:
     """Build the full-circuit model from an ``ArraySpec`` or a lowered
     ``Chain``.

@@ -15,6 +15,7 @@ import scipy.signal
 import slowline
 from slowline.bands import band_edges, tight_binding
 from slowline.devices import QUBIT_CELL_INDEX, qubit_device, qubit_q1
+from slowline.disorder import sample_disordered
 from slowline.dynamics import (_CHUNK, DynamicsTrace, Modulation, Protocol,
                                _bandedge_spectrum, _initial_state,
                                _quantum_modes, _schedule, _time_grid,
@@ -23,7 +24,7 @@ from slowline.dynamics import (_CHUNK, DynamicsTrace, Modulation, Protocol,
                                revival_onsets, simulate_emission,
                                simulate_emission_quantum, simulate_mirror,
                                simulate_modulated)
-from slowline.params import UnitCellParams, ValidationError
+from slowline.params import ArraySpec, UnitCellParams, ValidationError
 from slowline.statespace import assemble_state_space
 
 CELL = UnitCellParams(c0=353.2e-15, cg=5.05e-15, l0=3.151e-9)
@@ -66,6 +67,12 @@ def test_protocol_validation():
                 dict(omega_mod=3.77e9, epsilon=math.inf)):
         with pytest.raises(ValidationError, match="finite"):
             Modulation(**bad)
+    for name, bad in itertools.product(("omega_interact", "omega_park"),
+                                       (math.inf, math.nan, 0.0, -3e10)):
+        ramp = dict(omega_interact=3e10, tune_time=1e-9, omega_park=3.1e10)
+        with pytest.raises(ValidationError,
+                           match=f"{name} must be positive and finite"):
+            Protocol(t_max=1e-9, **{**ramp, name: bad})
 
 
 def test_modulation_index():
@@ -283,10 +290,12 @@ def test_initial_population_scaling(qubit_spec_nobend, q1, midband):
     assert tr.p_e[0] == pytest.approx(0.5)
 
 
-def test_mirror_requires_open_termination(qubit_spec_nobend, q1, midband):
+@pytest.mark.parametrize("lowered", [False, True], ids=["spec", "chain"])
+def test_mirror_requires_open_termination(qubit_spec_nobend, q1, midband,
+                                          lowered):
+    spec = qubit_spec_nobend.lower() if lowered else qubit_spec_nobend
     with pytest.raises(ValidationError, match="open_mirror"):
-        simulate_mirror(qubit_spec_nobend, q1,
-                        Protocol(omega_interact=midband, t_max=1e-9))
+        simulate_mirror(spec, q1, Protocol(omega_interact=midband, t_max=1e-9))
 
 
 def test_modulated_requires_modulation(qubit_spec_nobend, q1, midband):
@@ -528,18 +537,20 @@ def test_real_state_matches_complex_schedule_stepping(qubit_spec_nobend, q1,
 @pytest.mark.parametrize("kind, value", [
     ("quench", None), ("mirror", None), ("ramp", 1.2e9), ("ramp", 1.8e9),
     ("index", 0.2), ("index", 0.8), ("quantum", "matched"),
-    ("quantum", "open_mirror"), ("ramped index", 0.4), ("tune_time", 1e300)])
+    ("quantum", "open_mirror"), ("ramped index", 0.4), ("tune_time", 1e300),
+    ("disordered mirror", 0.05)])
 def test_population_stays_in_unit_interval(qubit_spec_nobend, q1, midband,
                                            kind, value):
     """0 <= p_e <= 1 also while the qubit frequency moves: ramps parked
     `value` Hz above the band centre, modulation of index `value` (also
     after a 4 ns ramp from +1.5 GHz, which must change the trace), a ramp of
-    tune_time `value` far beyond t_max; and for the quantum method with a
-    `value` output termination."""
+    tune_time `value` far beyond t_max; for the quantum method with a
+    `value` output termination; and on a sigma = `value` J disorder
+    realization of the open-mirror chain, which must change the trace."""
     spec, sim = qubit_spec_nobend, simulate_emission
     park = midband + 2 * math.pi * 1.5e9
     prot = Protocol(omega_interact=midband, t_max=6e-8)
-    if kind == "mirror":
+    if kind in ("mirror", "disordered mirror"):
         spec = qubit_device(bend_c_series=None, termination_out="open_mirror")
         sim = simulate_mirror
     elif kind == "quantum":
@@ -557,13 +568,17 @@ def test_population_stays_in_unit_interval(qubit_spec_nobend, q1, midband,
         prot = Protocol(omega_interact=midband, t_max=1e-9, tune_time=value,
                         omega_park=park)
     if kind == "ramped index":
-        unramped = sim(spec, q1, prot).p_e
+        unchanged = sim(spec, q1, prot).p_e
         prot = dataclasses.replace(prot, tune_time=4e-9, omega_park=park)
+    elif kind == "disordered mirror":
+        unchanged = sim(spec, q1, prot).p_e
+        spec = sample_disordered(
+            spec, value * tight_binding(spec.interior)["j_tb"], (3, 0))
     p = sim(spec, q1, prot).p_e
     assert p.min() >= 0.0
     assert p.max() <= 1.0 + 1e-9
-    if kind == "ramped index":
-        assert np.max(np.abs(p - unramped)) > 1e-3
+    if kind in ("ramped index", "disordered mirror"):
+        assert np.max(np.abs(p - unchanged)) > 1e-3
 
 
 @pytest.mark.parametrize("protocol", [
@@ -592,3 +607,61 @@ def test_decoupled_qubit_keeps_population_under_modulation(qubit_spec_nobend,
     p = simulate_modulated(qubit_spec_nobend, qubit, prot).p_e
     assert np.max(np.abs(p - 1.0)) <= 1e-5
 
+
+# ----------------------------------------------------------- lowered chains
+
+def _lowered_case(kind, midband):
+    """(spec, entry point, protocol) of one time-domain case."""
+    spec, sim = qubit_device(bend_c_series=None), simulate_emission
+    prot = Protocol(omega_interact=midband, t_max=2e-8)
+    if kind in ("mirror", "quantum open_mirror"):
+        spec = qubit_device(bend_c_series=None, termination_out="open_mirror")
+        sim = simulate_mirror
+    if kind.startswith("quantum"):
+        sim = simulate_emission_quantum
+    elif kind == "modulated":
+        sim = simulate_modulated
+        prot = Protocol(omega_interact=midband + _WMOD, t_max=2e-8,
+                        dt_output=5e-10,
+                        modulation=Modulation(omega_mod=_WMOD,
+                                              epsilon=0.4 * _WMOD))
+    elif kind == "ramp":
+        prot = Protocol(omega_interact=midband, t_max=1e-8, tune_time=4e-9,
+                        omega_park=midband + 2 * math.pi * 1.5e9)
+    return spec, sim, prot
+
+
+@pytest.mark.parametrize("kind", ["quench", "mirror", "modulated", "ramp",
+                                  "quantum matched", "quantum open_mirror"])
+def test_lowered_chain_traces_bit_identical(q1, midband, kind):
+    """Every entry point gives the same bits on an ArraySpec, its lowered
+    Chain and its sigma = 0 disorder realization."""
+    spec, sim, prot = _lowered_case(kind, midband)
+    ref = sim(spec, q1, prot).p_e
+    for chain in (spec.lower(), sample_disordered(spec, 0.0, (9, 0))):
+        assert np.array_equal(sim(chain, q1, prot).p_e, ref)
+
+
+@pytest.mark.parametrize("kind", ["modulated", "ramp"])
+def test_trace_lowers_its_spec_once(q1, midband, monkeypatch, kind):
+    spec, sim, prot = _lowered_case(kind, midband)
+    calls, lower = [], ArraySpec.lower
+    monkeypatch.setattr(ArraySpec, "lower",
+                        lambda self: calls.append(self) or lower(self))
+    sim(spec, q1, prot)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("sim", [simulate_emission, simulate_mirror,
+                                 simulate_modulated,
+                                 simulate_emission_quantum],
+                         ids=lambda f: f.__name__)
+def test_stacked_chain_raises(q1, midband, sim):
+    chain = qubit_device(bend_c_series=None,
+                         termination_out="open_mirror").lower()
+    stacked = dataclasses.replace(chain, l=np.stack([chain.l, chain.l]))
+    mod = Modulation(omega_mod=_WMOD, epsilon=0.4 * _WMOD)
+    prot = Protocol(omega_interact=midband, t_max=1e-9,
+                    modulation=mod if sim is simulate_modulated else None)
+    with pytest.raises(ValidationError, match="one realization"):
+        sim(stacked, q1, prot)

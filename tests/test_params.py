@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -86,6 +87,10 @@ def test_qubit_params(q1):
     l = q1.inductance_for(w)
     assert 1.0 / math.sqrt(l * q1.c_node) == pytest.approx(w)
     assert QubitCircuitParams.from_dict(q1.to_dict()) == q1
+    for bad in (math.inf, math.nan, 0.0, -w):
+        with pytest.raises(ValidationError,
+                           match="omega_ge must be positive and finite"):
+            dataclasses.replace(q1, omega_ge=bad)
 
 
 def test_emitter_round_trip():
