@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ArraySpec, Chain, UnitCellParams, ValidationError
+from .params import (ArraySpec, Chain, UnitCellParams, ValidationError,
+                     write_csv)
 
 
 @dataclass(frozen=True)
@@ -39,11 +40,9 @@ class TwoPortResponse:
         return -np.gradient(phase, self.freq_grid)
 
     def to_csv(self, path) -> None:
-        header = "omega_rad_s,s21_re,s21_im,s11_re,s11_im"
-        data = np.column_stack([self.freq_grid, self.s21.real, self.s21.imag,
-                                self.s11.real, self.s11.imag])
-        np.savetxt(path, data, delimiter=",", header=header, comments="",
-                   fmt="%.12e")
+        write_csv(path, "omega_rad_s,s21_re,s21_im,s11_re,s11_im",
+                  [self.freq_grid, self.s21.real, self.s21.imag,
+                   self.s11.real, self.s11.imag])
 
     @classmethod
     def from_csv(cls, path) -> "TwoPortResponse":

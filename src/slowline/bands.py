@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import UnitCellParams, ValidationError
+from .params import UnitCellParams, ValidationError, write_csv
 
 # Lattice constant of the fabricated device, metres.  Geometry metadata only:
 # all physics is per-cell; d enters in reporting delay per length/area.
@@ -29,9 +29,7 @@ class DispersionCurve:
     d: float = DEFAULT_LATTICE_CONSTANT
 
     def to_csv(self, path) -> None:
-        np.savetxt(path, np.column_stack([self.k_grid, self.omega]),
-                   delimiter=",", header="k_per_d,omega_rad_s", comments="",
-                   fmt="%.12e")
+        write_csv(path, "k_per_d,omega_rad_s", [self.k_grid, self.omega])
 
 
 @dataclass(frozen=True)
@@ -40,9 +38,8 @@ class CouplingSpectrum:
     v: np.ndarray         # rad/s
 
     def to_csv(self, path) -> None:
-        np.savetxt(path, np.column_stack([self.distance, self.v]),
-                   delimiter=",", header="distance_cells,v_rad_s", comments="",
-                   fmt=["%d", "%.12e"])
+        write_csv(path, "distance_cells,v_rad_s", [self.distance, self.v],
+                  ["%d", "%.12e"])
 
 
 def dispersion(cell: UnitCellParams, kd) -> np.ndarray:

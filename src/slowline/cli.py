@@ -26,7 +26,7 @@ from .dynamics import (Protocol, simulate_emission, simulate_emission_quantum,
                        simulate_mirror)
 from .params import (TWO_PI, ArraySpec, EmitterParams, QubitCircuitParams,
                      UnitCellParams, ValidationError, as_fields, hz, integer,
-                     list_of, one_of, read_object, real)
+                     list_of, one_of, read_object, real, write_csv)
 from .taper import TaperProblem, optimize
 from . import disorder as disorder_mod
 
@@ -103,9 +103,8 @@ def _cmd_taper_opt(cfg: dict, out: str, args) -> list:
     with open(os.path.join(out, "tapered_spec.json"), "w", encoding="utf-8") as fh:
         fh.write(report.spec.to_json())
         fh.write("\n")
-    hist = np.array(report.history, dtype=float).reshape(-1, 2)
-    np.savetxt(os.path.join(out, "convergence.csv"), hist, delimiter=",",
-               header="iter,ripple_db", comments="", fmt=["%d", "%.6f"])
+    write_csv(os.path.join(out, "convergence.csv"), "iter,ripple_db",
+              list(zip(*report.history)), ["%d", "%.6f"])
     with open(os.path.join(out, "taper_report.json"), "w", encoding="utf-8") as fh:
         json.dump({"ripple_db": report.ripple_db,
                    "n_iterations": report.n_iterations,
@@ -160,10 +159,8 @@ def _cmd_dynamics(cfg: dict, out: str, args) -> list:
     for f_hz, name in zip(sweep, outputs):
         p = dataclasses.replace(protocol, omega_interact=TWO_PI * f_hz)
         run(spec, qubit, p).to_csv(os.path.join(out, name))
-    with open(os.path.join(out, "index.csv"), "w", encoding="utf-8") as fh:
-        fh.write("omega_interact_hz,file\n")
-        for f_hz, name in zip(sweep, outputs):
-            fh.write(f"{f_hz:.12e},{name}\n")
+    write_csv(os.path.join(out, "index.csv"), "omega_interact_hz,file",
+              [sweep, outputs], ["%.12e", "%s"])
     return outputs + ["index.csv"]
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .abcd import TwoPortResponse, cascade_abcd
 from .bands import band_edges, tight_binding, window_grid
-from .params import ArraySpec, Chain, ValidationError, _require
+from .params import ArraySpec, Chain, ValidationError, _require, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -47,11 +47,8 @@ class DisorderEnsembleResult:
     seed: int
 
     def to_csv(self, path) -> None:
-        np.savetxt(path, np.column_stack([self.sigma_over_j,
-                                          self.mean_extinction_db,
-                                          self.stderr_db]),
-                   delimiter=",", header="sigma_over_j,mean_ext_db,stderr_db",
-                   comments="", fmt="%.12e")
+        write_csv(path, "sigma_over_j,mean_ext_db,stderr_db",
+                  [self.sigma_over_j, self.mean_extinction_db, self.stderr_db])
 
 
 @dataclass(frozen=True)
@@ -70,11 +67,8 @@ class SigmaCalibration:
                                     # restricted to the increasing prefix
 
     def to_csv(self, path) -> None:
-        np.savetxt(path, np.column_stack([self.sigma_grid,
-                                          self.mean_delta_fsr]),
-                   delimiter=",",
-                   header="sigma_rad_s,mean_delta_fsr_rad_s",
-                   comments="", fmt="%.12e")
+        write_csv(path, "sigma_rad_s,mean_delta_fsr_rad_s",
+                  [self.sigma_grid, self.mean_delta_fsr])
 
 
 def _sigmas(sigma) -> np.ndarray:

@@ -30,7 +30,8 @@ import numpy as np
 import scipy.linalg
 
 from .params import (ArraySpec, Chain, QubitCircuitParams, ValidationError,
-                     _require, as_fields, hz, nullable, read_object, real)
+                     _require, as_fields, hz, nullable, read_object, real,
+                     write_csv)
 from .statespace import StateSpaceModel, assemble_state_space
 
 _SLICES = 64        # steps per modulation period; ramp steps <= tune_time / 64
@@ -62,7 +63,9 @@ class Protocol:
     midpoint, and is read at t_k exactly.  A modulation, omega_interact +
     epsilon * cos(omega_mod * (t - tune_time)), follows from tune_time in 64
     constant-frequency slices per period; each sample is read after the
-    first slice ending within half a slice of it.
+    first slice ending within half a slice of it.  Without one, the state
+    steps at omega_interact to the next sample and is then held there: the
+    schedule's last item, dt_output steps each read once.
     """
     omega_interact: float                   # rad/s, bare qubit frequency
     t_max: float                            # s
@@ -73,8 +76,8 @@ class Protocol:
     omega_park: Optional[float] = None      # rad/s, start of a finite ramp
 
     def __post_init__(self):
-        _require(self.t_max > 0 and self.dt_output > 0,
-                 "t_max and dt_output must be positive")
+        _require(0 < self.t_max < math.inf and 0 < self.dt_output < math.inf,
+                 "t_max and dt_output must be positive and finite")
         _require(0.0 <= self.initial_excited_population <= 1.0,
                  "initial population must lie in [0, 1]")
         _require(0 <= self.tune_time < math.inf,
@@ -123,12 +126,7 @@ class DynamicsTrace:
             raise ValidationError("t and p_e must have matching shapes")
 
     def to_csv(self, path) -> None:
-        """The bytes of np.savetxt(..., delimiter=",", header="t_s,p_e",
-        comments="", fmt="%.12e"), formatted in one pass."""
-        rows = map("%.12e,%.12e\n".__mod__,
-                   zip(self.t.tolist(), self.p_e.tolist()))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t_s,p_e\n" + "".join(rows))
+        write_csv(path, "t_s,p_e", [self.t, self.p_e])
 
     @classmethod
     def from_csv(cls, path) -> "DynamicsTrace":
@@ -167,10 +165,11 @@ def _time_grid(t_max: float, dt: float) -> np.ndarray:
 
 
 def _schedule(protocol: Protocol, t_out: list):
-    """(bare qubit frequency, step duration, samples read after the step)
-    triples up to t_out[-1]: the ramp and then the modulation as Protocol
-    says, or else omega_interact held to the next sample and then stepped by
-    dt_output.
+    """(bare qubit frequency, step duration, samples read after each step,
+    steps) items up to t_out[-1]: the ramp and then the modulation as
+    Protocol says, one step each, or else omega_interact stepped to the next
+    sample and then the hold, dt_output steps each read once.  That step
+    joins the hold if it is dt_output (a quench, a ramp ending on the grid).
     """
     w0, w_end = protocol.omega_park, protocol.omega_interact
     tune = protocol.tune_time
@@ -180,7 +179,7 @@ def _schedule(protocol: Protocol, t_out: list):
         h = (e - a) / n
         for j in range(n):
             w = w0 + (w_end - w0) * (a + (j + 0.5) * h) / tune
-            yield w, h, int(j == n - 1 and e == t_out[k])
+            yield w, h, int(j == n - 1 and e == t_out[k]), 1
     t, k = tune, bisect.bisect_right(t_out, tune)
     mod = protocol.modulation
     if mod is not None:
@@ -191,12 +190,13 @@ def _schedule(protocol: Protocol, t_out: list):
                 return
             t += dt
             n = bisect.bisect_right(t_out, t + 0.5 * dt) - k
-            yield w, dt, n
+            yield w, dt, n, 1
             k += n
+    if k < len(t_out) and t_out[k] - t != protocol.dt_output:
+        yield w_end, t_out[k] - t, 1, 1
+        k += 1
     if k < len(t_out):
-        yield w_end, t_out[k] - t, 1
-        yield from itertools.repeat((w_end, protocol.dt_output, 1),
-                                    len(t_out) - k - 1)
+        yield w_end, protocol.dt_output, 1, len(t_out) - k
 
 
 def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
@@ -205,19 +205,19 @@ def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
     ``Chain`` (a stacked ``Chain`` raises ``ValidationError``), through the
     protocol's quench, ramp or modulation.
 
-    The chain is lowered once.  The state steps through _schedule with expm
-    propagators, the last _SLICES + 1 of them cached, and each sample a step
-    names is read as qubit-node quanta under that step's model.
+    The chain is lowered once.  The state steps through _schedule's items
+    with expm propagators, the last _SLICES + 1 of them cached, and each
+    sample an item names is read as qubit-node quanta under its model.
 
     A and expm(A dt) are real, so the complex envelope is stepped as a real
     (2n, 2) array of its real and imaginary parts, which never mix.  The
     quanta E_q / omega_q are sum(weights * (R x)^2) over the read-out rows
     R = [e_q; (0, row q of C^-1)] (the flux and voltage of the qubit node;
     C^-1 is A's upper-right block) with weights (L^-1_qq, C_qq) / 2 omega_q.
-    A held step read after every step (the quench tail) is read _CHUNK
-    samples per gemm: the rows R P, R P^2, ..., R P^_CHUNK of its
-    propagator P are stacked once, and the state jumps by P^_CHUNK between
-    blocks.  Every other step is taken one at a time.
+    Every item is one step, taken alone, except the hold that ends an
+    unmodulated schedule, which is read _CHUNK samples per gemm: the rows
+    R P, R P^2, ..., R P^_CHUNK of its propagator P are stacked once, and
+    the state jumps by P^_CHUNK, built once, between blocks.
     """
     chain = spec.lower()
 
@@ -240,35 +240,30 @@ def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
     p = np.empty(t_out.shape)
     p[0] = 1.0
     x, k = None, 1
-    runs = ((key, sum(1 for _ in group)) for key, group
-            in itertools.groupby(_schedule(protocol, t_out.tolist())))
-    for ((w, dt, n), r), later in itertools.pairwise(
-            itertools.chain(runs, [None])):
+    for w, dt, n, steps in _schedule(protocol, t_out.tolist()):
         m, prop, rows, weights = stepper(w, dt)
         if x is None:
             x0 = _initial_state(m)
             x = np.column_stack([x0.real, x0.imag])
             n0 = quanta(weights, rows @ x)[0]
-        if n != 1 or r == 1:
-            for _ in range(r):
-                x = prop @ x
-                if n:
-                    p[k:k + n] = quanta(weights, rows @ x) / n0
-                    k += n
+        if steps == 1:
+            x = prop @ x
+            if n:
+                p[k:k + n] = quanta(weights, rows @ x) / n0
+                k += n
             continue
+        # the hold, always the last item: x is not advanced past its blocks
         block = [rows @ prop]
-        for _ in range(min(r, _CHUNK) - 1):
+        for _ in range(min(steps, _CHUNK) - 1):
             block.append(block[-1] @ prop)
         block = np.concatenate(block)
-        jump = np.linalg.matrix_power(prop, _CHUNK) if r > _CHUNK else None
-        for s in range(0, r, _CHUNK):
-            b = min(_CHUNK, r - s)
+        jump = np.linalg.matrix_power(prop, _CHUNK) if steps > _CHUNK else None
+        for s in range(0, steps, _CHUNK):
+            if s:
+                x = jump @ x
+            b = min(_CHUNK, steps - s)
             p[k:k + b] = quanta(weights, block[:2 * b] @ x) / n0
             k += b
-            if s + b < r:
-                x = jump @ x
-            elif later is not None:
-                x = np.linalg.matrix_power(prop, b) @ x
     p *= protocol.initial_excited_population
     return DynamicsTrace(t=t_out, p_e=p, metadata={"protocol": protocol.to_dict()})
 

@@ -28,6 +28,16 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
+def write_csv(path, header: str, columns, fmt="%.12e") -> None:
+    """The equal-length ``columns`` as CSV rows under ``header``, formatted
+    by ``fmt`` or by one format per column: the bytes np.savetxt writes with
+    delimiter "," and comments "", formatted in one pass."""
+    row = ",".join([fmt] * len(columns) if isinstance(fmt, str) else fmt) + "\n"
+    rows = zip(*(np.asarray(c).tolist() for c in columns), strict=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n" + "".join(map(row.__mod__, rows)))
+
+
 # --------------------------------------------------------------------------
 # JSON reading.  A converter returns the value read or raises
 # ValidationError; ``read_object`` re-raises that naming the key path, which
@@ -130,9 +140,9 @@ class UnitCellParams:
     q_internal: float = math.inf
 
     def __post_init__(self):
-        _require(self.c0 > 0, "c0 must be positive")
-        _require(self.cg >= 0, "cg must be non-negative")
-        _require(self.l0 > 0, "l0 must be positive")
+        _require(0 < self.c0 < math.inf, "c0 must be positive and finite")
+        _require(0 <= self.cg < math.inf, "cg must be non-negative and finite")
+        _require(0 < self.l0 < math.inf, "l0 must be positive and finite")
         _require(self.q_internal > 0, "q_internal must be positive")
 
     @property
@@ -171,7 +181,8 @@ class BoundaryCellParams:
 
     def __post_init__(self):
         for name in ("c_shunt", "c_left", "c_right", "l0"):
-            _require(getattr(self, name) > 0, f"{name} must be positive")
+            _require(0 < getattr(self, name) < math.inf,
+                     f"{name} must be positive and finite")
 
     @property
     def c_total(self) -> float:
@@ -200,7 +211,8 @@ class Bend:
 
     def __post_init__(self):
         _require(self.position >= 1, "bend position must be >= 1")
-        _require(self.c_series > 0, "bend c_series must be positive")
+        _require(0 < self.c_series < math.inf,
+                 "bend c_series must be positive and finite")
 
     def to_dict(self) -> dict:
         return {"position": self.position, "c_series_f": self.c_series}
@@ -241,7 +253,8 @@ class ArraySpec:
         object.__setattr__(self, "boundary_in", tuple(self.boundary_in))
         object.__setattr__(self, "boundary_out", tuple(self.boundary_out))
         _require(self.interior_count >= 1, "interior_count must be >= 1")
-        _require(self.port_impedance > 0, "port_impedance must be positive")
+        _require(0 < self.port_impedance < math.inf,
+                 "port_impedance must be positive and finite")
         _require(self.termination_out in TERMINATIONS,
                  f"termination_out must be one of {TERMINATIONS}")
         for cells in (self.boundary_in, self.boundary_out):
@@ -377,15 +390,16 @@ class QubitCircuitParams:
 
     c_sigma: float                      # F, excluding couplings
     couplings: dict = field(default_factory=dict)  # resonator index (1-based) -> F
-    omega_ge: float = 0.0               # rad/s, bare frequency (node loaded by neighbours grounded)
+    omega_ge: float = field(kw_only=True)  # rad/s, bare frequency (node loaded by neighbours grounded)
     q_intrinsic: float = math.inf
 
     def __post_init__(self):
-        _require(self.c_sigma > 0, "c_sigma must be positive")
+        _require(0 < self.c_sigma < math.inf, "c_sigma must be positive and finite")
         _require(len(self.couplings) > 0, "qubit needs at least one coupling")
         for idx, c in self.couplings.items():
             _require(int(idx) >= 1, "coupling index must be >= 1")
-            _require(c >= 0, "coupling capacitance must be non-negative")
+            _require(0 <= c < math.inf,
+                     "coupling capacitance must be non-negative and finite")
         _require(0 < self.omega_ge < math.inf,
                  "omega_ge must be positive and finite")
         _require(self.q_intrinsic > 0, "q_intrinsic must be positive")
@@ -429,8 +443,10 @@ class EmitterParams:
     q_intrinsic: float = math.inf
 
     def __post_init__(self):
-        _require(self.omega_ge > 0, "omega_ge must be positive")
-        _require(self.g_uc >= 0, "g_uc must be non-negative")
+        _require(0 < self.omega_ge < math.inf, "omega_ge must be positive and finite")
+        _require(0 <= self.g_uc < math.inf, "g_uc must be non-negative and finite")
+        _require(all(map(math.isfinite, self.extra_couplings.values())),
+                 "extra couplings must be finite")
         _require(self.q_intrinsic > 0, "q_intrinsic must be positive")
         object.__setattr__(self, "extra_couplings",
                            {int(k): float(v) for k, v in self.extra_couplings.items()})

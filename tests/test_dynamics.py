@@ -13,9 +13,12 @@ import scipy.linalg
 import scipy.signal
 
 import slowline
-from slowline.bands import band_edges, tight_binding
+from slowline.abcd import TwoPortResponse
+from slowline.bands import (CouplingSpectrum, DispersionCurve, band_edges,
+                            tight_binding)
 from slowline.devices import QUBIT_CELL_INDEX, qubit_device, qubit_q1
-from slowline.disorder import sample_disordered
+from slowline.disorder import (DisorderEnsembleResult, SigmaCalibration,
+                               sample_disordered)
 from slowline.dynamics import (_CHUNK, DynamicsTrace, Modulation, Protocol,
                                _bandedge_spectrum, _initial_state,
                                _quantum_modes, _schedule, _time_grid,
@@ -24,7 +27,8 @@ from slowline.dynamics import (_CHUNK, DynamicsTrace, Modulation, Protocol,
                                revival_onsets, simulate_emission,
                                simulate_emission_quantum, simulate_mirror,
                                simulate_modulated)
-from slowline.params import ArraySpec, UnitCellParams, ValidationError
+from slowline.params import (ArraySpec, UnitCellParams, ValidationError,
+                             write_csv)
 from slowline.statespace import assemble_state_space
 
 CELL = UnitCellParams(c0=353.2e-15, cg=5.05e-15, l0=3.151e-9)
@@ -90,13 +94,44 @@ def test_trace_csv_round_trip(tmp_path):
 
 
 def test_trace_csv_bytes_match_savetxt(tmp_path):
-    p_e = np.array([0.0, 1.0, 1e-300, -0.25, math.nan, -0.0, 5e-324])
-    tr = DynamicsTrace(t=np.arange(p_e.size) * 2.5e-10, p_e=p_e)
-    tr.to_csv(tmp_path / "tr.csv")
-    np.savetxt(tmp_path / "ref.csv", np.column_stack([tr.t, tr.p_e]),
-               delimiter=",", header="t_s,p_e", comments="", fmt="%.12e")
-    assert ((tmp_path / "tr.csv").read_bytes()
-            == (tmp_path / "ref.csv").read_bytes())
+    """Every CSV table, the CLI's convergence.csv and index.csv included, has
+    the bytes np.savetxt gives it, on values that stress the formats."""
+    x = np.array([0.0, 1.0, 1e-300, -0.25, math.nan, -0.0, 5e-324])
+    y = x[::-1] * 3.5e9
+    i = np.arange(x.size)
+    names = np.array([f"trace_{k:03d}.csv" for k in i], dtype=object)
+    s21 = TwoPortResponse(freq_grid=(i + 1) * 3e10, s21=x * 1j + y,
+                          s11=y * 1j - x)
+    tables = {  # kind: (writer of a path, columns, header, fmt)
+        "trace": (DynamicsTrace(t=i * 2.5e-10, p_e=x).to_csv,
+                  [i * 2.5e-10, x], "t_s,p_e", "%.12e"),
+        "s21": (s21.to_csv, [s21.freq_grid, s21.s21.real, s21.s21.imag,
+                             s21.s11.real, s21.s11.imag],
+                "omega_rad_s,s21_re,s21_im,s11_re,s11_im", "%.12e"),
+        "dispersion": (DispersionCurve(k_grid=x, omega=y).to_csv, [x, y],
+                       "k_per_d,omega_rad_s", "%.12e"),
+        "coupling": (CouplingSpectrum(distance=i, v=x).to_csv, [i, x],
+                     "distance_cells,v_rad_s", ["%d", "%.12e"]),
+        "extinction": (DisorderEnsembleResult(x, y, x, -y, 5, 0).to_csv,
+                       [x, y, -y], "sigma_over_j,mean_ext_db,stderr_db",
+                       "%.12e"),
+        "calibration": (SigmaCalibration(x, y, x, 1.0, True).to_csv, [x, y],
+                        "sigma_rad_s,mean_delta_fsr_rad_s", "%.12e"),
+        "convergence": (lambda path: write_csv(
+            path, "iter,ripple_db", [i * 1.0, y], ["%d", "%.6f"]),
+            [i * 1.0, y], "iter,ripple_db", ["%d", "%.6f"]),
+        "index": (lambda path: write_csv(
+            path, "omega_interact_hz,file", [tuple(y.tolist()), list(names)],
+            ["%.12e", "%s"]),
+            [y.astype(object), names], "omega_interact_hz,file",
+            ["%.12e", "%s"]),
+    }
+    for kind, (write, columns, header, fmt) in tables.items():
+        write(tmp_path / "out.csv")
+        np.savetxt(tmp_path / "ref.csv", np.column_stack(columns),
+                   delimiter=",", header=header, comments="", fmt=fmt)
+        assert ((tmp_path / "out.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes()), kind
 
 
 # ------------------------------------------------------------------ oracles
@@ -455,23 +490,29 @@ def test_quench_blocks_match_literal_expm_stepping(q1, midband, termination,
                                rtol=0, atol=1e-12)
 
 
-def test_far_detuned_quench_matches_literal_expm_stepping(qubit_spec, q1):
+def test_far_detuned_quench_matches_literal_expm_stepping(qubit_spec, q1,
+                                                         monkeypatch):
     """Criterion 6's 10 us, 2 ns far-detuned trace (5000 held steps in 40
-    blocks, so 39 jumps by the block's propagator power) against literal
-    stepping.  Measured worst case 6.2e-14; the bound is 1e-12."""
+    blocks, so 39 jumps by the block's propagator power, built once) against
+    literal stepping.  Measured worst case 6.2e-14; the bound is 1e-12."""
+    powers, power = [], np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda a, k: powers.append(k) or power(a, k))
     lo, _ = band_edges(qubit_spec.interior)
     prot = Protocol(omega_interact=lo - 2 * math.pi * 300e6, t_max=10e-6,
                     dt_output=2e-9)
     tr = simulate_emission(qubit_spec, q1, prot)
+    assert powers == [_CHUNK]
     np.testing.assert_allclose(tr.p_e, _expm_reference(qubit_spec, q1, prot),
                                rtol=0, atol=1e-12)
 
 
 def _schedule_reference(spec, qubit, protocol):
-    """Literal complex stepping over the same _schedule triples: one expm
-    per distinct step and x = prop @ x on the complex envelope, each sample
-    read as qubit-node quanta 0.5 (C_qq |v_q|^2 + L^-1_qq |flux_q|^2) /
-    omega_q with v_q from row q of C^-1 (A's upper-right block)."""
+    """Literal complex stepping over the same _schedule items: one expm
+    per distinct step and x = prop @ x on the complex envelope for each of
+    an item's steps, each sample read as qubit-node quanta
+    0.5 (C_qq |v_q|^2 + L^-1_qq |flux_q|^2) / omega_q with v_q from row q of
+    C^-1 (A's upper-right block)."""
     t = _time_grid(protocol.t_max, protocol.dt_output)
 
     def quanta(m, a, x):
@@ -488,13 +529,14 @@ def _schedule_reference(spec, qubit, protocol):
         return m, a, scipy.linalg.expm(a * dt)
 
     p, x = [1.0], None
-    for w, dt, n in _schedule(protocol, t.tolist()):
+    for w, dt, n, steps in _schedule(protocol, t.tolist()):
         m, a, prop = step(w, dt)
         if x is None:
             x = _initial_state(m)
             n0 = quanta(m, a, x)
-        x = prop @ x
-        p += [quanta(m, a, x) / n0] * n
+        for _ in range(steps):
+            x = prop @ x
+            p += [quanta(m, a, x) / n0] * n
     assert len(p) == t.size
     return np.array(p)
 
@@ -508,9 +550,9 @@ def test_real_state_matches_complex_schedule_stepping(qubit_spec_nobend, q1,
     """Off the quench path the real two-column state steps one step at a
     time: a 20 ns index-0.4 modulation and a 4 ns ramp from +1.5 GHz follow
     literal complex stepping of the same schedule within 1e-12.  So does an
-    unmodulated (index 0) modulation read just faster than its slices, whose
-    held runs of single reads are read in blocks and are followed by a
-    double read.  Measured worst cases 3.9e-15, 2.1e-15 and 1.4e-14."""
+    unmodulated (index 0) modulation read just faster than its slices: its
+    equal slices are no hold, but steps each read once or twice.  Measured
+    worst cases 3.9e-15, 2.1e-15 and 1.6e-15."""
     if kind == "index 0.4":
         prot = Protocol(omega_interact=midband + _WMOD, t_max=2e-8,
                         dt_output=5e-10,
@@ -524,14 +566,41 @@ def test_real_state_matches_complex_schedule_stepping(qubit_spec_nobend, q1,
         prot = Protocol(omega_interact=midband, t_max=500 * slice_dt,
                         dt_output=slice_dt * (1 - 1 / 150),
                         modulation=Modulation(omega_mod=_WMOD, epsilon=0.0))
-        runs = [(n, len(list(g))) for (_, _, n), g in itertools.groupby(
-            _schedule(prot, _time_grid(prot.t_max, prot.dt_output).tolist()))]
-        assert max(r for n, r in runs if n == 1) > _CHUNK
-        assert (2, 1) in runs[:-1]
+        items = list(_schedule(
+            prot, _time_grid(prot.t_max, prot.dt_output).tolist()))
+        assert {steps for *_, steps in items} == {1}
+        assert {n for _, _, n, _ in items} == {1, 2}
     p = simulate_emission(qubit_spec_nobend, q1, prot).p_e
     np.testing.assert_allclose(p, _schedule_reference(qubit_spec_nobend, q1,
                                                       prot),
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tune_time, modulated, held", [
+    (0.0, False, True), (4e-9, False, True), (4.05e-9, False, True),
+    (64e-9, False, False), (0.0, True, False), (4e-9, True, False)],
+    ids=["quench", "ramp 4 ns", "ramp 4.05 ns", "ramp 64 ns", "index 0.4",
+         "ramped index 0.4"])
+def test_schedule_names_its_hold(midband, tune_time, modulated, held):
+    """Only the last _schedule item may be more than one step; it is then
+    the hold at (omega_interact, dt_output), one read per step.  A quench
+    and ramps from +1.5 GHz on and off the output grid end in one; a ramp
+    longer than t_max and an index-0.4 modulation (also after a ramp) do
+    not.  The items read every sample after t = 0 exactly once."""
+    mod = Modulation(omega_mod=_WMOD, epsilon=0.4 * _WMOD)
+    prot = Protocol(omega_interact=midband + (_WMOD if modulated else 0.0),
+                    t_max=2e-8, dt_output=5e-10 if modulated else 1e-10,
+                    modulation=mod if modulated else None, tune_time=tune_time,
+                    omega_park=midband + 2 * math.pi * 1.5e9 if tune_time
+                    else None)
+    t = _time_grid(prot.t_max, prot.dt_output)
+    items = list(_schedule(prot, t.tolist()))
+    assert all(steps == 1 for *_, steps in items[:-1])
+    w, dt, n, steps = items[-1]
+    assert (steps > 1) == held
+    if held:
+        assert (w, dt, n) == (prot.omega_interact, prot.dt_output, 1)
+    assert sum(n * steps for _, _, n, steps in items) == t.size - 1
 
 
 @pytest.mark.parametrize("kind, value", [

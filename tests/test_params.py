@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from slowline.dynamics import Protocol
 from slowline.params import (ArraySpec, Bend, BoundaryCellParams,
                              EmitterParams, QubitCircuitParams,
                              UnitCellParams, ValidationError)
@@ -91,6 +92,47 @@ def test_qubit_params(q1):
         with pytest.raises(ValidationError,
                            match="omega_ge must be positive and finite"):
             dataclasses.replace(q1, omega_ge=bad)
+
+
+def test_qubit_omega_ge_is_a_required_keyword():
+    with pytest.raises(TypeError, match="omega_ge"):
+        QubitCircuitParams(c_sigma=77.8e-15, couplings={3: 1.9e-15})
+    with pytest.raises(TypeError):
+        QubitCircuitParams(77.8e-15, {3: 1.9e-15}, 3e10)
+
+
+_CELL = UnitCellParams(c0=353.2e-15, cg=5.05e-15, l0=3.151e-9)
+_VALID = {
+    "UnitCellParams": _CELL,
+    "BoundaryCellParams": BoundaryCellParams(c_shunt=275.5e-15, c_left=87.5e-15,
+                                             c_right=7.3e-15, l0=3.151e-9),
+    "Bend": Bend(position=26, c_series=2.5e-15),
+    "ArraySpec": ArraySpec(interior=_CELL, interior_count=5),
+    "QubitCircuitParams": QubitCircuitParams(c_sigma=77.8e-15,
+                                             couplings={3: 1.9e-15},
+                                             omega_ge=3e10),
+    "EmitterParams": EmitterParams(omega_ge=2e10, g_uc=1e8,
+                                   extra_couplings={1: 1.3e7}),
+    "Protocol": Protocol(omega_interact=3e10, t_max=1e-7),
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("kind, name", [
+    ("UnitCellParams", "c0"), ("UnitCellParams", "cg"),
+    ("UnitCellParams", "l0"), ("BoundaryCellParams", "c_shunt"),
+    ("BoundaryCellParams", "c_left"), ("BoundaryCellParams", "c_right"),
+    ("BoundaryCellParams", "l0"), ("Bend", "c_series"),
+    ("ArraySpec", "port_impedance"), ("QubitCircuitParams", "c_sigma"),
+    ("QubitCircuitParams", "couplings"), ("EmitterParams", "omega_ge"),
+    ("EmitterParams", "g_uc"), ("EmitterParams", "extra_couplings"),
+    ("Protocol", "t_max"), ("Protocol", "dt_output")])
+def test_fields_must_be_finite(kind, name, bad):
+    """Each field named here rejects inf and NaN, and a coupling map any
+    such entry; only the quality factors take inf (lossless)."""
+    value = {3: bad} if name.endswith("couplings") else bad
+    with pytest.raises(ValidationError, match="finite"):
+        dataclasses.replace(_VALID[kind], **{name: value})
 
 
 def test_emitter_round_trip():
