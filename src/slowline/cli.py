@@ -26,7 +26,8 @@ from .dynamics import (Protocol, simulate_emission, simulate_emission_quantum,
                        simulate_mirror)
 from .params import (TWO_PI, ArraySpec, EmitterParams, QubitCircuitParams,
                      UnitCellParams, ValidationError, as_fields, hz, integer,
-                     list_of, one_of, read_object, real, write_csv)
+                     list_of, one_of, read_object, real, write_csv,
+                     write_json)
 from .taper import TaperProblem, optimize
 from . import disorder as disorder_mod
 
@@ -51,26 +52,6 @@ def _digest(path: str) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _write_manifest(out_dir: str, command: str, params: dict, seed,
-                    inputs: dict, outputs: list, started: str) -> None:
-    manifest = {
-        "command": command,
-        "parameters": params,
-        "version": __version__,
-        "seed": seed,
-        "input_digests": inputs,
-        "outputs": sorted(outputs),
-        "started_utc": started,
-        "finished_utc": datetime.now(timezone.utc).isoformat(),
-    }
-    final = os.path.join(out_dir, "manifest.json")
-    tmp = final + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, final)
 
 
 # --------------------------------------------------------------------------
@@ -100,16 +81,13 @@ def _cmd_s21(cfg: dict, out: str, args) -> list:
 
 def _cmd_taper_opt(cfg: dict, out: str, args) -> list:
     report = optimize(TaperProblem.from_dict(cfg))
-    with open(os.path.join(out, "tapered_spec.json"), "w", encoding="utf-8") as fh:
-        fh.write(report.spec.to_json())
-        fh.write("\n")
+    write_json(os.path.join(out, "tapered_spec.json"), report.spec.to_dict())
     write_csv(os.path.join(out, "convergence.csv"), "iter,ripple_db",
               list(zip(*report.history)), ["%d", "%.6f"])
-    with open(os.path.join(out, "taper_report.json"), "w", encoding="utf-8") as fh:
-        json.dump({"ripple_db": report.ripple_db,
-                   "n_iterations": report.n_iterations,
-                   "converged": report.converged}, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out, "taper_report.json"),
+               {"ripple_db": report.ripple_db,
+                "n_iterations": report.n_iterations,
+                "converged": report.converged})
     return ["tapered_spec.json", "convergence.csv", "taper_report.json"]
 
 
@@ -118,17 +96,14 @@ def _cmd_dressed(cfg: dict, out: str, args) -> list:
         cfg, "config", {"cell": UnitCellParams.from_dict,
                         "emitter": EmitterParams.from_dict},
         {"model": one_of(MODELS), "edge": one_of(EDGES)}))
-    payload = {
+    write_json(os.path.join(out, "dressed.json"), {
         "e_bound_hz": sol.e_bound / TWO_PI,
         "e_radiative_hz_re": sol.e_radiative.real / TWO_PI,
         "e_radiative_hz_im": sol.e_radiative.imag / TWO_PI,
         "qubit_weight": sol.qubit_weight,
         "lambda_cells": sol.localization_length,
         "splitting_hz": sol.splitting / TWO_PI,
-    }
-    with open(os.path.join(out, "dressed.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return ["dressed.json"]
 
 
@@ -186,10 +161,9 @@ def _cmd_disorder(cfg: dict, out: str, args) -> list:
         return ["extinction.csv"]
     cal = disorder_mod.calibrate_sigma(**kw, threads=args.threads)
     cal.to_csv(os.path.join(out, "calibration_table.csv"))
-    with open(os.path.join(out, "calibration.json"), "w", encoding="utf-8") as fh:
-        json.dump({"sigma_estimate_hz": cal.sigma_estimate / TWO_PI,
-                   "monotone": cal.monotone}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out, "calibration.json"),
+               {"sigma_estimate_hz": cal.sigma_estimate / TWO_PI,
+                "monotone": cal.monotone})
     return ["calibration_table.csv", "calibration.json"]
 
 
@@ -230,15 +204,23 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         outputs = args.func(cfg, args.out, args)
+        command = args.subcommand + (f" {args.mode}" if args.subcommand == "disorder" else "")
+        write_json(os.path.join(args.out, "manifest.json"), {
+            "command": command,
+            "parameters": cfg,
+            "version": __version__,
+            "seed": args.seed,
+            "input_digests": {args.config: _digest(args.config)},
+            "outputs": sorted(outputs),
+            "started_utc": started,
+            "finished_utc": datetime.now(timezone.utc).isoformat(),
+        })
     except (ValidationError, OSError) as exc:
         bad_input = isinstance(exc, ValidationError)
         json.dump({"error": str(exc), "type": "validation" if bad_input else "io",
                    "subcommand": args.subcommand}, sys.stderr)
         sys.stderr.write("\n")
         return 2 if bad_input else 1
-    command = args.subcommand + (f" {args.mode}" if args.subcommand == "disorder" else "")
-    _write_manifest(args.out, command, cfg, args.seed,
-                    {args.config: _digest(args.config)}, outputs, started)
     return 0
 
 

@@ -2,7 +2,12 @@
 
 The objective is |S21| in dB (model minus measurement) on the measured grid.
 Free parameters are named circuit elements; boundary modifications are applied
-symmetrically to both ends of the array.
+symmetrically to both ends of the array.  A fit with free parameters scores
+the template projected onto that model: both ends rebuilt from
+``boundary_in``, the boundary-to-interior coupler set to the interior cg and
+every boundary inductance to the interior l0, so perturbing the interior cg
+alone moves the boundary coupler with it.  With no free parameters the
+template itself is scored.
 """
 
 from __future__ import annotations
@@ -81,21 +86,20 @@ def fit_to_spectrum(measured: TwoPortResponse, template: ArraySpec,
 
     target_db = measured.s21_db
 
-    def model_db(vals):
-        resp = cascade_abcd(_build_spec(template, vals), measured.freq_grid)
-        return resp.s21_db
+    def misfit(spec):
+        r = cascade_abcd(spec, measured.freq_grid).s21_db - target_db
+        return np.where(np.isfinite(r), r, 1e3)
 
     def residuals(x):
         vals = dict(base)
         vals.update({name: xi * base[name] for name, xi in zip(free, x)})
         try:
-            r = model_db(vals) - target_db
+            return misfit(_build_spec(template, vals))
         except ValidationError:
             return np.full(target_db.shape, 1e3)
-        return np.where(np.isfinite(r), r, 1e3)
 
     if not free:
-        r = residuals(np.empty(0))
+        r = misfit(template)
         return FitReport(spec=template,
                          residual_db_rms=float(np.sqrt(np.mean(r**2))),
                          converged=True, n_evaluations=1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,14 +29,35 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
+# Rows formatted per write: holds write_csv's peak memory to about one
+# block, whatever the table's length.
+_CSV_BLOCK_ROWS = 512
+
+
 def write_csv(path, header: str, columns, fmt="%.12e") -> None:
     """The equal-length ``columns`` as CSV rows under ``header``, formatted
     by ``fmt`` or by one format per column: the bytes np.savetxt writes with
-    delimiter "," and comments "", formatted in one pass."""
+    delimiter "," and comments "", formatted _CSV_BLOCK_ROWS rows at a
+    time."""
     row = ",".join([fmt] * len(columns) if isinstance(fmt, str) else fmt) + "\n"
-    rows = zip(*(np.asarray(c).tolist() for c in columns), strict=True)
+    columns = [np.asarray(c) for c in columns]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n" + "".join(map(row.__mod__, rows)))
+        fh.write(header + "\n")
+        for start in range(0, max(map(len, columns), default=0),
+                           _CSV_BLOCK_ROWS):
+            rows = zip(*(c[start:start + _CSV_BLOCK_ROWS].tolist()
+                         for c in columns), strict=True)
+            fh.write("".join(map(row.__mod__, rows)))
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as JSON with indent 2, sorted keys and a final newline,
+    written whole: to ``path + ".tmp"``, then renamed into place."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    os.replace(tmp, path)
 
 
 # --------------------------------------------------------------------------
@@ -141,7 +163,7 @@ class UnitCellParams:
 
     def __post_init__(self):
         _require(0 < self.c0 < math.inf, "c0 must be positive and finite")
-        _require(0 <= self.cg < math.inf, "cg must be non-negative and finite")
+        _require(0 < self.cg < math.inf, "cg must be positive and finite")
         _require(0 < self.l0 < math.inf, "l0 must be positive and finite")
         _require(self.q_internal > 0, "q_internal must be positive")
 
@@ -366,6 +388,13 @@ class Chain:
                  and np.shape(self.l)[-1] == self.n_resonators,
                  "Chain.l must have shape (n_resonators,) or "
                  "(realizations, n_resonators)")
+        for name in ("c_shunt", "l", "couplers"):
+            v = getattr(self, name)     # min and max propagate NaN
+            _require(0 < v.min() and v.max() < math.inf,
+                     f"Chain.{name} must be positive and finite")
+        _require(0 < self.port_impedance < math.inf,
+                 "Chain.port_impedance must be positive and finite")
+        _require(self.q_internal > 0, "Chain.q_internal must be positive")
 
     @property
     def n_resonators(self) -> int:

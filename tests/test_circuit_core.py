@@ -233,6 +233,31 @@ def test_malformed_chain_rejected(l_shape):
               couplers=np.full(4, 5e-15))
 
 
+_BAD_VALUES = (math.inf, math.nan, 0.0, -1e-15)
+
+
+@pytest.mark.parametrize("name, shape, bad", [
+    pytest.param(name, shape, bad, id=f"{name}{list(shape) if shape else ''}={bad}")
+    for name, shape in [("c_shunt", (3,)), ("l", (3,)), ("l", (2, 3)),
+                        ("couplers", (4,)), ("port_impedance", ()),
+                        ("q_internal", ()), ("cg", ())]
+    for bad in _BAD_VALUES if not (name == "q_internal" and bad == math.inf)])
+def test_non_positive_or_non_finite_circuit_value_rejected(name, shape, bad):
+    """Every element of a lowered Chain is finite and positive (only
+    q_internal takes inf), and so is a unit cell's cg: a zero series
+    coupler is an open circuit."""
+    if name == "cg":
+        with pytest.raises(ValidationError, match="cg must be positive"):
+            UnitCellParams(c0=353.2e-15, cg=bad, l0=3.151e-9)
+        return
+    values = np.ones(shape)     # every value good but the last
+    values.flat[-1] = bad
+    kw = {"c_shunt": np.full(3, 3e-13), "l": np.full(3, 3e-9),
+          "couplers": np.full(4, 5e-15), name: values[()]}
+    with pytest.raises(ValidationError, match=f"Chain.{name} must be"):
+        Chain(**kw)
+
+
 def test_state_space_rejects_stacked_chain(test_spec):
     with pytest.raises(ValidationError, match="one realization"):
         assemble_state_space(_stacked(_realizations(test_spec, 2)), None)
@@ -284,6 +309,30 @@ def test_fit_no_free_params_identity(test_spec):
     measured = cascade_abcd(test_spec, grid)
     report = fit_to_spectrum(measured, test_spec)
     assert report.spec == test_spec
+    assert report.residual_db_rms < 1e-12
+
+
+def _boundary_variant(spec, side, index, **changes):
+    cells = list(getattr(spec, side))
+    cells[index] = dataclasses.replace(cells[index], **changes)
+    return dataclasses.replace(spec, **{side: tuple(cells)})
+
+
+@pytest.mark.parametrize("variant", ["coupler_6fF", "l0_3.2nH", "port_80fF_out"])
+def test_fit_no_free_params_scores_the_template(test_spec, variant):
+    """With nothing free the template is scored as given, not projected
+    onto the symmetric fit model: each variant fits its own spectrum."""
+    if variant == "coupler_6fF":      # boundary-to-interior coupler != cg
+        spec = _boundary_variant(test_spec, "boundary_in", 1, c_right=6e-15)
+        spec = _boundary_variant(spec, "boundary_out", 1, c_right=6e-15)
+    elif variant == "l0_3.2nH":       # boundary inductance != interior l0
+        spec = _boundary_variant(test_spec, "boundary_in", 0, l0=3.2e-9)
+        spec = _boundary_variant(spec, "boundary_out", 0, l0=3.2e-9)
+    else:                             # asymmetric ends
+        spec = _boundary_variant(test_spec, "boundary_out", 0, c_left=80e-15)
+    measured = cascade_abcd(spec, default_grid(spec.interior, 801))
+    report = fit_to_spectrum(measured, spec)
+    assert report.spec == spec
     assert report.residual_db_rms < 1e-12
 
 

@@ -55,7 +55,9 @@ def test_taper_opt_command(tmp_path, untapered_26):
                  {"base": untapered_26.to_dict(), "n_modified": 2})
     out = tmp_path / "out"
     assert main(["taper-opt", "--config", cfg, "--out", str(out)]) == 0
-    report = json.loads((out / "taper_report.json").read_text())
+    text = (out / "taper_report.json").read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert report["ripple_db"] < 0.5
     conv = (out / "convergence.csv").read_text().splitlines()
     assert conv[0] == "iter,ripple_db"
@@ -158,6 +160,19 @@ def test_manifest_references_all_outputs(tmp_path):
     assert next(iter(manifest["input_digests"].values())) == _digest(tmp_path / "cfg.json")
     assert manifest["version"]
     assert manifest["started_utc"] <= manifest["finished_utc"]
+
+
+def test_unwritable_manifest_exits_1_with_one_json_line(tmp_path, capsys):
+    """A manifest that cannot be written is an I/O error like any other:
+    exit 1 and one JSON line on stderr, no traceback."""
+    cfg = _write(tmp_path, "cfg.json", {"cell": CELL, "n_points": 11})
+    out = tmp_path / "out"
+    (out / "manifest.json.tmp").mkdir(parents=True)
+    assert main(["band", "--config", cfg, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["type"] == "io"
+    assert not (out / "manifest.json").exists()
 
 
 def test_unknown_key_rejected_with_path(tmp_path, capsys):

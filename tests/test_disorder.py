@@ -75,17 +75,23 @@ def test_nonpositive_draw_raises(tapered_26, sigma_scale):
 
 def test_extinction_realizations_are_sample_disordered(tapered_26):
     """Realization i of the extinction ensemble is the passband mean of
-    sample_disordered(spec, s*J, (seed, i))."""
+    sample_disordered(spec, s*J, (seed, i)); one realization has zero
+    spread."""
     j = tight_binding(tapered_26.interior)["j_tb"]
     grid = window_grid(tapered_26.interior, EXTINCTION_BAND_FRACTION,
                        SCAN_GRID_POINTS)
-    res = extinction_curve(tapered_26, [0.1], 3, seed=6)
-    ext = []
-    for i in range(3):
-        d = sample_disordered(tapered_26, 0.1 * j, (6, i))
-        ext.append(10.0 * np.log10(np.mean(np.abs(cascade_abcd(d, grid).s21) ** 2)))
-    assert res.mean_extinction_db[0] == np.mean(ext)
-    assert res.std_extinction_db[0] == np.std(ext, ddof=1)
+    soj = [0.05, 0.1]
+    for n in (3, 1):
+        res = extinction_curve(tapered_26, soj, n, seed=6)
+        for k, s in enumerate(soj):
+            ext = []
+            for i in range(n):
+                d = sample_disordered(tapered_26, s * j, (6, i))
+                ext.append(10.0 * np.log10(np.mean(
+                    np.abs(cascade_abcd(d, grid).s21) ** 2)))
+            assert res.mean_extinction_db[k] == np.mean(ext)
+            assert res.std_extinction_db[k] == (np.std(ext, ddof=1) if n > 1
+                                                else 0.0)
 
 
 def test_sample_reproducible(tapered_26):

@@ -89,6 +89,17 @@ def test_qubit_weight_monotone_in_detuning():
     assert prev > 0.9
 
 
+@pytest.mark.parametrize("g_over_j", [0.05, 0.3, 1.0])
+@pytest.mark.parametrize("detuning", [-0.5, 0.0, 0.5, 2.0, 10.0])
+def test_qubit_weight_forms_agree(g_over_j, detuning):
+    """qubit_weight at the bound-state energy is the cubic solution's weight
+    (the upper edge is omega0)."""
+    omega_ge = W0 + detuning * J
+    sol = solve_dressed_states(_emitter(g_over_j, omega_ge), CELL, j=J)
+    assert abs(qubit_weight(sol.e_bound, omega_ge, W0)
+               - sol.qubit_weight) < 1e-12
+
+
 def test_qubit_weight_errors():
     with pytest.raises(SingularPointError):
         qubit_weight(W0, W0, W0)

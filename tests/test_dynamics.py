@@ -134,6 +134,21 @@ def test_trace_csv_bytes_match_savetxt(tmp_path):
                 == (tmp_path / "ref.csv").read_bytes()), kind
 
 
+def test_write_csv_peak_memory(tmp_path):
+    """write_csv formats a block of rows at a time, so a 2001 x 5 table
+    (the size of an ensemble s21.csv) peaks under 256 KiB; formatted whole
+    it peaks near 600 KiB."""
+    import tracemalloc
+    columns = [np.linspace(k, k + 1.0, 2001) for k in range(5)]
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "s21.csv", "a,b,c,d,e", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024
+
+
 # ------------------------------------------------------------------ oracles
 
 def test_ideal_mirror_exact_before_round_trip():
