@@ -158,9 +158,9 @@ def cascade_abcd(spec: ArraySpec | Chain,
 
 def unit_cell_abcd(cell: UnitCellParams, freq_grid: np.ndarray):
     """ABCD of one periodic cell (series coupler followed by shunt branch)."""
-    chain = Chain(c_shunt=np.array([cell.c0]), l=np.array([cell.l0]),
-                  couplers=np.array([cell.cg]), q_internal=cell.q_internal)
-    return tuple(_ldexp(*_cascade(chain, freq_grid)))
+    return chain_abcd(Chain(c_shunt=np.array([cell.c0]), l=np.array([cell.l0]),
+                            couplers=np.array([cell.cg]),
+                            q_internal=cell.q_internal), freq_grid)
 
 
 def bloch_analysis(cell: UnitCellParams, freq_grid: np.ndarray) -> dict:

@@ -124,7 +124,7 @@ def _cmd_dynamics(cfg: dict, out: str, args) -> list:
     spec, qubit, protocol = cfg["spec"], cfg["qubit"], cfg["protocol"]
     run = _DYNAMICS_METHODS[cfg.get("method", "emission")]
     sweep = cfg.get("sweep_omega_interact_hz")
-    if getattr(args, "sweep", False) and sweep is None:
+    if args.sweep and sweep is None:
         raise ValidationError("--sweep requires config key "
                               "'sweep_omega_interact_hz'")
     if sweep is None:
@@ -156,10 +156,10 @@ def _cmd_disorder(cfg: dict, out: str, args) -> list:
         {"seed": integer, **optional}))
     kw["seed"] = args.seed if args.seed is not None else kw.get("seed", 0)
     if args.mode == "extinction":
-        res = disorder_mod.extinction_curve(**kw, threads=args.threads)
+        res = disorder_mod.extinction_curve(**kw)
         res.to_csv(os.path.join(out, "extinction.csv"))
         return ["extinction.csv"]
-    cal = disorder_mod.calibrate_sigma(**kw, threads=args.threads)
+    cal = disorder_mod.calibrate_sigma(**kw)
     cal.to_csv(os.path.join(out, "calibration_table.csv"))
     write_json(os.path.join(out, "calibration.json"),
                {"sigma_estimate_hz": cal.sigma_estimate / TWO_PI,
@@ -175,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Resonator-array slow-light waveguide toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, func, **extra_flags):
+    def add(name, func):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)

@@ -80,6 +80,14 @@ def _sigmas(sigma) -> np.ndarray:
     return sigma
 
 
+def _sigma_grid(sigma) -> np.ndarray:
+    """``_sigmas(sigma)``, further required to be a non-empty 1-D grid."""
+    sigma = _sigmas(sigma)
+    _require(sigma.ndim == 1 and sigma.size > 0,
+             "sigma grid must be a non-empty 1-D array")
+    return sigma
+
+
 def _realization(chain: Chain, sigma: float, key) -> Chain:
     """The chain with resonance i moved by sigma * z[i] (rad/s), z drawn
     standard-normal from the substream ``key``; ``sigma = 0`` returns
@@ -115,16 +123,20 @@ def sample_disordered(spec: ArraySpec, sigma: float, rng_seed) -> Chain:
 EXTINCTION_BAND_FRACTION = 0.5
 
 
-def _responses(chain: Chain, draws: list, grid: np.ndarray):
-    """The response of ``_realization(chain, sigma, key)`` for each (sigma,
-    key) in ``draws``, in order, cascaded STACK_SIZE realizations at a time.
-    """
+def _table(spec: ArraySpec, draws: list, fraction: float, stat) -> list:
+    """``stat(response)`` of each (sigma, key) realization of ``spec`` in
+    ``draws``, in order, scanned on ``fraction`` of the band and cascaded
+    STACK_SIZE at a time (a stack may straddle two sigmas)."""
+    chain = spec.lower()
+    grid = window_grid(spec.interior, fraction, SCAN_GRID_POINTS)
+    out = []
     for start in range(0, len(draws), STACK_SIZE):
         l = np.stack([_realization(chain, sigma, key).l
                       for sigma, key in draws[start:start + STACK_SIZE]])
         resp = cascade_abcd(replace(chain, l=l), grid)
-        for s21, s11 in zip(resp.s21, resp.s11):
-            yield TwoPortResponse(freq_grid=resp.freq_grid, s21=s21, s11=s11)
+        out += [stat(TwoPortResponse(resp.freq_grid, s21, s11))
+                for s21, s11 in zip(resp.s21, resp.s11)]
+    return out
 
 
 def _mean_passband_db(resp: TwoPortResponse) -> float:
@@ -140,33 +152,25 @@ def _bootstrap_stderr(values: np.ndarray, rng: np.random.Generator,
 
 
 def extinction_curve(spec: ArraySpec, sigma_over_j, n_realizations: int,
-                     seed: int, threads: int = None) -> DisorderEnsembleResult:
+                     seed: int) -> DisorderEnsembleResult:
     """Mean passband transmission versus sigma/J over a seeded ensemble.
 
     Realization i at every sigma is ``sample_disordered(spec, sigma, (seed,
     i))``: the same standard-normal draws rescaled, so the curve is both
     reproducible and variance-reduced across the grid, and ``sigma = 0``
-    scores the clean chain.  Every sigma/J must be finite and >= 0; it is
-    checked before any cascade.  Realizations are cascaded STACK_SIZE at a
-    time, in one thread; ``threads`` is accepted for compatibility and does
-    not change the result.
+    scores the clean chain.  ``sigma_over_j`` must be a non-empty 1-D grid
+    of finite values >= 0, and ``n_realizations`` at least 1; both are
+    checked before any cascade.
     """
-    sigma_over_j = _sigmas(sigma_over_j)
-    if n_realizations < 1:
-        raise ValidationError("n_realizations must be >= 1")
+    sigma_over_j = _sigma_grid(sigma_over_j)
+    _require(n_realizations >= 1, "n_realizations must be >= 1")
     j = tight_binding(spec.interior)["j_tb"]
-    grid = window_grid(spec.interior, EXTINCTION_BAND_FRACTION,
-                       SCAN_GRID_POINTS)
-    chain = spec.lower()
-
     draws = [(soj * j, (seed, i)) for i in range(n_realizations)
              for soj in sigma_over_j]
-    ext = np.array([_mean_passband_db(r)
-                    for r in _responses(chain, draws, grid)]).reshape(
-                        n_realizations, sigma_over_j.size)
+    ext = np.reshape(_table(spec, draws, EXTINCTION_BAND_FRACTION,
+                            _mean_passband_db), (n_realizations, -1))
     boot_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB0075)))
-    stderr = np.array([_bootstrap_stderr(ext[:, si], boot_rng)
-                       for si in range(sigma_over_j.size)])
+    stderr = np.array([_bootstrap_stderr(col, boot_rng) for col in ext.T])
     return DisorderEnsembleResult(
         sigma_over_j=sigma_over_j,
         mean_extinction_db=ext.mean(axis=0),
@@ -210,49 +214,44 @@ def fsr_variance(response, band=None) -> FsrReport:
                      delta_fsr=float(np.std(spacings, ddof=1)))
 
 
-def _mean_delta_fsr(chain: Chain, band: tuple, sigma: float,
-                    n_realizations: int, seed_key, grid: np.ndarray) -> tuple:
-    def one(resp):
+def calibrate_sigma(measured_delta_fsr: float, spec: ArraySpec, sigma_grid,
+                    n_realizations: int = 500,
+                    seed: int = 0) -> SigmaCalibration:
+    """Empirical mean Delta_FSR(sigma) table and its monotone inversion.
+
+    Realization i at ``sigma_grid[k]`` is ``sample_disordered(spec,
+    sigma_grid[k], (seed, k, i))``; ``sigma = 0`` gives the clean chain.
+    ``sigma_grid`` must be a non-empty 1-D grid of finite values >= 0, and
+    ``n_realizations`` at least 2; both are checked before any cascade.  A
+    realization with unresolvable ripples is dropped from its sigma's mean,
+    with a warning.  Non-monotone segments are flagged and the inversion
+    restricted to the longest increasing prefix of the table; a measurement
+    outside that prefix's range of Delta_FSR raises ``ValidationError``.
+    """
+    sigma_grid = _sigma_grid(sigma_grid)
+    _require(n_realizations >= 2, "n_realizations must be >= 2")
+    band = band_edges(spec.interior)
+
+    def delta_fsr(resp):
         try:
             return fsr_variance(resp, band=band).delta_fsr
         except ValidationError:
             return math.nan   # too few resolvable ripples in this realization
 
-    draws = [(sigma, (*seed_key, i)) for i in range(n_realizations)]
-    vals = np.array([one(r) for r in _responses(chain, draws, grid)])
-    good = vals[np.isfinite(vals)]
-    n_bad = n_realizations - good.size
-    if n_bad:
-        logger.warning("dropped %d of %d realizations with unresolvable "
-                       "ripples", n_bad, n_realizations)
-    if good.size < max(2, n_realizations // 2):
-        raise ValidationError("too few realizations with resolvable ripples")
-    return float(good.mean()), float(good.std(ddof=1) / math.sqrt(good.size))
-
-
-def calibrate_sigma(measured_delta_fsr: float, spec: ArraySpec, sigma_grid,
-                    n_realizations: int = 500, seed: int = 0,
-                    threads: int = None) -> SigmaCalibration:
-    """Empirical mean Delta_FSR(sigma) table and its monotone inversion.
-
-    Realization i at ``sigma_grid[k]`` is ``sample_disordered(spec,
-    sigma_grid[k], (seed, k, i))``; ``sigma = 0`` gives the clean chain.
-    Every sigma must be finite and >= 0; the grid is checked before any
-    cascade.  Non-monotone segments are flagged and the inversion restricted
-    to the longest increasing prefix of the table; a measurement outside
-    that prefix's range of Delta_FSR raises ``ValidationError``.
-    Realizations are cascaded STACK_SIZE at a time, in one thread;
-    ``threads`` is accepted for compatibility and does not change the
-    result.
-    """
-    sigma_grid = _sigmas(sigma_grid)
-    grid = window_grid(spec.interior, 1.0, SCAN_GRID_POINTS)
-    chain, band = spec.lower(), band_edges(spec.interior)
-    means = np.empty(sigma_grid.size)
-    errs = np.empty(sigma_grid.size)
-    for si, sig in enumerate(sigma_grid):
-        means[si], errs[si] = _mean_delta_fsr(chain, band, sig, n_realizations,
-                                              (seed, si), grid)
+    draws = [(sig, (seed, si, i)) for si, sig in enumerate(sigma_grid)
+             for i in range(n_realizations)]
+    table = np.reshape(_table(spec, draws, 1.0, delta_fsr), (sigma_grid.size, -1))
+    means, errs = np.empty((2, sigma_grid.size))
+    for si, vals in enumerate(table):
+        good = vals[np.isfinite(vals)]
+        n_bad = n_realizations - good.size
+        if n_bad:
+            logger.warning("dropped %d of %d realizations with unresolvable "
+                           "ripples", n_bad, n_realizations)
+        if good.size < max(2, n_realizations // 2):
+            raise ValidationError("too few realizations with resolvable ripples")
+        means[si] = good.mean()
+        errs[si] = good.std(ddof=1) / math.sqrt(good.size)
     increasing = np.diff(means) > 0
     monotone = bool(np.all(increasing))
     if monotone:

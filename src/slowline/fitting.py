@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .abcd import TwoPortResponse, cascade_abcd
-from .params import ArraySpec, BoundaryCellParams, UnitCellParams, ValidationError
+from .params import ArraySpec, UnitCellParams, ValidationError
 
 # Supported free-parameter names -> getter on an ArraySpec with a two-cell
 # boundary.  c1g/c2g are the port-side and shared boundary couplers, c1/c2 the

@@ -56,8 +56,8 @@ class StateSpaceModel:
     def steady_state_s21(self, freq_grid) -> np.ndarray:
         """Transmission under harmonic drive at the input port.
 
-        Solves the driven linear system at each frequency; equals the
-        ABCD-derived S21 for a matched array.
+        Solves the driven linear system at each frequency, giving a scalar
+        for a scalar; equals the ABCD-derived S21 for a matched array.
         """
         w = np.atleast_1d(np.asarray(freq_grid, dtype=float))
         n = self.n_nodes
@@ -71,7 +71,7 @@ class StateSpaceModel:
             x = np.linalg.solve(1j * wi * eye - a, -b)
             v = cinv @ x[n:]
             out[i] = -2.0 * v[self.output_node]
-        return out if out.size > 1 else out[0]
+        return out if np.ndim(freq_grid) else out[0]
 
 
 def _add_cap(cap: np.ndarray, i: int, j: int, value: float) -> None:

@@ -233,15 +233,14 @@ def test_criterion_09_modulated_sideband_rates(qubit_spec_nobend, q1, midband):
                    f"(window [0.75, 1.25])")
 
 
-@pytest.mark.parametrize("threads", [8])
-def test_criterion_10_disorder_extinction_and_calibration(tapered_50, threads):
+def test_criterion_10_disorder_extinction_and_calibration(tapered_50):
     """50-cell tapered array, 500 realizations: mean extinction crosses
     -0.5 dB at sigma/J in [0.07, 0.13]; sigma recovered from the mean
     free-spectral-range spread within 20%.  Budget: 10 minutes."""
     t0 = time.perf_counter()
     j = tight_binding(tapered_50.interior)["j_tb"]
     soj = np.array([0.0, 0.04, 0.06, 0.08, 0.10, 0.12, 0.14])
-    curve = extinction_curve(tapered_50, soj, 500, seed=11, threads=threads)
+    curve = extinction_curve(tapered_50, soj, 500, seed=11)
     crossing = float(np.interp(-0.5, curve.mean_extinction_db[::-1],
                                soj[::-1]))
 
@@ -259,7 +258,7 @@ def test_criterion_10_disorder_extinction_and_calibration(tapered_50, threads):
     measured = float(np.mean(draws))
     cal = calibrate_sigma(measured, tapered_50,
                           np.array([0.05, 0.08, 0.11, 0.14, 0.17]) * j,
-                          n_realizations=300, seed=7, threads=threads)
+                          n_realizations=300, seed=7)
     rt_err = abs(cal.sigma_estimate - sigma_true) / sigma_true
     elapsed = time.perf_counter() - t0
     ok = 0.07 <= crossing <= 0.13 and rt_err < 0.20 and elapsed < 600.0

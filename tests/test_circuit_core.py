@@ -99,6 +99,19 @@ def _assert_state_space_matches_abcd(chain, cell):
     assert np.max(np.abs(s_ss - s_abcd)) < 1e-6
 
 
+def test_steady_state_s21_keeps_the_grid_shape(test_spec):
+    """A one-point grid gives shape (1,) and a float frequency a scalar, each
+    bit-equal to that point of a multi-point call."""
+    model = assemble_state_space(test_spec, None)
+    grid = default_grid(test_spec.interior, 5)
+    full = model.steady_state_s21(grid)
+    one = model.steady_state_s21(grid[2:3])
+    scalar = model.steady_state_s21(float(grid[2]))
+    assert one.shape == (1,)
+    assert np.ndim(scalar) == 0
+    assert one[0] == full[2] and scalar == full[2]
+
+
 def test_state_space_matches_abcd(qubit_spec_nobend):
     """Nodal steady-state S21 equals the ABCD cascade (independent methods)."""
     _assert_state_space_matches_abcd(qubit_spec_nobend, qubit_spec_nobend.interior)

@@ -257,6 +257,22 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, argv, cfg,
     assert path in err["error"]
 
 
+@pytest.mark.parametrize("mode, cfg", [
+    ("extinction", {"sigma_over_j": [], "n_realizations": 5}),
+    ("calibrate", {"measured_delta_fsr_hz": 1e6, "sigma_grid_hz": []}),
+], ids=["extinction", "calibrate"])
+def test_disorder_empty_sigma_grid_exits_2(tmp_path, capsys, mode, cfg):
+    """An empty sigma grid is a validation error, not a header-only CSV."""
+    cfg_path = _write(tmp_path, "cfg.json", {"spec": SPEC, **cfg})
+    out = tmp_path / "out"
+    assert main(["disorder", mode, "--config", cfg_path,
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "validation"
+    assert "non-empty 1-D" in err["error"]
+    assert not (out / "extinction.csv").exists()
+
+
 def test_module_entry_point_reports_one_json_line(tmp_path):
     """``python -m slowline.cli`` on a malformed config exits 2 and writes
     exactly one JSON line to stderr, with no traceback."""

@@ -22,7 +22,7 @@ def _forbid_cascade(monkeypatch):
     import slowline.disorder as disorder
 
     def no_cascade(*args, **kwargs):
-        raise AssertionError("cascade run before the sigma grid was checked")
+        raise AssertionError("cascade run before the inputs were checked")
 
     monkeypatch.setattr(disorder, "cascade_abcd", no_cascade)
 
@@ -145,10 +145,10 @@ def test_two_resonator_realization_keeps_port_couplers():
     assert d.couplers.tolist() == spec.coupler_elements()
 
 
-def test_extinction_deterministic_and_thread_invariant(tapered_26):
+def test_extinction_deterministic(tapered_26):
     soj = np.array([0.0, 0.05, 0.1])
     a = extinction_curve(tapered_26, soj, 8, seed=3)
-    b = extinction_curve(tapered_26, soj, 8, seed=3, threads=4)
+    b = extinction_curve(tapered_26, soj, 8, seed=3)
     np.testing.assert_array_equal(a.mean_extinction_db, b.mean_extinction_db)
     np.testing.assert_array_equal(a.stderr_db, b.stderr_db)
     c = extinction_curve(tapered_26, soj, 8, seed=4)
@@ -258,8 +258,7 @@ def test_calibration_monotone_table(tapered_26):
     """Mean Delta_FSR strictly increasing for sigma/J in [0.02, 0.3]."""
     j = tight_binding(tapered_26.interior)["j_tb"]
     grid = np.array([0.02, 0.08, 0.3]) * j
-    cal = calibrate_sigma(15e6, tapered_26, grid, n_realizations=60, seed=5,
-                          threads=4)
+    cal = calibrate_sigma(15e6, tapered_26, grid, n_realizations=60, seed=5)
     assert cal.monotone
     assert np.all(np.diff(cal.mean_delta_fsr) > 0)
 
@@ -313,3 +312,41 @@ def test_calibration_rejects_negative_sigma(tapered_26, monkeypatch):
         with pytest.raises(ValidationError, match="sigma must be non-negative"):
             calibrate_sigma(1e6, tapered_26, [bad * j, 0.0, 0.1 * j],
                             n_realizations=4)
+
+
+@pytest.mark.parametrize("grid", [0.05, [[0.0, 0.05]], []],
+                         ids=["scalar", "2-D", "empty"])
+def test_sigma_grid_must_be_nonempty_1d(tapered_26, monkeypatch, grid):
+    """Both ensembles reject a scalar, 2-D or empty sigma grid before any
+    cascade."""
+    _forbid_cascade(monkeypatch)
+    j = tight_binding(tapered_26.interior)["j_tb"]
+    with pytest.raises(ValidationError, match="non-empty 1-D"):
+        extinction_curve(tapered_26, grid, 2, seed=1)
+    with pytest.raises(ValidationError, match="non-empty 1-D"):
+        calibrate_sigma(1e6, tapered_26, np.multiply(grid, j),
+                        n_realizations=4)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_calibration_needs_two_realizations(tapered_26, monkeypatch, n):
+    """The std/sqrt(n) of the table needs two draws; fewer raise, naming
+    n_realizations, before any cascade."""
+    _forbid_cascade(monkeypatch)
+    j = tight_binding(tapered_26.interior)["j_tb"]
+    with pytest.raises(ValidationError, match="n_realizations"):
+        calibrate_sigma(1e6, tapered_26, np.array([0.02, 0.3]) * j,
+                        n_realizations=n)
+
+
+def test_calibration_warns_of_dropped_realizations(tapered_26, caplog):
+    """One realization at sigma/J = 0.3 has too few resolvable ripples: it is
+    dropped with one warning whose arguments are (dropped, drawn)."""
+    j = tight_binding(tapered_26.interior)["j_tb"]
+    with caplog.at_level("WARNING", logger="slowline.disorder"):
+        calibrate_sigma(15e6, tapered_26, np.array([0.02, 0.3]) * j,
+                        n_realizations=7, seed=2)
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("slowline.disorder",
+         "dropped 1 of 7 realizations with unresolvable ripples")]
+    assert caplog.records[0].args[:2] == (1, 7)
