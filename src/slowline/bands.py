@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import UnitCellParams, ValidationError, write_csv
+from .params import UnitCellParams, ValidationError, _require, write_csv
 
 # Lattice constant of the fabricated device, metres.  Geometry metadata only:
 # all physics is per-cell; d enters in reporting delay per length/area.
@@ -52,6 +52,7 @@ def dispersion(cell: UnitCellParams, kd) -> np.ndarray:
 
 
 def dispersion_curve(cell: UnitCellParams, n_points: int = 1001) -> DispersionCurve:
+    _require(n_points >= 1, "n_points must be >= 1")
     kd = np.linspace(-math.pi, math.pi, n_points)
     return DispersionCurve(k_grid=kd, omega=dispersion(cell, kd))
 

@@ -70,6 +70,8 @@ def _cmd_s21(cfg: dict, out: str, args) -> list:
                       {"n_points": integer, "f_min_hz": hz, "f_max_hz": hz})
     spec = cfg["spec"]
     n = cfg.get("n_points", 2001)
+    if n < 1:
+        raise ValidationError("n_points must be >= 1")
     if ("f_min_hz" in cfg) != ("f_max_hz" in cfg):
         raise ValidationError("config: give both f_min_hz and f_max_hz or "
                               "neither")

@@ -29,8 +29,8 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .params import (ArraySpec, Chain, QubitCircuitParams, ValidationError,
-                     _require, as_fields, hz, nullable, read_object, real,
+from .params import (ArraySpec, Chain, JsonFields, QubitCircuitParams,
+                     ValidationError, _require, hz, nested, nullable, real,
                      write_csv)
 from .statespace import StateSpaceModel, assemble_state_space
 
@@ -39,9 +39,10 @@ _CHUNK = 128        # roots or time samples per (chunk x M) block
 
 
 @dataclass(frozen=True)
-class Modulation:
+class Modulation(JsonFields):
     omega_mod: float    # rad/s
     epsilon: float      # rad/s, frequency-modulation amplitude
+    _JSON = ({"omega_mod_hz": hz, "epsilon_hz": hz}, {})
 
     def __post_init__(self):
         _require(0 < self.omega_mod < math.inf and 0 <= self.epsilon < math.inf,
@@ -53,7 +54,7 @@ class Modulation:
 
 
 @dataclass(frozen=True)
-class Protocol:
+class Protocol(JsonFields):
     """A tune-in to omega_interact, sampled at t_k = k * dt_output.
 
     A ramp (tune_time > 0, finite, and it may exceed t_max) moves the bare
@@ -74,6 +75,10 @@ class Protocol:
     modulation: Optional[Modulation] = None
     tune_time: float = 0.0                  # s, 0 = instantaneous quench
     omega_park: Optional[float] = None      # rad/s, start of a finite ramp
+    _JSON = ({"omega_interact_hz": hz, "t_max_s": real},
+             {"dt_output_s": real, "initial_excited_population": real,
+              "tune_time_s": real, "modulation": nullable(nested(Modulation)),
+              "omega_park_hz": nullable(hz)})
 
     def __post_init__(self):
         _require(0 < self.t_max < math.inf and 0 < self.dt_output < math.inf,
@@ -88,31 +93,6 @@ class Protocol:
                  "omega_park must be positive and finite")
         _require((self.tune_time > 0) == (self.omega_park is not None),
                  "a ramp needs both tune_time > 0 and omega_park")
-
-    def to_dict(self) -> dict:
-        d = {"omega_interact_hz": self.omega_interact / (2 * math.pi),
-             "t_max_s": self.t_max, "dt_output_s": self.dt_output,
-             "initial_excited_population": self.initial_excited_population,
-             "tune_time_s": self.tune_time}
-        if self.modulation is not None:
-            d["modulation"] = {
-                "omega_mod_hz": self.modulation.omega_mod / (2 * math.pi),
-                "epsilon_hz": self.modulation.epsilon / (2 * math.pi)}
-        if self.omega_park is not None:
-            d["omega_park_hz"] = self.omega_park / (2 * math.pi)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Protocol":
-        def modulation(m):
-            return Modulation(**as_fields(read_object(
-                m, "Modulation", {"omega_mod_hz": hz, "epsilon_hz": hz})))
-
-        return cls(**as_fields(read_object(
-            d, cls.__name__, {"omega_interact_hz": hz, "t_max_s": real},
-            {"dt_output_s": real, "initial_excited_population": real,
-             "modulation": nullable(modulation), "tune_time_s": real,
-             "omega_park_hz": nullable(hz)})))
 
 
 @dataclass(frozen=True)

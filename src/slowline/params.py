@@ -2,7 +2,8 @@
 
 All frequencies are angular (rad/s) internally.  JSON serialization uses Hz
 and explicit unit suffixes in key names (_f, _h, _hz, _s, _ohm); conversion
-happens only at that boundary.
+happens only at that boundary, by the converters each class lists once in
+its ``_JSON`` table.
 """
 
 from __future__ import annotations
@@ -114,16 +115,29 @@ def boolean(v) -> bool:
     return v
 
 
+def _same(v):
+    return v
+
+
+# Each converter's ``write`` is its inverse, used by ``JsonFields.to_dict``.
+real.write = integer.write = boolean.write = _same
+hz.write = lambda v: v / TWO_PI
+
+
 def one_of(options):
     def read(v):
         _require(isinstance(v, str) and v in options,
                  f"expected one of {list(options)}, got {v!r}")
         return v
+    read.write = _same
     return read
 
 
 def nullable(convert):
-    return lambda v: None if v is None else convert(v)
+    def read(v):
+        return None if v is None else convert(v)
+    read.write = lambda v: None if v is None else convert.write(v)
+    return read
 
 
 def list_of(convert):
@@ -132,6 +146,7 @@ def list_of(convert):
         _require(isinstance(v, list), f"expected a JSON list, got {v!r}")
         return tuple(_convert("list", str(i), convert, x)
                      for i, x in enumerate(v))
+    read.write = lambda v: [convert.write(x) for x in v]
     return read
 
 
@@ -143,16 +158,58 @@ def index_map(convert):
                  f"expected a JSON object keyed by integers, got {v!r}")
         return {int(k): _convert("map", str(k), convert, x)
                 for k, x in v.items()}
+    read.write = lambda v: {str(k): convert.write(x)
+                            for k, x in sorted(v.items())}
     return read
 
 
+def nested(cls):
+    """A JSON object read by ``cls.from_dict``."""
+    def read(v):
+        return cls.from_dict(v)
+    read.write = lambda v: v.to_dict()
+    return read
+
+
+def _field_name(key: str) -> str:
+    """The dataclass field a JSON key names: the key minus its unit."""
+    return re.sub(r"_(f|h|hz|s|ohm)$", "", key)
+
+
 def as_fields(values: dict) -> dict:
-    """``values`` keyed by dataclass field: the JSON key minus its unit."""
-    return {re.sub(r"_(f|h|hz|s|ohm)$", "", k): v for k, v in values.items()}
+    """``values`` keyed by dataclass field."""
+    return {_field_name(k): v for k, v in values.items()}
+
+
+def _integer_field(obj, name: str) -> None:
+    """Set the frozen ``obj``'s field ``name`` to its value read by
+    ``integer``, so 22.0 reads as 22 as it does in JSON."""
+    object.__setattr__(obj, name, _convert(type(obj).__name__, name, integer,
+                                           getattr(obj, name)))
+
+
+class JsonFields:
+    """A dataclass whose JSON object is declared once, in ``_JSON =
+    (required, optional)``: each maps a key (the field plus its unit) to
+    the converter that reads it and writes it back.  ``to_dict`` leaves out
+    an optional key whose value is None, inf or an empty dict."""
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(**as_fields(read_object(d, cls.__name__, *cls._JSON)))
+
+    def to_dict(self) -> dict:
+        required, optional = self._JSON
+        d = {}
+        for key, convert in {**required, **optional}.items():
+            v = getattr(self, _field_name(key))
+            if key in required or v not in (None, math.inf, {}):
+                d[key] = convert.write(v)
+        return d
 
 
 @dataclass(frozen=True)
-class UnitCellParams:
+class UnitCellParams(JsonFields):
     """One periodic cell: shunt capacitance c0 and inductance l0 to ground,
     coupling capacitance cg to each neighbour."""
 
@@ -160,6 +217,7 @@ class UnitCellParams:
     cg: float           # F
     l0: float           # H
     q_internal: float = math.inf
+    _JSON = ({"c0_f": real, "cg_f": real, "l0_h": real}, {"q_internal": real})
 
     def __post_init__(self):
         _require(0 < self.c0 < math.inf, "c0 must be positive and finite")
@@ -176,21 +234,9 @@ class UnitCellParams:
     def coupling_ratio(self) -> float:
         return self.cg / self.c0
 
-    def to_dict(self) -> dict:
-        d = {"c0_f": self.c0, "cg_f": self.cg, "l0_h": self.l0}
-        if math.isfinite(self.q_internal):
-            d["q_internal"] = self.q_internal
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UnitCellParams":
-        return cls(**as_fields(read_object(
-            d, cls.__name__, {"c0_f": real, "cg_f": real, "l0_h": real},
-            {"q_internal": real})))
-
 
 @dataclass(frozen=True)
-class BoundaryCellParams:
+class BoundaryCellParams(JsonFields):
     """Impedance-matching boundary resonator (a pi-section).
 
     c_left couples toward the port side, c_right toward the interior.
@@ -200,6 +246,8 @@ class BoundaryCellParams:
     c_left: float       # F
     c_right: float      # F
     l0: float           # H
+    _JSON = (dict.fromkeys(("c_shunt_f", "c_left_f", "c_right_f", "l0_h"),
+                           real), {})
 
     def __post_init__(self):
         for name in ("c_shunt", "c_left", "c_right", "l0"):
@@ -212,37 +260,22 @@ class BoundaryCellParams:
         optimization."""
         return self.c_shunt + self.c_left + self.c_right
 
-    def to_dict(self) -> dict:
-        return {"c_shunt_f": self.c_shunt, "c_left_f": self.c_left,
-                "c_right_f": self.c_right, "l0_h": self.l0}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundaryCellParams":
-        return cls(**as_fields(read_object(d, cls.__name__, dict.fromkeys(
-            ("c_shunt_f", "c_left_f", "c_right_f", "l0_h"), real))))
-
 
 @dataclass(frozen=True)
-class Bend:
+class Bend(JsonFields):
     """Imperfect inter-row connection, modeled as a single series capacitance
     replacing the normal coupler between resonators ``position`` and
     ``position + 1`` (1-based, counted over the full chain)."""
 
     position: int
     c_series: float     # F
+    _JSON = ({"position": integer, "c_series_f": real}, {})
 
     def __post_init__(self):
+        _integer_field(self, "position")
         _require(self.position >= 1, "bend position must be >= 1")
         _require(0 < self.c_series < math.inf,
                  "bend c_series must be positive and finite")
-
-    def to_dict(self) -> dict:
-        return {"position": self.position, "c_series_f": self.c_series}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Bend":
-        return cls(**as_fields(read_object(
-            d, cls.__name__, {"position": integer, "c_series_f": real})))
 
 
 TERMINATIONS = ("matched", "open_mirror")
@@ -274,6 +307,7 @@ class ArraySpec:
     def __post_init__(self):
         object.__setattr__(self, "boundary_in", tuple(self.boundary_in))
         object.__setattr__(self, "boundary_out", tuple(self.boundary_out))
+        _integer_field(self, "interior_count")
         _require(self.interior_count >= 1, "interior_count must be >= 1")
         _require(0 < self.port_impedance < math.inf,
                  "port_impedance must be positive and finite")
@@ -346,14 +380,14 @@ class ArraySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArraySpec":
-        cells = list_of(BoundaryCellParams.from_dict)
+        cells = list_of(nested(BoundaryCellParams))
         v = as_fields(read_object(
             d, cls.__name__,
             {"c0_f": real, "cg_f": real, "l0_h": real, "interior_count": integer},
             {"q_internal": nullable(real), "boundary_in": cells,
              "boundary_out": cells, "port_impedance_ohm": real,
              "termination_out": one_of(TERMINATIONS),
-             "bend": nullable(Bend.from_dict)}))
+             "bend": nullable(nested(Bend))}))
         q = v.pop("q_internal", None)
         interior = UnitCellParams(c0=v.pop("c0"), cg=v.pop("cg"), l0=v.pop("l0"),
                                   q_internal=math.inf if q is None else q)
@@ -413,7 +447,7 @@ class Chain:
 
 
 @dataclass(frozen=True)
-class QubitCircuitParams:
+class QubitCircuitParams(JsonFields):
     """Linearized qubit as circuit elements: shunt capacitance, per-resonator
     coupling capacitances, tunable bare frequency and intrinsic Q."""
 
@@ -421,19 +455,21 @@ class QubitCircuitParams:
     couplings: dict = field(default_factory=dict)  # resonator index (1-based) -> F
     omega_ge: float = field(kw_only=True)  # rad/s, bare frequency (node loaded by neighbours grounded)
     q_intrinsic: float = math.inf
+    _JSON = ({"c_sigma_f": real, "couplings_f": index_map(real),
+              "omega_ge_hz": hz}, {"q_intrinsic": real})
 
     def __post_init__(self):
         _require(0 < self.c_sigma < math.inf, "c_sigma must be positive and finite")
         _require(len(self.couplings) > 0, "qubit needs at least one coupling")
-        for idx, c in self.couplings.items():
-            _require(int(idx) >= 1, "coupling index must be >= 1")
-            _require(0 <= c < math.inf,
-                     "coupling capacitance must be non-negative and finite")
+        _require(all(0 <= c < math.inf for c in self.couplings.values()),
+                 "coupling capacitance must be non-negative and finite")
+        object.__setattr__(self, "couplings", {
+            _convert(type(self).__name__, "couplings", integer, k): float(c)
+            for k, c in self.couplings.items()})
+        _require(min(self.couplings) >= 1, "coupling index must be >= 1")
         _require(0 < self.omega_ge < math.inf,
                  "omega_ge must be positive and finite")
         _require(self.q_intrinsic > 0, "q_intrinsic must be positive")
-        object.__setattr__(self, "couplings",
-                           {int(k): float(v) for k, v in self.couplings.items()})
 
     @property
     def c_node(self) -> float:
@@ -444,25 +480,9 @@ class QubitCircuitParams:
         """Inductance realizing bare frequency ``omega`` at this node."""
         return 1.0 / (omega**2 * self.c_node)
 
-    def to_dict(self) -> dict:
-        d = {
-            "c_sigma_f": self.c_sigma,
-            "couplings_f": {str(k): v for k, v in sorted(self.couplings.items())},
-            "omega_ge_hz": self.omega_ge / TWO_PI,
-        }
-        if math.isfinite(self.q_intrinsic):
-            d["q_intrinsic"] = self.q_intrinsic
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QubitCircuitParams":
-        return cls(**as_fields(read_object(
-            d, cls.__name__, {"c_sigma_f": real, "couplings_f": index_map(real),
-                              "omega_ge_hz": hz}, {"q_intrinsic": real})))
-
 
 @dataclass(frozen=True)
-class EmitterParams:
+class EmitterParams(JsonFields):
     """Physics-level emitter: bare transition frequency and rate-level coupling
     to one unit cell, plus optional parasitic couplings at cell offsets."""
 
@@ -470,6 +490,8 @@ class EmitterParams:
     g_uc: float                         # rad/s
     extra_couplings: dict = field(default_factory=dict)  # cell offset -> rad/s
     q_intrinsic: float = math.inf
+    _JSON = ({"omega_ge_hz": hz, "g_uc_hz": hz},
+             {"extra_couplings_hz": index_map(hz), "q_intrinsic": real})
 
     def __post_init__(self):
         _require(0 < self.omega_ge < math.inf, "omega_ge must be positive and finite")
@@ -477,20 +499,6 @@ class EmitterParams:
         _require(all(map(math.isfinite, self.extra_couplings.values())),
                  "extra couplings must be finite")
         _require(self.q_intrinsic > 0, "q_intrinsic must be positive")
-        object.__setattr__(self, "extra_couplings",
-                           {int(k): float(v) for k, v in self.extra_couplings.items()})
-
-    def to_dict(self) -> dict:
-        d = {"omega_ge_hz": self.omega_ge / TWO_PI, "g_uc_hz": self.g_uc / TWO_PI}
-        if self.extra_couplings:
-            d["extra_couplings_hz"] = {str(k): v / TWO_PI
-                                       for k, v in sorted(self.extra_couplings.items())}
-        if math.isfinite(self.q_intrinsic):
-            d["q_intrinsic"] = self.q_intrinsic
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EmitterParams":
-        return cls(**as_fields(read_object(
-            d, cls.__name__, {"omega_ge_hz": hz, "g_uc_hz": hz},
-            {"extra_couplings_hz": index_map(hz), "q_intrinsic": real})))
+        object.__setattr__(self, "extra_couplings", {
+            _convert(type(self).__name__, "extra_couplings", integer, k): float(v)
+            for k, v in self.extra_couplings.items()})

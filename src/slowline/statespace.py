@@ -56,10 +56,10 @@ class StateSpaceModel:
     def steady_state_s21(self, freq_grid) -> np.ndarray:
         """Transmission under harmonic drive at the input port.
 
-        Solves the driven linear system at each frequency, giving a scalar
-        for a scalar; equals the ABCD-derived S21 for a matched array.
+        Solves the driven linear system at each frequency, giving S21 in
+        the grid's shape; equals the ABCD-derived S21 for a matched array.
         """
-        w = np.atleast_1d(np.asarray(freq_grid, dtype=float))
+        w = np.asarray(freq_grid, dtype=float)
         n = self.n_nodes
         a = self.a_matrix()
         cinv = a[:n, n:]
@@ -67,11 +67,11 @@ class StateSpaceModel:
         b = np.zeros(2 * n, dtype=complex)
         b[n + self.input_node] = 1.0 / self.port_impedance  # Norton source, V_s = 1
         eye = np.eye(2 * n)
-        for i, wi in enumerate(w):
+        for i, wi in enumerate(w.flat):
             x = np.linalg.solve(1j * wi * eye - a, -b)
             v = cinv @ x[n:]
-            out[i] = -2.0 * v[self.output_node]
-        return out if np.ndim(freq_grid) else out[0]
+            out.flat[i] = -2.0 * v[self.output_node]
+        return out if out.ndim else out[()]
 
 
 def _add_cap(cap: np.ndarray, i: int, j: int, value: float) -> None:

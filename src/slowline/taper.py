@@ -16,8 +16,9 @@ import numpy as np
 
 from .abcd import cascade_abcd
 from .bands import window_grid
-from .params import (ArraySpec, BoundaryCellParams, ValidationError, _require,
-                     boolean, integer, read_object, real)
+from .params import (ArraySpec, BoundaryCellParams, JsonFields,
+                     ValidationError, _integer_field, _require, boolean,
+                     integer, nested, real)
 
 # Fixed frequency grid size for the ripple objective; pinned to the analytic
 # band limits of the interior cell so the scoring window does not move with
@@ -26,7 +27,7 @@ RIPPLE_GRID_POINTS = 801
 
 
 @dataclass(frozen=True)
-class TaperProblem:
+class TaperProblem(JsonFields):
     """Optimization problem: which boundary cells to modify and how to score.
 
     The constraint is built in: each modified cell keeps the unmodified
@@ -39,23 +40,16 @@ class TaperProblem:
     band_window: float = 0.5
     symmetric: bool = True
     max_iterations: int = 400
+    _JSON = ({"base": nested(ArraySpec)},
+             {"n_modified": integer, "band_window": real,
+              "symmetric": boolean, "max_iterations": integer})
 
     def __post_init__(self):
+        _integer_field(self, "n_modified")
+        _integer_field(self, "max_iterations")
         _require(self.n_modified >= 0, "n_modified must be >= 0")
         _require(0.0 < self.band_window <= 1.0, "band_window must be in (0, 1]")
         _require(self.max_iterations >= 1, "max_iterations must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {"base": self.base.to_dict(), "n_modified": self.n_modified,
-                "band_window": self.band_window, "symmetric": self.symmetric,
-                "max_iterations": self.max_iterations}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaperProblem":
-        return cls(**read_object(d, cls.__name__, {"base": ArraySpec.from_dict},
-                                 {"n_modified": integer, "band_window": real,
-                                  "symmetric": boolean,
-                                  "max_iterations": integer}))
 
 
 @dataclass(frozen=True)

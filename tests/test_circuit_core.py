@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from slowline.abcd import (TwoPortResponse, _cascade, bloch_analysis,
                            cascade_abcd, chain_abcd, default_grid,
                            unit_cell_abcd)
-from slowline.bands import band_edges, dispersion, tight_binding
+from slowline.bands import (band_edges, dispersion, dispersion_curve,
+                            tight_binding)
 from slowline.devices import qubit_device, untapered_device
 from slowline.disorder import sample_disordered
 from slowline.dynamics import _initial_state, total_energy
@@ -100,16 +101,28 @@ def _assert_state_space_matches_abcd(chain, cell):
 
 
 def test_steady_state_s21_keeps_the_grid_shape(test_spec):
-    """A one-point grid gives shape (1,) and a float frequency a scalar, each
-    bit-equal to that point of a multi-point call."""
+    """A one-point grid gives shape (1,), a 2-D grid its own shape and a
+    float frequency a scalar, each bit-equal to those points of a 1-D
+    call."""
     model = assemble_state_space(test_spec, None)
     grid = default_grid(test_spec.interior, 5)
     full = model.steady_state_s21(grid)
     one = model.steady_state_s21(grid[2:3])
+    square = model.steady_state_s21(grid[:4].reshape(2, 2))
     scalar = model.steady_state_s21(float(grid[2]))
     assert one.shape == (1,)
+    assert square.shape == (2, 2)
     assert np.ndim(scalar) == 0
     assert one[0] == full[2] and scalar == full[2]
+    assert np.array_equal(square.ravel(), full[:4])
+
+
+@pytest.mark.parametrize("n_points", [0, -2])
+def test_grids_need_a_point(test_spec, n_points):
+    with pytest.raises(ValidationError, match="n_points must be >= 1"):
+        default_grid(test_spec.interior, n_points)
+    with pytest.raises(ValidationError, match="n_points must be >= 1"):
+        dispersion_curve(test_spec.interior, n_points)
 
 
 def test_state_space_matches_abcd(qubit_spec_nobend):

@@ -273,6 +273,28 @@ def test_disorder_empty_sigma_grid_exits_2(tmp_path, capsys, mode, cfg):
     assert not (out / "extinction.csv").exists()
 
 
+@pytest.mark.parametrize("argv, cfg", [
+    (["s21"], {"spec": SPEC, "n_points": 0}),
+    (["s21"], {"spec": SPEC, "n_points": -3}),
+    (["s21"], {"spec": SPEC, "n_points": 0, "f_min_hz": 4.6e9,
+               "f_max_hz": 4.9e9}),
+    (["band"], {"cell": CELL, "n_points": 0}),
+    (["band"], {"cell": CELL, "n_points": -2}),
+], ids=["s21-0", "s21-neg", "s21-range-0", "band-0", "band-neg"])
+def test_nonpositive_n_points_exits_2(tmp_path, capsys, argv, cfg):
+    """n_points < 1 is a validation error, not a numpy traceback or a
+    header-only CSV."""
+    cfg_path = _write(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", cfg_path, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["type"] == "validation"
+    assert "n_points must be >= 1" in err["error"]
+    assert not list(out.glob("*.csv"))
+
+
 def test_module_entry_point_reports_one_json_line(tmp_path):
     """``python -m slowline.cli`` on a malformed config exits 2 and writes
     exactly one JSON line to stderr, with no traceback."""

@@ -1,12 +1,14 @@
 import dataclasses
+import json
 import math
 
 import pytest
 
-from slowline.dynamics import Protocol
+from slowline.dynamics import Modulation, Protocol
 from slowline.params import (ArraySpec, Bend, BoundaryCellParams,
                              EmitterParams, QubitCircuitParams,
                              UnitCellParams, ValidationError)
+from slowline.taper import TaperProblem
 
 
 def test_unit_cell_properties():
@@ -162,3 +164,101 @@ def test_nested_error_names_key_path(test_spec):
     with pytest.raises(ValidationError, match=r"ArraySpec\.boundary_out\.1\."
                                               r"c_left_f: expected a finite number"):
         ArraySpec.from_dict(d)
+
+
+# Fields written in Hz: rad/s -> Hz -> rad/s may move the last bit (3e10
+# rad/s does), so these compare at rel 1e-15 and every other field exactly.
+_HZ_FIELDS = {"omega_ge", "g_uc", "extra_couplings", "omega_interact",
+              "omega_park", "omega_mod", "epsilon"}
+
+
+def _assert_same(x, y):
+    assert type(y) is type(x)
+    for f in dataclasses.fields(x):
+        a, b = getattr(x, f.name), getattr(y, f.name)
+        if dataclasses.is_dataclass(a):
+            _assert_same(a, b)
+        elif f.name in _HZ_FIELDS:
+            assert b == pytest.approx(a, rel=1e-15)
+        else:
+            assert b == a
+
+
+_MODULATION = Modulation(omega_mod=6e8, epsilon=2.5e8)
+_ROUND_TRIP = {
+    **_VALID,
+    "UnitCellParams_lossy": UnitCellParams(c0=353.2e-15, cg=5.05e-15,
+                                           l0=3.151e-9, q_internal=9e4),
+    "QubitCircuitParams_lossy": dataclasses.replace(
+        _VALID["QubitCircuitParams"], couplings={1: 1.6e-16, 3: 1.9e-15},
+        q_intrinsic=9e4),
+    "EmitterParams_extra": EmitterParams(omega_ge=3e10, g_uc=1e8,
+                                         extra_couplings={-1: 2e6, 2: 1.3e7},
+                                         q_intrinsic=1e5),
+    "Modulation": _MODULATION,
+    "Protocol_ramp_modulation": Protocol(
+        omega_interact=3e10, t_max=2e-7, dt_output=5e-10,
+        initial_excited_population=0.5, modulation=_MODULATION,
+        tune_time=4e-9, omega_park=3.1e10),
+    "TaperProblem": TaperProblem(base=ArraySpec(interior=_CELL,
+                                                interior_count=26),
+                                 n_modified=3, band_window=0.4,
+                                 max_iterations=50),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUND_TRIP))
+def test_json_round_trip(name):
+    """Every class with a JSON table reads back what it writes, through
+    json text."""
+    x = _ROUND_TRIP[name]
+    _assert_same(x, type(x).from_dict(json.loads(json.dumps(x.to_dict()))))
+
+
+def test_to_dict_omits_default_optionals():
+    """An optional key is left out when its value is None, inf or an empty
+    dict; dt_output_s, tune_time_s and initial_excited_population are
+    always written, and ArraySpec writes q_internal and bend as null."""
+    assert "q_internal" not in _CELL.to_dict()
+    assert "q_intrinsic" not in _VALID["QubitCircuitParams"].to_dict()
+    assert set(EmitterParams(omega_ge=2e10, g_uc=1e8).to_dict()) == {
+        "omega_ge_hz", "g_uc_hz"}
+    assert Protocol(omega_interact=3e10, t_max=1e-7).to_dict() == {
+        "omega_interact_hz": 3e10 / (2 * math.pi), "t_max_s": 1e-7,
+        "dt_output_s": 1e-10, "initial_excited_population": 1.0,
+        "tune_time_s": 0.0}
+    spec = _VALID["ArraySpec"].to_dict()
+    assert spec["q_internal"] is None and spec["bend"] is None
+
+
+_INTEGER_FIELDS = {
+    "Bend.position": lambda v: Bend(position=v, c_series=2.5e-15),
+    "ArraySpec.interior_count": lambda v: ArraySpec(interior=_CELL,
+                                                    interior_count=v),
+    "QubitCircuitParams.couplings": lambda v: QubitCircuitParams(
+        c_sigma=77.8e-15, couplings={v: 1.9e-15}, omega_ge=3e10),
+    "EmitterParams.extra_couplings": lambda v: EmitterParams(
+        omega_ge=2e10, g_uc=1e8, extra_couplings={v: 1.3e7}),
+    "TaperProblem.n_modified": lambda v: TaperProblem(
+        base=_VALID["ArraySpec"], n_modified=v),
+    "TaperProblem.max_iterations": lambda v: TaperProblem(
+        base=_VALID["ArraySpec"], max_iterations=v),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "a"])
+@pytest.mark.parametrize("where", sorted(_INTEGER_FIELDS))
+def test_integer_fields_reject_non_integral(where, bad):
+    """Constructors read integer fields and index keys as JSON does."""
+    with pytest.raises(ValidationError,
+                       match=f"{where}: expected an integer, got"):
+        _INTEGER_FIELDS[where](bad)
+
+
+def test_integral_floats_become_integers():
+    spec = ArraySpec(interior=_CELL, interior_count=22.0)
+    assert type(spec.interior_count) is int
+    assert spec.lower().n_resonators == 22
+    assert type(Bend(position=2.0, c_series=2.5e-15).position) is int
+    problem = TaperProblem(base=spec, n_modified=2.0, max_iterations=50.0)
+    assert type(problem.n_modified) is type(problem.max_iterations) is int
