@@ -9,20 +9,18 @@ from __future__ import annotations
 
 import math
 
-from .params import (TWO_PI, ArraySpec, Bend, BoundaryCellParams,
-                     QubitCircuitParams, UnitCellParams)
+from .params import (TWO_PI, ArraySpec, Bend, QubitCircuitParams,
+                     UnitCellParams, boundary_cells)
 
 
 def test_device(q_internal: float = math.inf) -> ArraySpec:
     """26-resonator test waveguide (2 matching cells per boundary)."""
     cell = UnitCellParams(c0=353.2e-15, cg=5.05e-15, l0=3.151e-9,
                           q_internal=q_internal)
-    b1 = BoundaryCellParams(c_shunt=275.5e-15, c_left=87.5e-15,
-                            c_right=7.3e-15, l0=cell.l0)
-    b2 = BoundaryCellParams(c_shunt=352.1e-15, c_left=7.3e-15,
-                            c_right=5.05e-15, l0=cell.l0)
+    boundary = boundary_cells((87.5e-15, 7.3e-15, cell.cg),
+                              (275.5e-15, 352.1e-15), cell.l0)
     return ArraySpec(interior=cell, interior_count=22,
-                     boundary_in=(b1, b2), boundary_out=(b1, b2))
+                     boundary_in=boundary, boundary_out=boundary)
 
 
 def untapered_device(n_cells: int = 26, q_internal: float = math.inf) -> ArraySpec:
@@ -45,13 +43,11 @@ def qubit_device(q_internal: float = 9e4, termination_out: str = "matched",
     between resonators 26 and 27."""
     cell = UnitCellParams(c0=353.2e-15, cg=5.02e-15, l0=3.099e-9,
                           q_internal=q_internal)
-    b1 = BoundaryCellParams(c_shunt=273e-15, c_left=92.5e-15,
-                            c_right=7.8e-15, l0=cell.l0)
-    b2 = BoundaryCellParams(c_shunt=351.2e-15, c_left=7.8e-15,
-                            c_right=5.02e-15, l0=cell.l0)
+    boundary = boundary_cells((92.5e-15, 7.8e-15, cell.cg),
+                              (273e-15, 351.2e-15), cell.l0)
     bend = Bend(position=26, c_series=bend_c_series) if bend_c_series else None
     return ArraySpec(interior=cell, interior_count=48,
-                     boundary_in=(b1, b2), boundary_out=(b1, b2),
+                     boundary_in=boundary, boundary_out=boundary,
                      termination_out=termination_out, bend=bend)
 
 

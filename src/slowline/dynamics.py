@@ -30,8 +30,8 @@ import numpy as np
 import scipy.linalg
 
 from .params import (ArraySpec, Chain, JsonFields, QubitCircuitParams,
-                     ValidationError, _require, hz, nested, nullable, real,
-                     write_csv)
+                     ValidationError, _real_fields, _require, hz, nested,
+                     nullable, real, write_csv)
 from .statespace import StateSpaceModel, assemble_state_space
 
 _SLICES = 64        # steps per modulation period; ramp steps <= tune_time / 64
@@ -45,6 +45,7 @@ class Modulation(JsonFields):
     _JSON = ({"omega_mod_hz": hz, "epsilon_hz": hz}, {})
 
     def __post_init__(self):
+        _real_fields(self, "omega_mod", "epsilon")
         _require(0 < self.omega_mod < math.inf and 0 <= self.epsilon < math.inf,
                  "omega_mod must be positive, epsilon non-negative, both finite")
 
@@ -81,6 +82,9 @@ class Protocol(JsonFields):
               "omega_park_hz": nullable(hz)})
 
     def __post_init__(self):
+        _real_fields(self, "omega_interact", "t_max", "dt_output",
+                     "initial_excited_population", "tune_time",
+                     optional=("omega_park",))
         _require(0 < self.t_max < math.inf and 0 < self.dt_output < math.inf,
                  "t_max and dt_output must be positive and finite")
         _require(0.0 <= self.initial_excited_population <= 1.0,

@@ -4,9 +4,10 @@ The objective is |S21| in dB (model minus measurement) on the measured grid.
 Free parameters are named circuit elements; boundary modifications are applied
 symmetrically to both ends of the array.  A fit with free parameters scores
 the template projected onto that model: both ends rebuilt from
-``boundary_in``, the boundary-to-interior coupler set to the interior cg and
-every boundary inductance to the interior l0, so perturbing the interior cg
-alone moves the boundary coupler with it.  With no free parameters the
+``boundary_in`` and every boundary inductance set to the interior l0.  With
+two or more boundary cells the boundary-to-interior coupler is set to the
+interior cg, so perturbing the interior cg alone moves it too; a lone
+boundary cell keeps the template's coupler.  With no free parameters the
 template itself is scored.
 """
 
@@ -17,43 +18,33 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .abcd import TwoPortResponse, cascade_abcd
-from .params import ArraySpec, UnitCellParams, ValidationError
+from .params import (ArraySpec, UnitCellParams, ValidationError,
+                     boundary_cells)
 
-# Supported free-parameter names -> getter on an ArraySpec with a two-cell
-# boundary.  c1g/c2g are the port-side and shared boundary couplers, c1/c2 the
-# boundary shunt capacitances counted from the port inward.
+# Supported free-parameter names.  Boundary cell i, counted from the port
+# inward, has coupler c{i}g toward the port and shunt capacitance c{i}; a
+# fit may free those of the two outermost cells its template has.
 FIT_PARAM_NAMES = ("c0", "cg", "l0", "c1g", "c2g", "c1", "c2")
 
 
 def _get_params(spec: ArraySpec) -> dict:
     vals = {"c0": spec.interior.c0, "cg": spec.interior.cg, "l0": spec.interior.l0}
-    if spec.boundary_in:
-        b = spec.boundary_in
-        vals["c1g"] = b[0].c_left
-        vals["c1"] = b[0].c_shunt
-        if len(b) > 1:
-            vals["c2g"] = b[0].c_right
-            vals["c2"] = b[1].c_shunt
+    for i, b in enumerate(spec.boundary_in, start=1):
+        vals[f"c{i}g"] = b.c_left
+        vals[f"c{i}"] = b.c_shunt
     return vals
 
 
 def _build_spec(template: ArraySpec, vals: dict) -> ArraySpec:
     cell = UnitCellParams(c0=vals["c0"], cg=vals["cg"], l0=vals["l0"],
                           q_internal=template.interior.q_internal)
+    n = len(template.boundary_in)
     boundary = ()
-    if template.boundary_in:
-        b = template.boundary_in
-        cells = [replace(b[0], c_shunt=vals.get("c1", b[0].c_shunt),
-                         c_left=vals.get("c1g", b[0].c_left),
-                         c_right=vals.get("c2g", b[0].c_right),
-                         l0=vals["l0"])]
-        for i, cell_i in enumerate(b[1:], start=1):
-            c_right = vals["cg"] if i == len(b) - 1 else cell_i.c_right
-            c_shunt = vals.get("c2", cell_i.c_shunt) if i == 1 else cell_i.c_shunt
-            cells.append(replace(cell_i, c_shunt=c_shunt,
-                                 c_left=cells[-1].c_right, c_right=c_right,
-                                 l0=vals["l0"]))
-        boundary = tuple(cells)
+    if n:
+        inner = vals["cg"] if n > 1 else template.boundary_in[0].c_right
+        boundary = boundary_cells(
+            [*(vals[f"c{i}g"] for i in range(1, n + 1)), inner],
+            [vals[f"c{i}"] for i in range(1, n + 1)], vals["l0"])
     return replace(template, interior=cell, boundary_in=boundary,
                    boundary_out=boundary)
 

@@ -90,10 +90,14 @@ def read_object(d, where: str, required: dict, optional: dict = None) -> dict:
     return {k: _convert(where, k, converters[k], v) for k, v in d.items()}
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def real(v) -> float:
     """A finite number (Python's json also parses NaN and Infinity)."""
-    _require(isinstance(v, numbers.Real) and not isinstance(v, bool)
-             and math.isfinite(v), f"expected a finite number, got {v!r}")
+    _require(_is_number(v) and math.isfinite(v),
+             f"expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -188,6 +192,21 @@ def _integer_field(obj, name: str) -> None:
                                            getattr(obj, name)))
 
 
+def _real_fields(obj, *names, maps=(), optional=()) -> None:
+    """Check that ``obj``'s fields ``names``, every value of its dict fields
+    ``maps`` and each of its fields ``optional`` that is not None hold real
+    numbers other than bool, so the range checks that follow raise
+    ValidationError rather than TypeError.  Converts nothing."""
+    values = [(n, getattr(obj, n)) for n in names]
+    values += [(n, v) for n in maps for v in getattr(obj, n).values()]
+    values += [(n, getattr(obj, n)) for n in optional
+               if getattr(obj, n) is not None]
+    for name, v in values:
+        if not _is_number(v):   # the message is built only on failure
+            raise ValidationError(f"{type(obj).__name__}.{name}: expected a "
+                                  f"number, got {v!r}")
+
+
 class JsonFields:
     """A dataclass whose JSON object is declared once, in ``_JSON =
     (required, optional)``: each maps a key (the field plus its unit) to
@@ -220,6 +239,7 @@ class UnitCellParams(JsonFields):
     _JSON = ({"c0_f": real, "cg_f": real, "l0_h": real}, {"q_internal": real})
 
     def __post_init__(self):
+        _real_fields(self, "c0", "cg", "l0", "q_internal")
         _require(0 < self.c0 < math.inf, "c0 must be positive and finite")
         _require(0 < self.cg < math.inf, "cg must be positive and finite")
         _require(0 < self.l0 < math.inf, "l0 must be positive and finite")
@@ -250,6 +270,7 @@ class BoundaryCellParams(JsonFields):
                            real), {})
 
     def __post_init__(self):
+        _real_fields(self, "c_shunt", "c_left", "c_right", "l0")
         for name in ("c_shunt", "c_left", "c_right", "l0"):
             _require(0 < getattr(self, name) < math.inf,
                      f"{name} must be positive and finite")
@@ -259,6 +280,16 @@ class BoundaryCellParams(JsonFields):
         """Total capacitance of the cell, the quantity held fixed during taper
         optimization."""
         return self.c_shunt + self.c_left + self.c_right
+
+
+def boundary_cells(couplers, shunts, l0) -> tuple:
+    """Matching cells from the port inward: cell i has shunt ``shunts[i]``
+    between couplers ``couplers[i]`` (port side) and ``couplers[i + 1]``
+    (interior side), so neighbouring cells share their coupler."""
+    _require(len(couplers) == len(shunts) + 1,
+             "boundary cells need one coupler more than shunts")
+    return tuple(BoundaryCellParams(c_shunt=c, c_left=a, c_right=b, l0=l0)
+                 for c, a, b in zip(shunts, couplers, couplers[1:]))
 
 
 @dataclass(frozen=True)
@@ -273,6 +304,7 @@ class Bend(JsonFields):
 
     def __post_init__(self):
         _integer_field(self, "position")
+        _real_fields(self, "c_series")
         _require(self.position >= 1, "bend position must be >= 1")
         _require(0 < self.c_series < math.inf,
                  "bend c_series must be positive and finite")
@@ -308,6 +340,7 @@ class ArraySpec:
         object.__setattr__(self, "boundary_in", tuple(self.boundary_in))
         object.__setattr__(self, "boundary_out", tuple(self.boundary_out))
         _integer_field(self, "interior_count")
+        _real_fields(self, "port_impedance")
         _require(self.interior_count >= 1, "interior_count must be >= 1")
         _require(0 < self.port_impedance < math.inf,
                  "port_impedance must be positive and finite")
@@ -339,18 +372,12 @@ class ArraySpec:
         resonator i to i+1; the last element couples to the output port.
         """
         cg = self.interior.cg
-        couplers = []
-        if self.boundary_in:
-            couplers += [b.c_left for b in self.boundary_in]
-            couplers.append(self.boundary_in[-1].c_right)
-        else:
-            couplers.append(cg)
-        couplers += [cg] * (self.interior_count - 1)
-        if self.boundary_out:
-            couplers.append(self.boundary_out[-1].c_right)
-            couplers += [b.c_left for b in reversed(self.boundary_out)]
-        else:
-            couplers.append(cg)
+
+        def side(cells):    # port inward: each c_left, then the inner c_right
+            return [b.c_left for b in cells] + [cells[-1].c_right if cells else cg]
+
+        couplers = (side(self.boundary_in) + [cg] * (self.interior_count - 1)
+                    + side(self.boundary_out)[::-1])
         if self.bend is not None:
             couplers[self.bend.position] = self.bend.c_series
         return couplers
@@ -418,6 +445,13 @@ class Chain:
     matched_out: bool = True
 
     def __post_init__(self):
+        _require(np.ndim(self.c_shunt) == 1 and np.ndim(self.couplers) == 1,
+                 "Chain.c_shunt and Chain.couplers must be 1-D")
+        _require(self.couplers.size in (self.n_resonators,
+                                        self.n_resonators + 1),
+                 "Chain.couplers must have n_resonators + 1 entries "
+                 "(n_resonators for a lone unit cell)")
+        _real_fields(self, "q_internal", "port_impedance")
         _require(np.ndim(self.l) in (1, 2)
                  and np.shape(self.l)[-1] == self.n_resonators,
                  "Chain.l must have shape (n_resonators,) or "
@@ -459,6 +493,8 @@ class QubitCircuitParams(JsonFields):
               "omega_ge_hz": hz}, {"q_intrinsic": real})
 
     def __post_init__(self):
+        _real_fields(self, "c_sigma", "omega_ge", "q_intrinsic",
+                     maps=("couplings",))
         _require(0 < self.c_sigma < math.inf, "c_sigma must be positive and finite")
         _require(len(self.couplings) > 0, "qubit needs at least one coupling")
         _require(all(0 <= c < math.inf for c in self.couplings.values()),
@@ -494,6 +530,8 @@ class EmitterParams(JsonFields):
              {"extra_couplings_hz": index_map(hz), "q_intrinsic": real})
 
     def __post_init__(self):
+        _real_fields(self, "omega_ge", "g_uc", "q_intrinsic",
+                     maps=("extra_couplings",))
         _require(0 < self.omega_ge < math.inf, "omega_ge must be positive and finite")
         _require(0 <= self.g_uc < math.inf, "g_uc must be non-negative and finite")
         _require(all(map(math.isfinite, self.extra_couplings.values())),

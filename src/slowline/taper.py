@@ -16,9 +16,9 @@ import numpy as np
 
 from .abcd import cascade_abcd
 from .bands import window_grid
-from .params import (ArraySpec, BoundaryCellParams, JsonFields,
-                     ValidationError, _integer_field, _require, boolean,
-                     integer, nested, real)
+from .params import (ArraySpec, JsonFields, ValidationError, _integer_field,
+                     _real_fields, _require, boolean, boundary_cells, integer,
+                     nested, real)
 
 # Fixed frequency grid size for the ripple objective; pinned to the analytic
 # band limits of the interior cell so the scoring window does not move with
@@ -47,6 +47,7 @@ class TaperProblem(JsonFields):
     def __post_init__(self):
         _integer_field(self, "n_modified")
         _integer_field(self, "max_iterations")
+        _real_fields(self, "band_window")
         _require(self.n_modified >= 0, "n_modified must be >= 0")
         _require(0.0 < self.band_window <= 1.0, "band_window must be in (0, 1]")
         _require(self.max_iterations >= 1, "max_iterations must be >= 1")
@@ -81,20 +82,10 @@ def spec_with_couplers(base: ArraySpec, couplers) -> ArraySpec:
     """
     cell = base.interior
     total = cell.c0 + 2.0 * cell.cg
-    g = list(couplers) + [cell.cg]
-    cells = []
-    for i in range(len(couplers)):
-        c_shunt = total - g[i] - g[i + 1]
-        if c_shunt <= 0 or g[i] <= 0:
-            raise ValidationError("taper candidate violates positivity")
-        cells.append(BoundaryCellParams(c_shunt=c_shunt, c_left=g[i],
-                                        c_right=g[i + 1], l0=cell.l0))
-    boundary = tuple(cells)
-    n_total = base.n_resonators
-    interior_count = n_total - 2 * len(boundary)
-    if interior_count < 1:
-        raise ValidationError("taper cells exceed the array length")
-    return replace(base, interior_count=interior_count,
+    g = [*couplers, cell.cg]
+    boundary = boundary_cells(g, [total - a - b for a, b in zip(g, g[1:])],
+                              cell.l0)
+    return replace(base, interior_count=base.n_resonators - 2 * len(boundary),
                    boundary_in=boundary, boundary_out=boundary)
 
 

@@ -259,6 +259,21 @@ def test_malformed_chain_rejected(l_shape):
               couplers=np.full(4, 5e-15))
 
 
+@pytest.mark.parametrize("name, reshape", [
+    ("couplers", lambda c: c[:5]),
+    ("couplers", lambda c: np.append(c, c[:1])),
+    ("couplers", lambda c: c[:, None]),
+    ("c_shunt", lambda c: c.reshape(2, -1)),
+], ids=["5_couplers", "28_couplers", "2d_couplers", "2d_c_shunt"])
+def test_chain_checks_coupler_count(test_spec, name, reshape):
+    """c_shunt and couplers are 1-D, and couplers has n_resonators + 1
+    entries (n_resonators for a lone unit cell): any other count describes
+    a different circuit."""
+    chain = test_spec.lower()
+    with pytest.raises(ValidationError, match=r"Chain\.(c_shunt|couplers)"):
+        dataclasses.replace(chain, **{name: reshape(getattr(chain, name))})
+
+
 _BAD_VALUES = (math.inf, math.nan, 0.0, -1e-15)
 
 
@@ -336,6 +351,21 @@ def test_fit_no_free_params_identity(test_spec):
     report = fit_to_spectrum(measured, test_spec)
     assert report.spec == test_spec
     assert report.residual_db_rms < 1e-12
+
+
+def test_fit_one_cell_template_keeps_its_inner_coupler(untapered_26):
+    """A lone boundary cell keeps the template's boundary-to-interior
+    coupler (9 fF here, not cg), so the template fits its own spectrum with
+    cg free."""
+    cell = untapered_26.interior
+    edge = BoundaryCellParams(c_shunt=cell.c0 + 2 * cell.cg - 60e-15 - 9e-15,
+                              c_left=60e-15, c_right=9e-15, l0=cell.l0)
+    spec = dataclasses.replace(untapered_26, interior_count=24,
+                               boundary_in=(edge,), boundary_out=(edge,))
+    measured = cascade_abcd(spec, default_grid(cell, 401))
+    report = fit_to_spectrum(measured, spec, free_params=("cg",))
+    assert report.residual_db_rms < 1e-6
+    assert report.spec.boundary_in[0].c_right == 9e-15
 
 
 def _boundary_variant(spec, side, index, **changes):

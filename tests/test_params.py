@@ -2,12 +2,13 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from slowline.dynamics import Modulation, Protocol
 from slowline.params import (ArraySpec, Bend, BoundaryCellParams,
                              EmitterParams, QubitCircuitParams,
-                             UnitCellParams, ValidationError)
+                             UnitCellParams, ValidationError, boundary_cells)
 from slowline.taper import TaperProblem
 
 
@@ -66,6 +67,56 @@ def test_array_spec_shared_coupler_mismatch():
                             l0=cell.l0)
     with pytest.raises(ValidationError, match="shared coupler"):
         ArraySpec(interior=cell, interior_count=5, boundary_in=(b1, b2))
+
+
+@pytest.mark.parametrize("bend", [None, Bend(position=3, c_series=2.5e-15)],
+                         ids=["straight", "bend"])
+@pytest.mark.parametrize("m", range(4))
+def test_boundary_cells_read_back_as_couplers(m, bend):
+    """Couplers g (port inward, ending at cg) built into cells at each end
+    read back as g, the interior couplers, then the output side's g
+    reversed."""
+    cg, total = _CELL.cg, _CELL.c0 + 2 * _CELL.cg
+    ends = []
+    for scale in (1.0, 1.5):
+        g = [scale * c for c in (60e-15, 20e-15, 9e-15)[:m]] + [cg]
+        shunts = [total - a - b for a, b in zip(g, g[1:])]
+        ends.append((g, boundary_cells(g, shunts, _CELL.l0)))
+    (g_in, cells_in), (g_out, cells_out) = ends
+    spec = ArraySpec(interior=_CELL, interior_count=5, boundary_in=cells_in,
+                     boundary_out=cells_out, bend=bend)
+    expected = g_in + [cg] * 4 + g_out[::-1]
+    if bend is not None:
+        expected[bend.position] = bend.c_series
+    assert spec.coupler_elements() == expected
+    assert len(cells_in) == m
+    assert all(b.c_total == pytest.approx(total, rel=1e-12) for b in cells_in)
+
+
+def test_boundary_cells_need_one_coupler_more_than_shunts():
+    for n_couplers, n_shunts in [(2, 2), (4, 2), (0, 0), (1, 2)]:
+        with pytest.raises(ValidationError, match="one coupler more"):
+            boundary_cells([5e-15] * n_couplers, [3e-13] * n_shunts, 3e-9)
+
+
+def test_devices_spell_out_their_boundary_cells(test_spec, qubit_spec):
+    """The built-in devices are these literal cells."""
+    cells = (BoundaryCellParams(c_shunt=275.5e-15, c_left=87.5e-15,
+                                c_right=7.3e-15, l0=3.151e-9),
+             BoundaryCellParams(c_shunt=352.1e-15, c_left=7.3e-15,
+                                c_right=5.05e-15, l0=3.151e-9))
+    assert test_spec == ArraySpec(
+        interior=UnitCellParams(c0=353.2e-15, cg=5.05e-15, l0=3.151e-9),
+        interior_count=22, boundary_in=cells, boundary_out=cells)
+    cells = (BoundaryCellParams(c_shunt=273e-15, c_left=92.5e-15,
+                                c_right=7.8e-15, l0=3.099e-9),
+             BoundaryCellParams(c_shunt=351.2e-15, c_left=7.8e-15,
+                                c_right=5.02e-15, l0=3.099e-9))
+    assert qubit_spec == ArraySpec(
+        interior=UnitCellParams(c0=353.2e-15, cg=5.02e-15, l0=3.099e-9,
+                                q_internal=9e4),
+        interior_count=48, boundary_in=cells, boundary_out=cells,
+        bend=Bend(position=26, c_series=2.5e-15))
 
 
 def test_array_spec_round_trip(test_spec):
@@ -262,3 +313,42 @@ def test_integral_floats_become_integers():
     assert type(Bend(position=2.0, c_series=2.5e-15).position) is int
     problem = TaperProblem(base=spec, n_modified=2.0, max_iterations=50.0)
     assert type(problem.n_modified) is type(problem.max_iterations) is int
+
+
+_REAL_FIELDS = {
+    "UnitCellParams": (_CELL, "c0 cg l0 q_internal"),
+    "BoundaryCellParams": (_VALID["BoundaryCellParams"],
+                           "c_shunt c_left c_right l0"),
+    "Bend": (_VALID["Bend"], "c_series"),
+    "ArraySpec": (_VALID["ArraySpec"], "port_impedance"),
+    "Chain": (_VALID["ArraySpec"].lower(), "q_internal port_impedance"),
+    "QubitCircuitParams": (_VALID["QubitCircuitParams"],
+                           "c_sigma couplings omega_ge q_intrinsic"),
+    "EmitterParams": (_VALID["EmitterParams"],
+                      "omega_ge g_uc extra_couplings q_intrinsic"),
+    "Modulation": (_MODULATION, "omega_mod epsilon"),
+    "Protocol": (_ROUND_TRIP["Protocol_ramp_modulation"],
+                 "omega_interact t_max dt_output initial_excited_population "
+                 "tune_time omega_park"),
+    "TaperProblem": (_ROUND_TRIP["TaperProblem"], "band_window"),
+}
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "1e-15"])
+@pytest.mark.parametrize("where", [f"{kind}.{name}"
+                                   for kind, (_, names) in _REAL_FIELDS.items()
+                                   for name in names.split()])
+def test_real_fields_reject_bool_and_non_numbers(where, bad):
+    """Constructors reject what the JSON reader rejects as a number, naming
+    class and field; a coupling map is checked entry by entry."""
+    kind, name = where.split(".")
+    value = {3: bad} if name.endswith("couplings") else bad
+    with pytest.raises(ValidationError, match=f"{where}: expected a number"):
+        dataclasses.replace(_REAL_FIELDS[kind][0], **{name: value})
+
+
+def test_real_fields_keep_what_they_are_given():
+    cell = UnitCellParams(c0=np.float64(353.2e-15), cg=np.float32(5e-15),
+                          l0=3.151e-9, q_internal=10**4)
+    assert [type(v) for v in (cell.c0, cell.cg, cell.q_internal)] == [
+        np.float64, np.float32, int]

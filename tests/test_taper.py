@@ -85,6 +85,11 @@ def test_more_cells_never_hurt(untapered_26):
 
 
 def test_spec_with_couplers_positivity(untapered_26):
+    """Candidates the cells or the array cannot hold raise ValidationError,
+    which the taper objective scores as 1e3: a negative shunt, a zero or NaN
+    coupler, and more modified cells than the chain has room for."""
     cell = untapered_26.interior
-    with pytest.raises(ValidationError):
-        spec_with_couplers(untapered_26, [cell.c0 * 2, cell.cg])
+    for couplers in ([cell.c0 * 2, cell.cg], [0.0, cell.cg],
+                     [cell.cg, np.nan], [cell.cg] * 13):
+        with pytest.raises(ValidationError):
+            spec_with_couplers(untapered_26, couplers)
