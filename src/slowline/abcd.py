@@ -158,10 +158,18 @@ def cascade_abcd(spec: ArraySpec | Chain,
 
 
 def unit_cell_abcd(cell: UnitCellParams, freq_grid: np.ndarray):
-    """ABCD of one periodic cell (series coupler followed by shunt branch)."""
-    return chain_abcd(Chain(c_shunt=np.array([cell.c0]), l=np.array([cell.l0]),
-                            couplers=np.array([cell.cg]),
-                            q_internal=cell.q_internal), freq_grid)
+    """ABCD of one periodic cell (series coupler followed by shunt branch),
+    [[1, z], [0, 1]] [[1, 0], [y, 1]] = [[1 + z y, z], [y, 1]], computed as
+    _cascade computes it."""
+    w = np.asarray(freq_grid, dtype=float)
+    if np.any(w <= 0):
+        raise ValidationError("frequency grid must avoid DC and be positive")
+    zh = -1.0 / (w * cell.cg)                           # z / i
+    yh = w * cell.c0 - 1.0 / (w * cell.l0)              # y / i
+    if math.isfinite(cell.q_internal):
+        yh = yh - 1j * (math.sqrt(cell.c0 / cell.l0) / cell.q_internal)
+    return ((1.0 - zh * yh).astype(complex), 1j * zh, 1j * yh,
+            np.ones(w.shape, dtype=complex))
 
 
 def bloch_analysis(cell: UnitCellParams, freq_grid: np.ndarray) -> dict:

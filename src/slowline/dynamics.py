@@ -7,10 +7,13 @@ is linear, so every classical protocol (quench, finite tune-in ramp,
 parametric modulation) is one piecewise-constant schedule of bare qubit
 frequencies, which simulate_emission steps with the matrix exponential of
 each slice's state-space generator (exactly energy-preserving for lossless
-configurations, unlike explicit stepping).  The excited-state population
-p_e is the qubit node's quanta E_q / omega_q under the instantaneous model,
-relative to its initial value; for a quench omega_q is fixed and p_e is the
-node's energy fraction.
+configurations, unlike explicit stepping); a schedule that repeats (the
+hold after a quench, a modulation's super-period) is read in blocks.  The
+excited-state population p_e is the qubit node's quanta E_q / omega_q under
+the instantaneous model, relative to its initial value; for a quench
+omega_q is fixed and p_e is the node's energy fraction.  The small-matrix
+work runs with one BLAS thread (``blas.single_thread``), so a trace does not
+depend on the BLAS thread count.
 
 Two independent oracles are provided: the ideal-mirror delay equation
 (dispersionless semi-infinite waveguide) and a discretized quadratic-bandedge
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -29,13 +31,15 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
+from .blas import single_thread
 from .params import (ArraySpec, Chain, JsonFields, QubitCircuitParams,
                      ValidationError, _real_fields, _require, hz, nested,
                      nullable, real, write_csv)
 from .statespace import StateSpaceModel, assemble_state_space
 
 _SLICES = 64        # steps per modulation period; ramp steps <= tune_time / 64
-_CHUNK = 128        # roots or time samples per (chunk x M) block
+_CHUNK = 128        # read rows, roots or time samples per block
+_MAX_PERIODS = 8    # modulation periods in the longest super-period
 
 
 @dataclass(frozen=True)
@@ -64,10 +68,14 @@ class Protocol(JsonFields):
     steps no longer than tune_time / 64, each at the ramp frequency of its
     midpoint, and is read at t_k exactly.  A modulation, omega_interact +
     epsilon * cos(omega_mod * (t - tune_time)), follows from tune_time in 64
-    constant-frequency slices per period; each sample is read after the
-    first slice ending within half a slice of it.  Without one, the state
-    steps at omega_interact to the next sample and is then held there: the
-    schedule's last item, dt_output steps each read once.
+    constant-frequency slices per period, each at the frequency of its
+    midpoint (slices j and 63 - j share one: the cosine is even about the
+    half period); each sample is read after the first slice ending within
+    half a slice of it.  When p <= 8 periods span q output intervals (to
+    rounding), that read pattern repeats every super-period of 64 p slices,
+    which is read in blocks.  Without a modulation, the state steps at
+    omega_interact to the next sample and is then held there, read in
+    blocks of dt_output steps.
     """
     omega_interact: float                   # rad/s, bare qubit frequency
     t_max: float                            # s
@@ -148,11 +156,29 @@ def _time_grid(t_max: float, dt: float) -> np.ndarray:
     return np.arange(int(round(t_max / dt)) + 1) * dt
 
 
+def _super_period(period: float, dt: float):
+    """(p, q): the fewest periods p <= _MAX_PERIODS that span q output
+    intervals dt to rounding, or None."""
+    for p in range(1, _MAX_PERIODS + 1):
+        q = round(p * period / dt)
+        if q and math.isclose(p * period, q * dt, rel_tol=1e-12):
+            return p, q
+    return None
+
+
 def _schedule(protocol: Protocol, t_out: list):
-    """(bare qubit frequency, step duration, samples read after each step,
-    steps) items up to t_out[-1]: the ramp and then the modulation as
-    Protocol says, one step each, or else omega_interact stepped to the next
-    sample and then the hold, dt_output steps each read once.  That step
+    """Items (ws, dt, reads, repeats) up to t_out[-1]: len(reads) slices of
+    duration dt, slice i at bare qubit frequency ws[i % len(ws)] and followed
+    by reads[i] sample reads, the whole item taken `repeats` times.
+
+    The ramp and then the modulation go as Protocol says, one slice per
+    item, except that a modulation with a super-period (_super_period) names
+    it after its first slice: its 64 p slices hold q reads, and the item
+    repeats while whole super-periods fit.  The first slice is left out as
+    it also reads the samples within half a slice after tune_time; the
+    slices left at the end are again one per item.  Without a modulation,
+    omega_interact is stepped to the next sample and then held: one
+    dt_output slice read once, repeated for every sample left.  That step
     joins the hold if it is dt_output (a quench, a ramp ending on the grid).
     """
     w0, w_end = protocol.omega_park, protocol.omega_interact
@@ -163,26 +189,40 @@ def _schedule(protocol: Protocol, t_out: list):
         h = (e - a) / n
         for j in range(n):
             w = w0 + (w_end - w0) * (a + (j + 0.5) * h) / tune
-            yield w, h, int(j == n - 1 and e == t_out[k]), 1
+            yield (w,), h, (int(j == n - 1 and e == t_out[k]),), 1
     t, k = tune, bisect.bisect_right(t_out, tune)
     mod = protocol.modulation
     if mod is not None:
         dt = 2.0 * math.pi / mod.omega_mod / _SLICES
-        tc = (np.arange(_SLICES) + 0.5) * dt
-        for w in itertools.cycle(w_end + mod.epsilon * np.cos(mod.omega_mod * tc)):
-            if k == len(t_out):
-                return
+        c = np.cos(math.pi * (2 * np.arange(_SLICES // 2) + 1) / _SLICES)
+        ws = (w_end + mod.epsilon * np.concatenate([c, c[::-1]])).tolist()
+        sp = _super_period(2.0 * math.pi / mod.omega_mod, protocol.dt_output)
+        j = 0
+        while k < len(t_out):
+            if j == 1 and sp:
+                slices, q = _SLICES * sp[0], sp[1]
+                ends = np.searchsorted(
+                    t_out, t + (np.arange(slices) + 1.5) * dt, side="right")
+                r = (len(t_out) - k) // q
+                if r and ends[-1] - k == q:     # no read tied to rounding
+                    reads = np.diff(ends, prepend=k)
+                    yield tuple(ws[1:] + ws[:1]), dt, tuple(reads.tolist()), r
+                    j, k, t = j + r * slices, k + r * q, t + r * slices * dt
+                    continue
             t += dt
             n = bisect.bisect_right(t_out, t + 0.5 * dt) - k
-            yield w, dt, n, 1
+            yield (ws[j % _SLICES],), dt, (n,), 1
             k += n
+            j += 1
+        return
     if k < len(t_out) and t_out[k] - t != protocol.dt_output:
-        yield w_end, t_out[k] - t, 1, 1
+        yield (w_end,), t_out[k] - t, (1,), 1
         k += 1
     if k < len(t_out):
-        yield w_end, protocol.dt_output, 1, len(t_out) - k
+        yield (w_end,), protocol.dt_output, (1,), len(t_out) - k
 
 
+@single_thread()
 def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
                       protocol: Protocol) -> DynamicsTrace:
     """Emission of the qubit on one chain, an ``ArraySpec`` or a lowered
@@ -198,10 +238,16 @@ def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
     quanta E_q / omega_q are sum(weights * (R x)^2) over the read-out rows
     R = [e_q; (0, row q of C^-1)] (the flux and voltage of the qubit node;
     C^-1 is A's upper-right block) with weights (L^-1_qq, C_qq) / 2 omega_q.
-    Every item is one step, taken alone, except the hold that ends an
-    unmodulated schedule, which is read _CHUNK samples per gemm: the rows
-    R P, R P^2, ..., R P^_CHUNK of its propagator P are stacked once, and
-    the state jumps by P^_CHUNK, built once, between blocks.
+
+    A one-slice item taken once is one step.  Any other item (the hold, a
+    super-period) is read _CHUNK read rows per gemm and never stepped slice
+    by slice: with P_i the propagator of its slice i and M = P_L-1 ... P_0
+    its product, built once, each slice i that reads gets the row
+    R_i P_i ... P_0, R_i scaled to the weights of the item's first slice.
+    These rows times M, M^2, ... are stacked once into a block of whole
+    repeats, and the state jumps by the block's power of M, built once,
+    between blocks.  For the hold (one slice P) the block is R P, ...,
+    R P^_CHUNK.
     """
     chain = spec.lower()
 
@@ -224,30 +270,48 @@ def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
     p = np.empty(t_out.shape)
     p[0] = 1.0
     x, k = None, 1
-    for w, dt, n, steps in _schedule(protocol, t_out.tolist()):
-        m, prop, rows, weights = stepper(w, dt)
+    for ws, dt, reads, repeats in _schedule(protocol, t_out.tolist()):
+        steps = [stepper(w, dt) for w in ws]
+        m, prop, rows, weights = steps[0]
         if x is None:
             x0 = _initial_state(m)
             x = np.column_stack([x0.real, x0.imag])
             n0 = quanta(weights, rows @ x)[0]
-        if steps == 1:
+        if len(reads) == repeats == 1:
             x = prop @ x
-            if n:
-                p[k:k + n] = quanta(weights, rows @ x) / n0
-                k += n
+            if reads[0]:
+                p[k:k + reads[0]] = quanta(weights, rows @ x) / n0
+                k += reads[0]
             continue
-        # the hold, always the last item: x is not advanced past its blocks
-        block = [rows @ prop]
-        for _ in range(min(steps, _CHUNK) - 1):
-            block.append(block[-1] @ prop)
+        per = len(ws)
+        read = [i for i, n in enumerate(reads) if n]
+        heads, prod = [], None
+        for _, prop_j, rows_j, weights_j in steps:
+            prod = prop_j if prod is None else prop_j @ prod
+            heads.append((rows_j * np.sqrt(weights_j / weights)[:, None]) @ prod)
+        first = np.empty((0, prod.shape[1]))    # rows of period j times prod^j
+        for j in reversed(range(len(reads) // per)):
+            first = np.concatenate([heads[i % per] for i in read
+                                    if i // per == j] + [first @ prod])
+        held = (prod if len(reads) == per
+                else np.linalg.matrix_power(prod, len(reads) // per))
+        c = max(1, _CHUNK // len(read))         # repeats per block
+        block = [first]
+        for _ in range(min(repeats, c) - 1):
+            block.append(block[-1] @ held)
         block = np.concatenate(block)
-        jump = np.linalg.matrix_power(prop, _CHUNK) if steps > _CHUNK else None
-        for s in range(0, steps, _CHUNK):
+        jump = np.linalg.matrix_power(held, c) if repeats > c else None
+        counts = np.tile([reads[i] for i in read], c)
+        for s in range(0, repeats, c):
             if s:
                 x = jump @ x
-            b = min(_CHUNK, steps - s)
-            p[k:k + b] = quanta(weights, block[:2 * b] @ x) / n0
-            k += b
+            b = min(c, repeats - s) * len(read)
+            y = np.repeat(quanta(weights, block[:2 * b] @ x) / n0, counts[:b])
+            p[k:k + y.size] = y
+            k += y.size
+        if k < p.size:                          # slices follow the item
+            for _ in range(min(c, repeats - s)):
+                x = held @ x
     p *= protocol.initial_excited_population
     return DynamicsTrace(t=t_out, p_e=p, metadata={"protocol": protocol.to_dict()})
 
@@ -410,9 +474,10 @@ def bandedge_oracle(g_uc: float, j: float, omega0: float, detuning: float,
     on each side of the band, and the emitter weight of each is 1/f'(E_i)
     in closed form (_bandedge_spectrum).  All roots are solved together in
     O(M^2) work and O(M) memory, to about 1e-15 relative accuracy in E - omega0;
-    p_e(t) = |sum_i w_i exp(-i (E_i - omega0) t)|^2 is summed without BLAS,
-    so it does not depend on the BLAS thread count.  Raises if the M-mode
-    and 2M-mode traces differ by more than convergence_tol.
+    p_e(t) = |sum_i w_i exp(-i (E_i - omega0) t)|^2 is summed in blocks
+    without BLAS (_exp_sum_power), so it does not depend on the BLAS thread
+    count.  Raises if the M-mode and 2M-mode traces differ by more than
+    convergence_tol.
     """
     _require(0 < j < math.inf, "j must be positive and finite")
     _require(n_modes >= 1, "n_modes must be at least 1")
@@ -424,12 +489,7 @@ def bandedge_oracle(g_uc: float, j: float, omega0: float, detuning: float,
         if g_uc * g_uc / m == 0.0:      # uncoupled: no root leaves the poles
             return np.ones(t.shape)
         lam, w = _bandedge_spectrum(g_uc, j, detuning, m)
-        p = np.empty(t.shape)
-        for s in range(0, t.size, _CHUNK):
-            phase = np.multiply.outer(t[s:s + _CHUNK], lam)
-            p[s:s + _CHUNK] = ((np.cos(phase) * w).sum(axis=1) ** 2
-                               + (np.sin(phase) * w).sum(axis=1) ** 2)
-        return p
+        return _exp_sum_power(w, lam, t)
 
     p1 = run(n_modes)
     p2 = run(2 * n_modes)
@@ -442,6 +502,23 @@ def bandedge_oracle(g_uc: float, j: float, omega0: float, detuning: float,
                                    "detuning": detuning, "n_modes": 2 * n_modes})
 
 
+def _exp_sum_power(a: np.ndarray, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """|sum_i a_i exp(-i lam_i t)|^2 on a grid t_k = k dt, _CHUNK samples per
+    block: the rows exp(-i lam k dt), k < _CHUNK, are built once and each
+    block sums them times a exp(-i lam t_s), t_s its first sample, with
+    einsum's own loop rather than BLAS, so p does not depend on the BLAS
+    thread count."""
+    rows = np.multiply.outer(t[:_CHUNK], -1j * lam)
+    np.exp(rows, out=rows)
+    p = np.empty(t.shape)
+    for s in range(0, t.size, _CHUNK):
+        c = np.einsum("kj,j->k", rows[:t.size - s],
+                      a * np.exp(-1j * lam * t[s]))
+        p[s:s + _CHUNK] = c.real ** 2 + c.imag ** 2
+    return p
+
+
+@single_thread()
 def simulate_emission_quantum(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
                               protocol: Protocol) -> DynamicsTrace:
     """Single-excitation Schrodinger trace for the same circuit after a quench
@@ -470,12 +547,8 @@ def simulate_emission_quantum(spec: ArraySpec | Chain, qubit: QubitCircuitParams
              "simulate_emission_quantum runs quench protocols only")
     evals, evecs, coeff, readout = _quantum_modes(spec, qubit,
                                                   protocol.omega_interact)
-    amps = (readout @ evecs * coeff).T           # (mode, 1)
     t = _time_grid(protocol.t_max, protocol.dt_output)
-    p = np.empty(t.shape)
-    for s in range(0, t.size, _CHUNK):
-        q = np.exp(-1j * np.multiply.outer(t[s:s + _CHUNK], evals)) @ amps
-        p[s:s + _CHUNK] = (q.real ** 2 + q.imag ** 2).sum(axis=1)
+    p = _exp_sum_power((readout @ evecs * coeff)[0], evals, t)
     p *= protocol.initial_excited_population
     return DynamicsTrace(t=t, p_e=p, metadata={"protocol": protocol.to_dict(),
                                                "method": "quantum"})

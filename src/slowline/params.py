@@ -431,7 +431,7 @@ class ArraySpec:
 @dataclass(frozen=True, eq=False)
 class Chain:
     """A chain lowered to per-resonator arrays, input port first.  ``couplers``
-    is as in ``ArraySpec.coupler_elements``; a lone unit cell has one.
+    is as in ``ArraySpec.coupler_elements``, n_resonators + 1 of them.
 
     ``l`` may stack realizations as shape (realizations, n_resonators);
     ``c_shunt`` and ``couplers`` are then shared by all of them.  The ABCD
@@ -447,10 +447,8 @@ class Chain:
     def __post_init__(self):
         _require(np.ndim(self.c_shunt) == 1 and np.ndim(self.couplers) == 1,
                  "Chain.c_shunt and Chain.couplers must be 1-D")
-        _require(self.couplers.size in (self.n_resonators,
-                                        self.n_resonators + 1),
-                 "Chain.couplers must have n_resonators + 1 entries "
-                 "(n_resonators for a lone unit cell)")
+        _require(self.couplers.size == self.n_resonators + 1,
+                 "Chain.couplers must have n_resonators + 1 entries")
         _real_fields(self, "q_internal", "port_impedance")
         _require(np.ndim(self.l) in (1, 2)
                  and np.shape(self.l)[-1] == self.n_resonators,

@@ -6,7 +6,8 @@ State vector is x = [node fluxes; node charges]; dynamics x' = A x with
 
 where C is the Maxwell capacitance matrix, Linv the diagonal inverse
 inductance matrix and G the node conductance matrix (port resistors plus
-internal loss).
+internal loss).  The model's linear algebra runs with one BLAS thread
+(``blas.single_thread``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
+from .blas import single_thread
 from .params import ArraySpec, Chain, QubitCircuitParams, ValidationError
 
 
@@ -35,6 +37,7 @@ class StateSpaceModel:
     def n_nodes(self) -> int:
         return self.cap.shape[0]
 
+    @single_thread()
     def a_matrix(self) -> np.ndarray:
         n = self.n_nodes
         cinv = np.linalg.inv(self.cap)
@@ -44,6 +47,7 @@ class StateSpaceModel:
         a[n:, n:] = -self.g @ cinv
         return a
 
+    @single_thread()
     def lossless_eigenfrequencies(self) -> np.ndarray:
         """Angular eigenfrequencies of the undamped network, ascending.
 
@@ -53,6 +57,7 @@ class StateSpaceModel:
         w2 = w2[w2 > 1e-6 * np.max(w2)]
         return np.sqrt(w2)
 
+    @single_thread()
     def steady_state_s21(self, freq_grid) -> np.ndarray:
         """Transmission under harmonic drive at the input port.
 

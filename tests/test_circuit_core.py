@@ -262,16 +262,40 @@ def test_malformed_chain_rejected(l_shape):
 @pytest.mark.parametrize("name, reshape", [
     ("couplers", lambda c: c[:5]),
     ("couplers", lambda c: np.append(c, c[:1])),
+    ("couplers", lambda c: c[:-1]),
     ("couplers", lambda c: c[:, None]),
     ("c_shunt", lambda c: c.reshape(2, -1)),
-], ids=["5_couplers", "28_couplers", "2d_couplers", "2d_c_shunt"])
+], ids=["5_couplers", "28_couplers", "26_couplers", "2d_couplers",
+        "2d_c_shunt"])
 def test_chain_checks_coupler_count(test_spec, name, reshape):
     """c_shunt and couplers are 1-D, and couplers has n_resonators + 1
-    entries (n_resonators for a lone unit cell): any other count describes
-    a different circuit."""
+    entries: any other count describes a different circuit.  Without its
+    last coupler the 26-resonator chain would put the output port on the
+    last shunt in the ABCD cascade and leave it disconnected in the
+    state-space model."""
     chain = test_spec.lower()
     with pytest.raises(ValidationError, match=r"Chain\.(c_shunt|couplers)"):
         dataclasses.replace(chain, **{name: reshape(getattr(chain, name))})
+
+
+@pytest.mark.parametrize("q_internal", [math.inf, 1e4])
+def test_unit_cell_abcd_is_its_elements_cascaded(q_internal):
+    """unit_cell_abcd, coupler then shunt branch, times one more coupler is
+    the cascade of the one-resonator chain, which has two couplers; with one
+    coupler, the unit cell's own layout, a one-resonator Chain is rejected
+    like any other count."""
+    cell = UnitCellParams(c0=353.2e-15, cg=5.05e-15, l0=3.151e-9,
+                          q_internal=q_internal)
+    w = default_grid(cell, 201)
+    a, b, c, d = unit_cell_abcd(cell, w)
+    z = 1.0 / (1j * w * cell.cg)
+    one = dict(c_shunt=np.array([cell.c0]), l=np.array([cell.l0]),
+               q_internal=q_internal)
+    ref = chain_abcd(Chain(couplers=np.full(2, cell.cg), **one), w)
+    for got, want in zip((a, a * z + b, c, c * z + d), ref):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValidationError, match="Chain.couplers"):
+        Chain(couplers=np.array([cell.cg]), **one)
 
 
 _BAD_VALUES = (math.inf, math.nan, 0.0, -1e-15)

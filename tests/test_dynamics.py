@@ -19,10 +19,11 @@ from slowline.bands import (CouplingSpectrum, DispersionCurve, band_edges,
 from slowline.devices import QUBIT_CELL_INDEX, qubit_device, qubit_q1
 from slowline.disorder import (DisorderEnsembleResult, SigmaCalibration,
                                sample_disordered)
-from slowline.dynamics import (_CHUNK, DynamicsTrace, Modulation, Protocol,
-                               _bandedge_spectrum, _initial_state,
-                               _quantum_modes, _schedule, _time_grid,
-                               bandedge_oracle, effective_rate,
+from slowline.blas import single_thread
+from slowline.dynamics import (_CHUNK, _SLICES, DynamicsTrace, Modulation,
+                               Protocol, _bandedge_spectrum, _exp_sum_power,
+                               _initial_state, _quantum_modes, _schedule,
+                               _time_grid, bandedge_oracle, effective_rate,
                                ideal_mirror_oracle, lifetime_1e,
                                revival_onsets, simulate_emission,
                                simulate_emission_quantum, simulate_mirror,
@@ -279,12 +280,9 @@ def test_bandedge_oracle_validation():
     assert np.all(uncoupled.p_e == 1.0)
 
 
-def test_bandedge_oracle_bit_identical_across_blas_threads():
-    """The oracle's p_e does not depend on the OpenBLAS thread count."""
-    code = ("from slowline.dynamics import bandedge_oracle\n"
-            f"tr = bandedge_oracle({0.3 * J!r}, {J!r}, {CELL.omega0!r}, "
-            f"{20 * J!r}, t_max=2e-7, dt_output=1e-9, n_modes=301)\n"
-            "print(tr.p_e.tobytes().hex())")
+def _stdout_at_blas_threads(code):
+    """What `code` prints in a fresh interpreter at 1 and at 2 OpenBLAS
+    threads."""
     out = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -293,6 +291,41 @@ def test_bandedge_oracle_bit_identical_across_blas_threads():
                               capture_output=True, text=True, timeout=120,
                               check=True)
         out.append(proc.stdout)
+    return out
+
+
+def test_bandedge_oracle_bit_identical_across_blas_threads():
+    """The oracle's p_e does not depend on the OpenBLAS thread count."""
+    code = ("from slowline.dynamics import bandedge_oracle\n"
+            f"tr = bandedge_oracle({0.3 * J!r}, {J!r}, {CELL.omega0!r}, "
+            f"{20 * J!r}, t_max=2e-7, dt_output=1e-9, n_modes=301)\n"
+            "print(tr.p_e.tobytes().hex())")
+    out = _stdout_at_blas_threads(code)
+    assert out[0] == out[1]
+
+
+def test_traces_bit_identical_across_blas_threads():
+    """simulate_emission pins BLAS to one thread, so a 10 us quench at
+    mid-band + 1.5 GHz (held blocks) and criterion 9's 250 ns index-0.4
+    trace (super-period blocks) do not depend on the OpenBLAS thread count
+    (without the pin they differed by 2.3e-12 and 2.2e-14)."""
+    code = "\n".join([
+        "import hashlib, math",
+        "from slowline.bands import band_edges",
+        "from slowline.devices import qubit_device, qubit_q1",
+        "from slowline.dynamics import Modulation, Protocol, simulate_emission",
+        "spec = qubit_device(bend_c_series=None)",
+        "mid = 0.5 * sum(band_edges(spec.interior))",
+        "w = 2 * math.pi * 600e6",
+        "for prot in (Protocol(omega_interact=mid + 2 * math.pi * 1.5e9,",
+        "                      t_max=1e-5),",
+        "             Protocol(omega_interact=mid + w, t_max=2.5e-7,",
+        "                      dt_output=5e-10, modulation=Modulation(",
+        "                          omega_mod=w, epsilon=0.4 * w))):",
+        "    p = simulate_emission(spec, qubit_q1(), prot).p_e",
+        "    print(hashlib.sha256(p.tobytes()).hexdigest())"])
+    out = _stdout_at_blas_threads(code)
+    assert len(out[0].split()) == 2
     assert out[0] == out[1]
 
 
@@ -414,6 +447,7 @@ def test_slow_ramp_reads_every_sample(qubit_spec_nobend, q1, midband):
                                           tune_time=64e-9)
 
 
+@single_thread()
 def _ramp_reference(spec, qubit, protocol, h_max=1e-11):
     """Literal ramp stepping: a fresh expm per sub-step of at most h_max at
     the ramp frequency of its midpoint (one step per interval after
@@ -461,6 +495,7 @@ def test_ramp_matches_exact_sampling_reference(qubit_spec_nobend, q1, midband,
     assert np.max(np.abs(p - ref)) <= 1e-4
 
 
+@single_thread()
 def _expm_reference(spec, qubit, protocol):
     """Literal LTI expm stepping; qubit-node energy with v = C^-1 q by solve."""
     model = assemble_state_space(
@@ -522,10 +557,11 @@ def test_far_detuned_quench_matches_literal_expm_stepping(qubit_spec, q1,
                                rtol=0, atol=1e-12)
 
 
+@single_thread()
 def _schedule_reference(spec, qubit, protocol):
     """Literal complex stepping over the same _schedule items: one expm
-    per distinct step and x = prop @ x on the complex envelope for each of
-    an item's steps, each sample read as qubit-node quanta
+    per distinct slice and x = prop @ x on the complex envelope for each
+    slice of each repeat of an item, each sample read as qubit-node quanta
     0.5 (C_qq |v_q|^2 + L^-1_qq |flux_q|^2) / omega_q with v_q from row q of
     C^-1 (A's upper-right block)."""
     t = _time_grid(protocol.t_max, protocol.dt_output)
@@ -544,14 +580,15 @@ def _schedule_reference(spec, qubit, protocol):
         return m, a, scipy.linalg.expm(a * dt)
 
     p, x = [1.0], None
-    for w, dt, n, steps in _schedule(protocol, t.tolist()):
-        m, a, prop = step(w, dt)
-        if x is None:
-            x = _initial_state(m)
-            n0 = quanta(m, a, x)
-        for _ in range(steps):
-            x = prop @ x
-            p += [quanta(m, a, x) / n0] * n
+    for ws, dt, reads, repeats in _schedule(protocol, t.tolist()):
+        for _ in range(repeats):
+            for i, n in enumerate(reads):
+                m, a, prop = step(ws[i % len(ws)], dt)
+                if x is None:
+                    x = _initial_state(m)
+                    n0 = quanta(m, a, x)
+                x = prop @ x
+                p += [quanta(m, a, x) / n0] * n
     assert len(p) == t.size
     return np.array(p)
 
@@ -562,12 +599,12 @@ _WMOD = 2 * math.pi * 600e6
 @pytest.mark.parametrize("kind", ["index 0.4", "ramp", "held mid-schedule"])
 def test_real_state_matches_complex_schedule_stepping(qubit_spec_nobend, q1,
                                                       midband, kind):
-    """Off the quench path the real two-column state steps one step at a
-    time: a 20 ns index-0.4 modulation and a 4 ns ramp from +1.5 GHz follow
-    literal complex stepping of the same schedule within 1e-12.  So does an
-    unmodulated (index 0) modulation read just faster than its slices: its
-    equal slices are no hold, but steps each read once or twice.  Measured
-    worst cases 3.9e-15, 2.1e-15 and 1.6e-15."""
+    """The real two-column state follows literal complex stepping of the
+    same schedule within 1e-12: a 20 ns index-0.4 modulation (four
+    super-periods), a 4 ns ramp from +1.5 GHz, and an unmodulated (index 0)
+    modulation read just faster than its slices, which has no super-period
+    of at most 8 periods: its equal slices are stepped one by one, each read
+    once or twice.  Measured worst cases 4.8e-15, 2.1e-15 and 1.6e-15."""
     if kind == "index 0.4":
         prot = Protocol(omega_interact=midband + _WMOD, t_max=2e-8,
                         dt_output=5e-10,
@@ -583,8 +620,8 @@ def test_real_state_matches_complex_schedule_stepping(qubit_spec_nobend, q1,
                         modulation=Modulation(omega_mod=_WMOD, epsilon=0.0))
         items = list(_schedule(
             prot, _time_grid(prot.t_max, prot.dt_output).tolist()))
-        assert {steps for *_, steps in items} == {1}
-        assert {n for _, _, n, _ in items} == {1, 2}
+        assert {repeats for *_, repeats in items} == {1}
+        assert {reads for _, _, reads, _ in items} == {(1,), (2,)}
     p = simulate_emission(qubit_spec_nobend, q1, prot).p_e
     np.testing.assert_allclose(p, _schedule_reference(qubit_spec_nobend, q1,
                                                       prot),
@@ -597,11 +634,14 @@ def test_real_state_matches_complex_schedule_stepping(qubit_spec_nobend, q1,
     ids=["quench", "ramp 4 ns", "ramp 4.05 ns", "ramp 64 ns", "index 0.4",
          "ramped index 0.4"])
 def test_schedule_names_its_hold(midband, tune_time, modulated, held):
-    """Only the last _schedule item may be more than one step; it is then
-    the hold at (omega_interact, dt_output), one read per step.  A quench
-    and ramps from +1.5 GHz on and off the output grid end in one; a ramp
-    longer than t_max and an index-0.4 modulation (also after a ramp) do
-    not.  The items read every sample after t = 0 exactly once."""
+    """Every _schedule item is one slice taken once, except the hold and a
+    super-period.  A quench and ramps from +1.5 GHz on and off the output
+    grid end in the hold: one (omega_interact, dt_output) slice read once,
+    repeated.  A ramp longer than t_max has neither.  An index-0.4
+    modulation at 600 MHz read every 0.5 ns (also after a ramp) names one
+    super-period: 3 periods of _SLICES slices cycling through one period's
+    frequencies, holding 10 reads.  The items read every sample after t = 0
+    exactly once."""
     mod = Modulation(omega_mod=_WMOD, epsilon=0.4 * _WMOD)
     prot = Protocol(omega_interact=midband + (_WMOD if modulated else 0.0),
                     t_max=2e-8, dt_output=5e-10 if modulated else 1e-10,
@@ -610,12 +650,121 @@ def test_schedule_names_its_hold(midband, tune_time, modulated, held):
                     else None)
     t = _time_grid(prot.t_max, prot.dt_output)
     items = list(_schedule(prot, t.tolist()))
-    assert all(steps == 1 for *_, steps in items[:-1])
-    w, dt, n, steps = items[-1]
-    assert (steps > 1) == held
+    repeated = [it for it in items if len(it[2]) > 1 or it[3] > 1]
+    assert len(repeated) == int(held or modulated)
     if held:
-        assert (w, dt, n) == (prot.omega_interact, prot.dt_output, 1)
-    assert sum(n * steps for _, _, n, steps in items) == t.size - 1
+        assert repeated[0] == items[-1]
+        assert items[-1][:3] == ((prot.omega_interact,), prot.dt_output, (1,))
+    if modulated:
+        ws, dt, reads, repeats = repeated[0]
+        assert dt == 2 * math.pi / _WMOD / _SLICES
+        assert (len(ws), len(reads), sum(reads)) == (_SLICES, 3 * _SLICES, 10)
+    assert sum(sum(reads) * repeats for _, _, reads, repeats in items) \
+        == t.size - 1
+
+
+def _super_period_case(kind, midband):
+    """Criterion 9's index-0.4 modulation at 600 MHz read every 0.5 ns, and
+    variants of it."""
+    wmod, t_max, tune = _WMOD, 6e-7, {}
+    if kind == "after a 4.05 ns ramp":      # the modulation starts off the grid
+        t_max, tune = 1e-7, dict(tune_time=4.05e-9,
+                                 omega_park=midband + 2 * math.pi * 1.5e9)
+    elif kind == "10 MHz":                  # epsilon / 2 pi = 100 MHz, q = 200
+        wmod, t_max = 2 * math.pi * 10e6, 1e-6
+    elif kind in ("index 0", "ends mid-super-period"):
+        t_max = 2.5e-7 if kind == "index 0" else 2.033e-7
+    elif kind == "613 MHz":                 # no super-period of <= 8 periods
+        wmod, t_max = 2 * math.pi * 613e6, 1e-7
+    epsilon = 0.0 if kind == "index 0" else (10 if kind == "10 MHz" else 0.4)
+    return Protocol(omega_interact=midband + _WMOD, t_max=t_max,
+                    dt_output=5e-10, **tune,
+                    modulation=Modulation(omega_mod=wmod,
+                                          epsilon=epsilon * wmod))
+
+
+_SUPER_PERIOD_CASES = ["index 0.4", "index 0", "after a 4.05 ns ramp",
+                       "10 MHz", "ends mid-super-period"]
+
+
+@pytest.mark.parametrize("kind", _SUPER_PERIOD_CASES + ["613 MHz"])
+def test_super_period_reads_as_its_slices(midband, kind):
+    """A super-period item reads each sample after the slice that per-slice
+    stepping would, the first slice ending within half a slice of it, and
+    runs each slice at the frequency of its phase in the period.  A period
+    that spans no whole number of samples in at most 8 periods (613 MHz at
+    0.5 ns) is stepped slice by slice."""
+    prot = _super_period_case(kind, midband)
+    mod = prot.modulation
+    t = _time_grid(prot.t_max, prot.dt_output)
+    dt = 2 * math.pi / mod.omega_mod / _SLICES
+    items = [it for it in _schedule(prot, t.tolist()) if it[1] == dt]
+    assert any(repeats > 1 for *_, repeats in items) == (kind != "613 MHz")
+    ws = [ws[i % len(ws)] for ws, _, reads, repeats in items
+          for _ in range(repeats) for i in range(len(reads))]
+    reads = [n for _, _, r, repeats in items for _ in range(repeats) for n in r]
+    late = t[t > prot.tune_time] - prot.tune_time
+    want = np.bincount(np.maximum(np.ceil(late / dt - 0.5), 1).astype(int) - 1)
+    assert reads[:want.size] == want.tolist() and not any(reads[want.size:])
+    phase = np.arange(len(ws)) % _SLICES + 0.5
+    np.testing.assert_allclose(
+        ws, prot.omega_interact
+        + mod.epsilon * np.cos(2 * math.pi * phase / _SLICES),
+        rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("kind", _SUPER_PERIOD_CASES)
+def test_super_period_matches_literal_stepping(qubit_spec_nobend, q1, midband,
+                                               kind):
+    """Traces read by super-period blocks follow literal complex stepping of
+    the same schedule within 1e-12: criterion 9's index-0.4 trace over
+    600 ns (120 super-periods), its 250 ns index-0 trace, the index-0.4
+    trace after a 4.05 ns ramp, a 10 MHz modulation (200 samples per
+    super-period) and a trace ending mid-super-period.  Measured worst
+    cases 3.0e-14, 9.0e-14, 2.9e-14, 1.1e-14 and 2.8e-14."""
+    prot = _super_period_case(kind, midband)
+    p = simulate_emission(qubit_spec_nobend, q1, prot).p_e
+    np.testing.assert_allclose(p, _schedule_reference(qubit_spec_nobend, q1,
+                                                      prot),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("index, builds", [(0.0, 1), (0.2, 32), (0.4, 32),
+                                           (0.6, 32), (0.8, 32)])
+def test_modulation_builds_one_propagator_per_slice_pair(
+        qubit_spec_nobend, q1, midband, monkeypatch, index, builds):
+    """Slices j and _SLICES - 1 - j of a period run at one frequency, bit
+    for bit (the cosine is even about the half period), so a modulated trace
+    builds _SLICES / 2 propagators, and one at index 0."""
+    calls, expm = [], scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm",
+                        lambda a: calls.append(a) or expm(a))
+    simulate_modulated(qubit_spec_nobend, q1, Protocol(
+        omega_interact=midband + _WMOD, t_max=2e-8, dt_output=5e-10,
+        modulation=Modulation(omega_mod=_WMOD, epsilon=index * _WMOD)))
+    assert len(calls) == builds
+
+
+@pytest.mark.parametrize("kind", ["oracle", "quantum"])
+def test_blocked_spectral_reads_match_direct_sums(qubit_spec_nobend, q1,
+                                                  midband, kind):
+    """_exp_sum_power, block rows exp(-i lam k dt) times a exp(-i lam t_s),
+    follows the direct sum |sum_i a_i exp(-i lam_i t)|^2 within 1e-13 over
+    whole blocks and a partial last one: the band-edge oracle's real
+    spectrum over 1.2 us and the quantum model's decaying one over 300 ns."""
+    if kind == "oracle":
+        lam, a = _bandedge_spectrum(0.3 * J, J, 0.0, 301)
+        t = _time_grid(1.2e-6, 1e-9)
+    else:
+        lam, evecs, coeff, readout = _quantum_modes(qubit_spec_nobend, q1,
+                                                    midband)
+        a = (readout @ evecs * coeff)[0]
+        t = _time_grid(3e-7, 1e-10)
+    assert t.size % _CHUNK
+    direct = np.abs((a * np.exp(-1j * np.multiply.outer(t, lam)))
+                    .sum(axis=1)) ** 2
+    np.testing.assert_allclose(_exp_sum_power(a, lam, t), direct,
+                               rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("kind, value", [
