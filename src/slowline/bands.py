@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import UnitCellParams, ValidationError, _require, write_csv
+from .params import UnitCellParams, _require, integer, write_csv
 
 # Lattice constant of the fabricated device, metres.  Geometry metadata only:
 # all physics is per-cell; d enters in reporting delay per length/area.
@@ -45,13 +45,14 @@ class CouplingSpectrum:
 def dispersion(cell: UnitCellParams, kd) -> np.ndarray:
     """omega(k) for dimensionless momenta kd in [-pi, pi]."""
     kd = np.asarray(kd, dtype=float)
-    if np.any(np.abs(kd) > math.pi * (1 + 1e-12)):
-        raise ValidationError("momentum outside the first Brillouin zone")
+    _require(not np.any(np.abs(kd) > math.pi * (1 + 1e-12)),
+             "momentum outside the first Brillouin zone")
     s2 = np.sin(kd / 2.0) ** 2
     return cell.omega0 / np.sqrt(1.0 + 4.0 * cell.coupling_ratio * s2)
 
 
 def dispersion_curve(cell: UnitCellParams, n_points: int = 1001) -> DispersionCurve:
+    n_points = integer(n_points)
     _require(n_points >= 1, "n_points must be >= 1")
     kd = np.linspace(-math.pi, math.pi, n_points)
     return DispersionCurve(k_grid=kd, omega=dispersion(cell, kd))
@@ -81,8 +82,7 @@ def tight_binding(cell: UnitCellParams) -> dict:
     j_tb is the first-order expansion omega0*Cg/(2 C0); j_exact keeps the
     full capacitance loading.  They agree to first order in Cg/C0.
     """
-    if cell.coupling_ratio >= 1:
-        raise ValidationError("tight-binding limit needs cg < c0")
+    _require(cell.coupling_ratio < 1, "tight-binding limit needs cg < c0")
     w0 = cell.omega0
     j_tb = w0 * cell.cg / (2.0 * cell.c0)
     j_exact = 0.5 * w0 * cell.cg / (cell.c0 + cell.cg)
@@ -93,8 +93,9 @@ def coupling_spectrum(cell: UnitCellParams, m_cells: int = 2001,
                       max_distance: int = 10) -> CouplingSpectrum:
     """Photon-mediated interaction strengths V(n) from the discrete Fourier
     transform of the dispersion over an M-site Brillouin zone."""
-    if m_cells % 2 == 0 or m_cells < 2 * max_distance + 1:
-        raise ValidationError("m_cells must be odd and >= 2*max_distance + 1")
+    m_cells, max_distance = integer(m_cells), integer(max_distance)
+    _require(m_cells % 2 and m_cells >= 2 * max_distance + 1 >= 1,
+             "m_cells must be odd and >= 2*max_distance + 1 >= 1")
     m = np.arange(m_cells) - (m_cells - 1) // 2
     kd = 2.0 * math.pi * m / m_cells
     w = dispersion(cell, kd)

@@ -7,13 +7,12 @@ is linear, so every classical protocol (quench, finite tune-in ramp,
 parametric modulation) is one piecewise-constant schedule of bare qubit
 frequencies, which simulate_emission steps with the matrix exponential of
 each slice's state-space generator (exactly energy-preserving for lossless
-configurations, unlike explicit stepping); a schedule that repeats (the
-hold after a quench, a modulation's super-period) is read in blocks.  The
-excited-state population p_e is the qubit node's quanta E_q / omega_q under
-the instantaneous model, relative to its initial value; for a quench
-omega_q is fixed and p_e is the node's energy fraction.  The small-matrix
-work runs with one BLAS thread (``blas.single_thread``), so a trace does not
-depend on the BLAS thread count.
+configurations, unlike explicit stepping), reading each sample at t_k by
+one blocked path.  The excited-state population p_e is the qubit node's
+quanta E_q / omega_q under the instantaneous model, relative to its initial
+value; for a quench omega_q is fixed and p_e is the node's energy fraction.
+The small-matrix work runs with one BLAS thread (``blas.single_thread``), so
+a trace does not depend on the BLAS thread count.
 
 Two independent oracles are provided: the ideal-mirror delay equation
 (dispersionless semi-infinite waveguide) and a discretized quadratic-bandedge
@@ -22,8 +21,8 @@ continuum (John-Quang regime).
 
 from __future__ import annotations
 
-import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -33,13 +32,14 @@ import scipy.linalg
 
 from .blas import single_thread
 from .params import (ArraySpec, Chain, JsonFields, QubitCircuitParams,
-                     ValidationError, _real_fields, _require, hz, nested,
-                     nullable, real, write_csv)
+                     ValidationError, _real_fields, _require, hz, integer,
+                     nested, nullable, real, write_csv)
 from .statespace import StateSpaceModel, assemble_state_space
 
 _SLICES = 64        # steps per modulation period; ramp steps <= tune_time / 64
 _CHUNK = 128        # read rows, roots or time samples per block
 _MAX_PERIODS = 8    # modulation periods in the longest super-period
+_ROUNDING = 1e-12   # relative: times this close are one time
 
 
 @dataclass(frozen=True)
@@ -66,16 +66,15 @@ class Protocol(JsonFields):
     qubit frequency linearly from omega_park to omega_interact.  It crosses
     each output interval (the last one cut at tune_time) in the fewest equal
     steps no longer than tune_time / 64, each at the ramp frequency of its
-    midpoint, and is read at t_k exactly.  A modulation, omega_interact +
-    epsilon * cos(omega_mod * (t - tune_time)), follows from tune_time in 64
-    constant-frequency slices per period, each at the frequency of its
-    midpoint (slices j and 63 - j share one: the cosine is even about the
-    half period); each sample is read after the first slice ending within
-    half a slice of it.  When p <= 8 periods span q output intervals (to
-    rounding), that read pattern repeats every super-period of 64 p slices,
-    which is read in blocks.  Without a modulation, the state steps at
-    omega_interact to the next sample and is then held there, read in
-    blocks of dt_output steps.
+    midpoint.  A modulation, omega_interact + epsilon * cos(omega_mod * (t -
+    tune_time)), follows from tune_time in 64 constant-frequency slices per
+    period, each at the frequency of its midpoint (slices j and 63 - j share
+    one: the cosine is even about the half period).  Without a modulation,
+    omega_interact is held from tune_time in dt_output slices.  Every sample
+    is read at t_k, by the slice that contains it (on a slice end to
+    rounding, by the slice ending there).  When p <= 8 periods span q output
+    intervals (to rounding), slices and reads repeat every super-period of
+    64 p slices, read in blocks; the hold is its one-slice case.
     """
     omega_interact: float                   # rad/s, bare qubit frequency
     t_max: float                            # s
@@ -130,14 +129,10 @@ def _initial_state(model: StateSpaceModel) -> np.ndarray:
     """Complex rotating-wave envelope with unit amplitude on the qubit node."""
     if model.qubit_node is None:
         raise ValidationError("model has no qubit node to excite")
-    n = model.n_nodes
-    q_node = model.qubit_node
-    omega_q = math.sqrt(model.linv[q_node, q_node] / model.cap[q_node, q_node])
+    n, q = model.n_nodes, model.qubit_node
     x0 = np.zeros(2 * n, dtype=complex)
-    v = np.zeros(n, dtype=complex)
-    v[q_node] = 1.0
-    x0[q_node] = 1j / omega_q       # flux
-    x0[n:] = model.cap @ v          # charges
+    x0[q] = 1j / math.sqrt(model.linv[q, q] / model.cap[q, q])    # flux
+    x0[n:] = model.cap[:, q]        # charges at unit voltage on the qubit
     return x0
 
 
@@ -161,65 +156,62 @@ def _super_period(period: float, dt: float):
     intervals dt to rounding, or None."""
     for p in range(1, _MAX_PERIODS + 1):
         q = round(p * period / dt)
-        if q and math.isclose(p * period, q * dt, rel_tol=1e-12):
+        if q and math.isclose(p * period, q * dt, rel_tol=_ROUNDING):
             return p, q
     return None
 
 
-def _schedule(protocol: Protocol, t_out: list):
+def _schedule(protocol: Protocol, t_out: np.ndarray):
     """Items (ws, dt, reads, repeats) up to t_out[-1]: len(reads) slices of
-    duration dt, slice i at bare qubit frequency ws[i % len(ws)] and followed
-    by reads[i] sample reads, the whole item taken `repeats` times.
+    duration dt, slice i at bare qubit frequency ws[i % len(ws)] and read at
+    the offsets reads[i] from its start, the whole item taken `repeats`
+    times.
 
-    The ramp and then the modulation go as Protocol says, one slice per
-    item, except that a modulation with a super-period (_super_period) names
-    it after its first slice: its 64 p slices hold q reads, and the item
-    repeats while whole super-periods fit.  The first slice is left out as
-    it also reads the samples within half a slice after tune_time; the
-    slices left at the end are again one per item.  Without a modulation,
-    omega_interact is stepped to the next sample and then held: one
-    dt_output slice read once, repeated for every sample left.  That step
-    joins the hold if it is dt_output (a quench, a ramp ending on the grid).
+    Each sample is read at t_k by the slice that contains it, one on a slice
+    end to rounding at that end (a ramp slice's offset is its length).  The
+    ramp goes as Protocol says, one slice per item.  From tune_time the
+    qubit runs a period of slices, a modulation's _SLICES or one dt_output
+    slice at omega_interact.  When p periods span q samples (_super_period;
+    the hold is p = q = 1), one item of p periods repeats while whole ones
+    fit; the other slices are one per item.
     """
     w0, w_end = protocol.omega_park, protocol.omega_interact
     tune = protocol.tune_time
-    for k in range(1, min(bisect.bisect_left(t_out, tune), len(t_out) - 1) + 1):
-        a, e = t_out[k - 1], min(t_out[k], tune)
-        n = max(1, math.ceil(_SLICES * (e - a) / tune))
-        h = (e - a) / n
-        for j in range(n):
-            w = w0 + (w_end - w0) * (a + (j + 0.5) * h) / tune
-            yield (w,), h, (int(j == n - 1 and e == t_out[k]),), 1
-    t, k = tune, bisect.bisect_right(t_out, tune)
     mod = protocol.modulation
-    if mod is not None:
+    if mod is None:
+        ws, dt = [w_end], protocol.dt_output
+    else:
         dt = 2.0 * math.pi / mod.omega_mod / _SLICES
         c = np.cos(math.pi * (2 * np.arange(_SLICES // 2) + 1) / _SLICES)
         ws = (w_end + mod.epsilon * np.concatenate([c, c[::-1]])).tolist()
-        sp = _super_period(2.0 * math.pi / mod.omega_mod, protocol.dt_output)
-        j = 0
-        while k < len(t_out):
-            if j == 1 and sp:
-                slices, q = _SLICES * sp[0], sp[1]
-                ends = np.searchsorted(
-                    t_out, t + (np.arange(slices) + 1.5) * dt, side="right")
-                r = (len(t_out) - k) // q
-                if r and ends[-1] - k == q:     # no read tied to rounding
-                    reads = np.diff(ends, prepend=k)
-                    yield tuple(ws[1:] + ws[:1]), dt, tuple(reads.tolist()), r
-                    j, k, t = j + r * slices, k + r * q, t + r * slices * dt
-                    continue
-            t += dt
-            n = bisect.bisect_right(t_out, t + 0.5 * dt) - k
-            yield (ws[j % _SLICES],), dt, (n,), 1
-            k += n
-            j += 1
+    d = np.maximum(t_out - tune, -dt)   # slice i of each sample, and offset
+    n = np.rint(d / dt)
+    end = np.abs(d - n * dt) <= _ROUNDING * t_out
+    i = np.where(end, n - 1, np.floor(d / dt)).astype(int)
+    offsets = np.where(end, dt, d - i * dt)
+    k = int(np.searchsorted(i, 0))      # samples 1 .. k-1 fall in the ramp
+    edges = np.where(end & (i == -1), tune, t_out)[:k].tolist()
+    edges += [tune] if k < len(t_out) and edges[-1] < tune else []
+    for m, (a, e) in enumerate(itertools.pairwise(edges), 1):
+        s = max(1, math.ceil(_SLICES * (e - a) / tune))
+        h = (e - a) / s
+        for j in range(s):
+            w = w0 + (w_end - w0) * (a + (j + 0.5) * h) / tune
+            yield (w,), h, ((h,) if j == s - 1 and m < k else (),), 1
+    if k == len(t_out):
         return
-    if k < len(t_out) and t_out[k] - t != protocol.dt_output:
-        yield (w_end,), t_out[k] - t, (1,), 1
-        k += 1
-    if k < len(t_out):
-        yield (w_end,), protocol.dt_output, (1,), len(t_out) - k
+    bounds = np.searchsorted(i, np.arange(i[-1] + 2))     # of slices' samples
+
+    def reads(s):
+        return tuple(offsets[bounds[s]:bounds[s + 1]].tolist())
+
+    sp = _super_period(len(ws) * dt, protocol.dt_output)
+    slices = len(ws) * sp[0] if sp else 1
+    r = (i[-1] + 1) // slices if sp else 0
+    if r:
+        yield tuple(ws), dt, tuple(map(reads, range(slices))), r
+    for s in range(r * slices, i[-1] + 1):
+        yield (ws[s % len(ws)],), dt, (reads(s),), 1
 
 
 @single_thread()
@@ -231,7 +223,8 @@ def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
 
     The chain is lowered once.  The state steps through _schedule's items
     with expm propagators, the last _SLICES + 1 of them cached, and each
-    sample an item names is read as qubit-node quanta under its model.
+    sample an item names is read as qubit-node quanta under its slice's
+    model.
 
     A and expm(A dt) are real, so the complex envelope is stepped as a real
     (2n, 2) array of its real and imaginary parts, which never mix.  The
@@ -239,20 +232,25 @@ def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
     R = [e_q; (0, row q of C^-1)] (the flux and voltage of the qubit node;
     C^-1 is A's upper-right block) with weights (L^-1_qq, C_qq) / 2 omega_q.
 
-    A one-slice item taken once is one step.  Any other item (the hold, a
-    super-period) is read _CHUNK read rows per gemm and never stepped slice
-    by slice: with P_i the propagator of its slice i and M = P_L-1 ... P_0
-    its product, built once, each slice i that reads gets the row
-    R_i P_i ... P_0, R_i scaled to the weights of the item's first slice.
-    These rows times M, M^2, ... are stacked once into a block of whole
-    repeats, and the state jumps by the block's power of M, built once,
-    between blocks.  For the hold (one slice P) the block is R P, ...,
+    Every item is read _CHUNK read rows per gemm and never stepped slice by
+    slice: with P_i the propagator of its slice i and M = P_L-1 ... P_0 its
+    product, built once, a sample at offset d in slice i gets the row
+    R_i P_i(d) P_i-1 ... P_0, R_i scaled to the weights of the item's first
+    slice.  P_i(d) = expm(A_i d) is a side branch built once per item, or P_i
+    itself when d is the slice's length (every read of a quench, a mirror or
+    a ramp).  These rows times M, M^2, ... are stacked once into a block of
+    whole repeats, and the state jumps by the block's power of M, built
+    once, between blocks.  For the hold (one slice P) the block is R P, ...,
     R P^_CHUNK.
     """
     chain = spec.lower()
+    x = n0 = None
 
-    @functools.lru_cache(maxsize=_SLICES + 1)
-    def stepper(w, dt):
+    def quanta(weights, y):         # y = R x, one (2, 2) block per sample
+        return (y.reshape(-1, 2, 2) ** 2).sum(axis=2) @ weights
+
+    def build(w, dt):
+        nonlocal x, n0
         m = assemble_state_space(chain, replace(qubit, omega_ge=w))
         a = m.a_matrix()
         n, q = m.n_nodes, m.qubit_node
@@ -261,53 +259,46 @@ def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
         rows[1, n:] = a[q, n:]
         c_qq, l_qq = m.cap[q, q], m.linv[q, q]
         weights = np.array([l_qq, c_qq]) / (2.0 * math.sqrt(l_qq / c_qq))
-        return m, scipy.linalg.expm(a * dt), rows, weights
-
-    def quanta(weights, y):         # y = R x, one (2, 2) block per sample
-        return (y.reshape(-1, 2, 2) ** 2).sum(axis=2) @ weights
-
-    t_out = _time_grid(protocol.t_max, protocol.dt_output)
-    p = np.empty(t_out.shape)
-    p[0] = 1.0
-    x, k = None, 1
-    for ws, dt, reads, repeats in _schedule(protocol, t_out.tolist()):
-        steps = [stepper(w, dt) for w in ws]
-        m, prop, rows, weights = steps[0]
-        if x is None:
+        if x is None:               # the trace starts in its first model
             x0 = _initial_state(m)
             x = np.column_stack([x0.real, x0.imag])
             n0 = quanta(weights, rows @ x)[0]
-        if len(reads) == repeats == 1:
-            x = prop @ x
-            if reads[0]:
-                p[k:k + reads[0]] = quanta(weights, rows @ x) / n0
-                k += reads[0]
-            continue
-        per = len(ws)
-        read = [i for i, n in enumerate(reads) if n]
-        heads, prod = [], None
-        for _, prop_j, rows_j, weights_j in steps:
-            prod = prop_j if prod is None else prop_j @ prod
-            heads.append((rows_j * np.sqrt(weights_j / weights)[:, None]) @ prod)
+        return scipy.linalg.expm(a * dt), rows, weights
+
+    stepper = functools.lru_cache(maxsize=_SLICES + 1)(build)
+    t_out = _time_grid(protocol.t_max, protocol.dt_output)
+    p = np.empty(t_out.shape)
+    p[0] = 1.0
+    k = 1
+    for ws, dt, reads, repeats in _schedule(protocol, t_out):
+        steps = [stepper(w, dt) for w in ws]
+        per, weights = len(ws), steps[0][2]
+        heads, prod = {}, None      # one period's read rows by (slice, offset)
+        for i, (prop, rows, weights_i) in enumerate(steps):
+            rows = rows * np.sqrt(weights_i / weights)[:, None]
+            for d in {d for r in reads[i::per] for d in r} - {dt}:
+                side = rows @ build(ws[i], d)[0]
+                heads[i, d] = side if prod is None else side @ prod
+            prod = prop if prod is None else prop @ prod
+            heads[i, dt] = rows @ prod
         first = np.empty((0, prod.shape[1]))    # rows of period j times prod^j
         for j in reversed(range(len(reads) // per)):
-            first = np.concatenate([heads[i % per] for i in read
-                                    if i // per == j] + [first @ prod])
+            first = np.concatenate([heads[i % per, d]
+                                    for i in range(j * per, (j + 1) * per)
+                                    for d in reads[i]] + [first @ prod])
         held = (prod if len(reads) == per
                 else np.linalg.matrix_power(prod, len(reads) // per))
-        c = max(1, _CHUNK // len(read))         # repeats per block
+        c = max(1, 2 * _CHUNK // max(1, len(first)))    # repeats per block
         block = [first]
         for _ in range(min(repeats, c) - 1):
             block.append(block[-1] @ held)
         block = np.concatenate(block)
         jump = np.linalg.matrix_power(held, c) if repeats > c else None
-        counts = np.tile([reads[i] for i in read], c)
         for s in range(0, repeats, c):
             if s:
                 x = jump @ x
-            b = min(c, repeats - s) * len(read)
-            y = np.repeat(quanta(weights, block[:2 * b] @ x) / n0, counts[:b])
-            p[k:k + y.size] = y
+            y = quanta(weights, block[:min(c, repeats - s) * len(first)] @ x)
+            p[k:k + y.size] = y / n0
             k += y.size
         if k < p.size:                          # slices follow the item
             for _ in range(min(c, repeats - s)):
@@ -480,6 +471,7 @@ def bandedge_oracle(g_uc: float, j: float, omega0: float, detuning: float,
     convergence_tol.
     """
     _require(0 < j < math.inf, "j must be positive and finite")
+    n_modes = integer(n_modes)
     _require(n_modes >= 1, "n_modes must be at least 1")
     _require(all(map(math.isfinite, (g_uc, omega0, detuning, convergence_tol))),
              "g_uc, omega0, detuning and convergence_tol must be finite")

@@ -73,6 +73,17 @@ def test_coupling_spectrum_validation():
         coupling_spectrum(CELL, m_cells=2000)
     with pytest.raises(ValidationError):
         coupling_spectrum(CELL, m_cells=11, max_distance=10)
+    with pytest.raises(ValidationError):
+        coupling_spectrum(CELL, m_cells=21, max_distance=-1)
+
+
+@pytest.mark.parametrize("m_cells, max_distance", [
+    (21, 2.5), (21.5, 2), (True, 0), (21, True)])
+def test_coupling_spectrum_needs_integer_sizes(m_cells, max_distance):
+    """Fractional or bool sizes raise rather than being rounded up by
+    np.arange (21 cells at distance 2.5 would give four distances)."""
+    with pytest.raises(ValidationError, match="expected an integer"):
+        coupling_spectrum(CELL, m_cells=m_cells, max_distance=max_distance)
 
 
 def test_finite_array_convergence():

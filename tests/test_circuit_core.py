@@ -125,6 +125,16 @@ def test_grids_need_a_point(test_spec, n_points):
         dispersion_curve(test_spec.interior, n_points)
 
 
+@pytest.mark.parametrize("n_points", [10.5, True, "11"])
+def test_grid_sizes_must_be_integers(test_spec, n_points):
+    """A fractional, bool or string point count is a ValidationError, not
+    numpy's TypeError or a one-point grid."""
+    with pytest.raises(ValidationError, match="expected an integer"):
+        default_grid(test_spec.interior, n_points)
+    with pytest.raises(ValidationError, match="expected an integer"):
+        dispersion_curve(test_spec.interior, n_points)
+
+
 def test_state_space_matches_abcd(qubit_spec_nobend):
     """Nodal steady-state S21 equals the ABCD cascade (independent methods)."""
     _assert_state_space_matches_abcd(qubit_spec_nobend, qubit_spec_nobend.interior)

@@ -339,6 +339,19 @@ def test_calibration_needs_two_realizations(tapered_26, monkeypatch, n):
                         n_realizations=n)
 
 
+@pytest.mark.parametrize("n", [1.5, 2.5, True])
+def test_realization_counts_must_be_integers(tapered_26, monkeypatch, n):
+    """A fractional or bool n_realizations raises ValidationError before any
+    cascade, in both ensembles."""
+    _forbid_cascade(monkeypatch)
+    j = tight_binding(tapered_26.interior)["j_tb"]
+    with pytest.raises(ValidationError, match="expected an integer"):
+        extinction_curve(tapered_26, [0.0, 0.05], n, seed=1)
+    with pytest.raises(ValidationError, match="expected an integer"):
+        calibrate_sigma(1e6, tapered_26, np.array([0.02, 0.3]) * j,
+                        n_realizations=n)
+
+
 def test_calibration_warns_of_dropped_realizations(tapered_26, caplog):
     """One realization at sigma/J = 0.3 has too few resolvable ripples: it is
     dropped with one warning whose arguments are (dropped, drawn)."""

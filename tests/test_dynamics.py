@@ -272,6 +272,7 @@ def test_bandedge_oracle_validation():
     ok = dict(g_uc=0.3 * J, j=J, omega0=CELL.omega0, detuning=0.0,
               t_max=1e-8, dt_output=1e-9, n_modes=11)
     for bad in (dict(j=0.0), dict(j=-J), dict(n_modes=0),
+                dict(n_modes=True), dict(n_modes=11.5), dict(n_modes="11"),
                 dict(g_uc=math.nan), dict(omega0=math.inf),
                 dict(detuning=math.nan), dict(convergence_tol=math.inf)):
         with pytest.raises(ValidationError):
@@ -561,9 +562,10 @@ def test_far_detuned_quench_matches_literal_expm_stepping(qubit_spec, q1,
 def _schedule_reference(spec, qubit, protocol):
     """Literal complex stepping over the same _schedule items: one expm
     per distinct slice and x = prop @ x on the complex envelope for each
-    slice of each repeat of an item, each sample read as qubit-node quanta
-    0.5 (C_qq |v_q|^2 + L^-1_qq |flux_q|^2) / omega_q with v_q from row q of
-    C^-1 (A's upper-right block)."""
+    slice of each repeat of an item; each sample at offset d in a slice is
+    read by the side branch expm(A d) @ x from the slice's start, as
+    qubit-node quanta 0.5 (C_qq |v_q|^2 + L^-1_qq |flux_q|^2) / omega_q with
+    v_q from row q of C^-1 (A's upper-right block)."""
     t = _time_grid(protocol.t_max, protocol.dt_output)
 
     def quanta(m, a, x):
@@ -574,21 +576,25 @@ def _schedule_reference(spec, qubit, protocol):
                 / math.sqrt(l_qq / c_qq))
 
     @functools.cache
-    def step(w, dt):
+    def model(w):
         m = assemble_state_space(spec, dataclasses.replace(qubit, omega_ge=w))
-        a = m.a_matrix()
-        return m, a, scipy.linalg.expm(a * dt)
+        return m, m.a_matrix()
+
+    @functools.cache
+    def prop(w, dt):
+        return scipy.linalg.expm(model(w)[1] * dt)
 
     p, x = [1.0], None
-    for ws, dt, reads, repeats in _schedule(protocol, t.tolist()):
+    for ws, dt, reads, repeats in _schedule(protocol, t):
         for _ in range(repeats):
-            for i, n in enumerate(reads):
-                m, a, prop = step(ws[i % len(ws)], dt)
+            for i, offsets in enumerate(reads):
+                w = ws[i % len(ws)]
+                m, a = model(w)
                 if x is None:
                     x = _initial_state(m)
                     n0 = quanta(m, a, x)
-                x = prop @ x
-                p += [quanta(m, a, x) / n0] * n
+                p += [quanta(m, a, prop(w, d) @ x) / n0 for d in offsets]
+                x = prop(w, dt) @ x
     assert len(p) == t.size
     return np.array(p)
 
@@ -604,7 +610,7 @@ def test_real_state_matches_complex_schedule_stepping(qubit_spec_nobend, q1,
     super-periods), a 4 ns ramp from +1.5 GHz, and an unmodulated (index 0)
     modulation read just faster than its slices, which has no super-period
     of at most 8 periods: its equal slices are stepped one by one, each read
-    once or twice.  Measured worst cases 4.8e-15, 2.1e-15 and 1.6e-15."""
+    once or twice.  Measured worst cases 6.1e-15, 2.0e-15 and 1.6e-15."""
     if kind == "index 0.4":
         prot = Protocol(omega_interact=midband + _WMOD, t_max=2e-8,
                         dt_output=5e-10,
@@ -618,10 +624,10 @@ def test_real_state_matches_complex_schedule_stepping(qubit_spec_nobend, q1,
         prot = Protocol(omega_interact=midband, t_max=500 * slice_dt,
                         dt_output=slice_dt * (1 - 1 / 150),
                         modulation=Modulation(omega_mod=_WMOD, epsilon=0.0))
-        items = list(_schedule(
-            prot, _time_grid(prot.t_max, prot.dt_output).tolist()))
-        assert {repeats for *_, repeats in items} == {1}
-        assert {reads for _, _, reads, _ in items} == {(1,), (2,)}
+        items = list(_schedule(prot, _time_grid(prot.t_max, prot.dt_output)))
+        assert {(len(reads), repeats) for _, _, reads, repeats in items} \
+            == {(1, 1)}
+        assert {len(reads[0]) for _, _, reads, _ in items} == {1, 2}
     p = simulate_emission(qubit_spec_nobend, q1, prot).p_e
     np.testing.assert_allclose(p, _schedule_reference(qubit_spec_nobend, q1,
                                                       prot),
@@ -636,12 +642,15 @@ def test_real_state_matches_complex_schedule_stepping(qubit_spec_nobend, q1,
 def test_schedule_names_its_hold(midband, tune_time, modulated, held):
     """Every _schedule item is one slice taken once, except the hold and a
     super-period.  A quench and ramps from +1.5 GHz on and off the output
-    grid end in the hold: one (omega_interact, dt_output) slice read once,
-    repeated.  A ramp longer than t_max has neither.  An index-0.4
-    modulation at 600 MHz read every 0.5 ns (also after a ramp) names one
-    super-period: 3 periods of _SLICES slices cycling through one period's
-    frequencies, holding 10 reads.  The items read every sample after t = 0
-    exactly once."""
+    grid end in the hold ((omega_interact,), dt_output, ((d,),), n): one
+    dt_output slice that reads one sample at offset d from its start,
+    repeated.  A quench, and the ramp ending on the grid, read at the slice
+    end, d == dt_output bit for bit; the ramp ending 0.05 ns before a sample
+    reads at d = 0.05 ns.  A ramp longer than t_max has neither.  An
+    index-0.4 modulation at 600 MHz read every 0.5 ns (also after a ramp)
+    names one super-period: 3 periods of _SLICES slices cycling through one
+    period's frequencies, holding 10 reads.  The items read every sample
+    after t = 0 exactly once."""
     mod = Modulation(omega_mod=_WMOD, epsilon=0.4 * _WMOD)
     prot = Protocol(omega_interact=midband + (_WMOD if modulated else 0.0),
                     t_max=2e-8, dt_output=5e-10 if modulated else 1e-10,
@@ -649,18 +658,24 @@ def test_schedule_names_its_hold(midband, tune_time, modulated, held):
                     omega_park=midband + 2 * math.pi * 1.5e9 if tune_time
                     else None)
     t = _time_grid(prot.t_max, prot.dt_output)
-    items = list(_schedule(prot, t.tolist()))
+    items = list(_schedule(prot, t))
     repeated = [it for it in items if len(it[2]) > 1 or it[3] > 1]
     assert len(repeated) == int(held or modulated)
     if held:
+        ws, dt, ((d, *more),), _ = items[-1]
         assert repeated[0] == items[-1]
-        assert items[-1][:3] == ((prot.omega_interact,), prot.dt_output, (1,))
+        assert (ws, dt, more) == ((prot.omega_interact,), prot.dt_output, [])
+        if tune_time == 4.05e-9:
+            assert d == pytest.approx(5e-11, rel=1e-9, abs=0)
+        else:
+            assert d == prot.dt_output
     if modulated:
         ws, dt, reads, repeats = repeated[0]
         assert dt == 2 * math.pi / _WMOD / _SLICES
-        assert (len(ws), len(reads), sum(reads)) == (_SLICES, 3 * _SLICES, 10)
-    assert sum(sum(reads) * repeats for _, _, reads, repeats in items) \
-        == t.size - 1
+        assert (len(ws), len(reads), sum(map(len, reads))) \
+            == (_SLICES, 3 * _SLICES, 10)
+    assert sum(sum(map(len, reads)) * repeats
+               for _, _, reads, repeats in items) == t.size - 1
 
 
 def _super_period_case(kind, midband):
@@ -687,30 +702,61 @@ _SUPER_PERIOD_CASES = ["index 0.4", "index 0", "after a 4.05 ns ramp",
                        "10 MHz", "ends mid-super-period"]
 
 
+def _modulation_slices(protocol):
+    """(frequency, read offsets) of every modulation slice that _schedule
+    names, in order from tune_time, each item's repeats spelled out."""
+    t = _time_grid(protocol.t_max, protocol.dt_output)
+    dt = 2 * math.pi / protocol.modulation.omega_mod / _SLICES
+    return [(ws[i % len(ws)], offsets)
+            for ws, d, reads, repeats in _schedule(protocol, t) if d == dt
+            for _ in range(repeats) for i, offsets in enumerate(reads)]
+
+
 @pytest.mark.parametrize("kind", _SUPER_PERIOD_CASES + ["613 MHz"])
 def test_super_period_reads_as_its_slices(midband, kind):
-    """A super-period item reads each sample after the slice that per-slice
-    stepping would, the first slice ending within half a slice of it, and
-    runs each slice at the frequency of its phase in the period.  A period
-    that spans no whole number of samples in at most 8 periods (613 MHz at
-    0.5 ns) is stepped slice by slice."""
+    """Each sample after tune_time is read by the slice that contains t_k,
+    at an offset within [0, dt] of its start, so tune_time + (slice index +
+    offset / dt) dt = t_k to rounding, and each slice runs at the frequency
+    of its phase in the period.  A period that spans no whole number of
+    samples in at most 8 periods (613 MHz at 0.5 ns) is stepped slice by
+    slice."""
     prot = _super_period_case(kind, midband)
     mod = prot.modulation
     t = _time_grid(prot.t_max, prot.dt_output)
     dt = 2 * math.pi / mod.omega_mod / _SLICES
-    items = [it for it in _schedule(prot, t.tolist()) if it[1] == dt]
+    items = [it for it in _schedule(prot, t) if it[1] == dt]
     assert any(repeats > 1 for *_, repeats in items) == (kind != "613 MHz")
-    ws = [ws[i % len(ws)] for ws, _, reads, repeats in items
-          for _ in range(repeats) for i in range(len(reads))]
-    reads = [n for _, _, r, repeats in items for _ in range(repeats) for n in r]
-    late = t[t > prot.tune_time] - prot.tune_time
-    want = np.bincount(np.maximum(np.ceil(late / dt - 0.5), 1).astype(int) - 1)
-    assert reads[:want.size] == want.tolist() and not any(reads[want.size:])
-    phase = np.arange(len(ws)) % _SLICES + 0.5
+    if kind == "613 MHz":
+        assert {len(reads) for _, _, reads, _ in items} == {1}
+    slices = _modulation_slices(prot)
+    g, d = np.array([(g, d) for g, (_, offsets) in enumerate(slices)
+                     for d in offsets]).T
+    assert np.all((d >= 0) & (d <= dt))
+    np.testing.assert_allclose(prot.tune_time + g * dt + d,
+                               t[t > prot.tune_time], rtol=1e-12, atol=0)
+    phase = np.arange(len(slices)) % _SLICES + 0.5
     np.testing.assert_allclose(
-        ws, prot.omega_interact
+        [w for w, _ in slices], prot.omega_interact
         + mod.epsilon * np.cos(2 * math.pi * phase / _SLICES),
         rtol=1e-15, atol=0)
+
+
+def test_slice_end_samples_are_read_once(midband):
+    """At 600 MHz and 0.5 ns every fifth sample lands on a slice end to
+    rounding (5 samples span 96 slices); it is read once, at that end
+    (offset dt, no side branch), and every other sample strictly inside its
+    slice."""
+    prot = _super_period_case("index 0.4", midband)
+    t = _time_grid(prot.t_max, prot.dt_output)
+    dt = 2 * math.pi / _WMOD / _SLICES
+    x = t[1:] / dt
+    on_end = np.abs(x - np.rint(x)) <= 1e-9 * x
+    assert np.array_equal(np.flatnonzero(on_end) + 1, np.arange(5, t.size, 5))
+    d = np.array([d for _, offsets in _modulation_slices(prot)
+                  for d in offsets])
+    assert d.size == t.size - 1
+    assert np.all(d[on_end] == dt)
+    assert np.all((d[~on_end] > 0) & (d[~on_end] < dt))
 
 
 @pytest.mark.parametrize("kind", _SUPER_PERIOD_CASES)
@@ -721,12 +767,98 @@ def test_super_period_matches_literal_stepping(qubit_spec_nobend, q1, midband,
     600 ns (120 super-periods), its 250 ns index-0 trace, the index-0.4
     trace after a 4.05 ns ramp, a 10 MHz modulation (200 samples per
     super-period) and a trace ending mid-super-period.  Measured worst
-    cases 3.0e-14, 9.0e-14, 2.9e-14, 1.1e-14 and 2.8e-14."""
+    cases 1.5e-14, 9.0e-14, 6.9e-15, 3.8e-15 and 1.5e-14."""
     prot = _super_period_case(kind, midband)
     p = simulate_emission(qubit_spec_nobend, q1, prot).p_e
     np.testing.assert_allclose(p, _schedule_reference(qubit_spec_nobend, q1,
                                                       prot),
                                rtol=0, atol=1e-12)
+
+
+@single_thread()
+def _split_slice_reference(spec, qubit, protocol):
+    """Literal stepping of the protocol's slices, built here from Protocol's
+    rules rather than _schedule's items: the ramp crosses each output
+    interval (the last one cut at tune_time) in the fewest equal steps no
+    longer than tune_time / 64, each at the ramp frequency of its midpoint;
+    then slice j of duration T / 64 runs at omega_interact + epsilon
+    cos(pi (2 j + 1) / 64), folded into the first half period as Protocol
+    says.  Each slice is cut at every t_k inside it and both pieces are
+    stepped by expm on the complex envelope; the sample is read at the cut
+    under the slice's model.  A sample on a slice end to rounding is read
+    there, with the slice that ends there."""
+    t = _time_grid(protocol.t_max, protocol.dt_output)
+    mod, tune = protocol.modulation, protocol.tune_time
+    w0, w1 = protocol.omega_park, protocol.omega_interact
+    slices = []                             # (start, duration, frequency)
+    if tune:
+        for a, e in itertools.pairwise(np.append(t[t < tune], tune)):
+            n = max(1, math.ceil(64 * (e - a) / tune))
+            slices += [(a + j * (e - a) / n, (e - a) / n,
+                        w0 + (w1 - w0) * (a + (j + 0.5) * (e - a) / n) / tune)
+                       for j in range(n)]
+    dt = 2 * math.pi / mod.omega_mod / 64
+    half = [w1 + mod.epsilon * math.cos(math.pi * (2 * j + 1) / 64)
+            for j in range(32)]
+    slices += [(tune + j * dt, dt, (half + half[::-1])[j % 64])
+               for j in range(math.ceil((t[-1] - tune) / dt) + 1)]
+
+    @functools.cache
+    def model(w):
+        m = assemble_state_space(spec, dataclasses.replace(qubit, omega_ge=w))
+        return m, m.a_matrix()
+
+    @functools.cache
+    def prop(w, h):
+        return scipy.linalg.expm(model(w)[1] * h)
+
+    def quanta(m, x):
+        n, q = m.n_nodes, m.qubit_node
+        v = np.linalg.solve(m.cap, x[n:])
+        return (0.5 * (m.cap[q, q] * abs(v[q]) ** 2
+                       + m.linv[q, q] * abs(x[q]) ** 2)
+                / math.sqrt(m.linv[q, q] / m.cap[q, q]))
+
+    x = _initial_state(model(slices[0][2])[0])
+    p, k = [quanta(model(slices[0][2])[0], x)], 1
+    for start, h, w in slices:
+        done = 0.0
+        while k < t.size and t[k] - start <= h + 1e-12 * t[k]:
+            cut = min(t[k] - start, h)
+            x = prop(w, cut - done) @ x
+            p.append(quanta(model(w)[0], x))
+            done, k = cut, k + 1
+        if k == t.size:
+            break
+        x = prop(w, h - done) @ x
+    return np.array(p) / p[0]
+
+
+@pytest.mark.parametrize("kind", _SUPER_PERIOD_CASES + ["613 MHz"])
+def test_modulation_matches_split_slice_reference(qubit_spec_nobend, q1,
+                                                  midband, kind):
+    """Every modulated trace reads each sample at t_k: it follows literal
+    stepping of slices cut at every t_k (_split_slice_reference) within
+    1e-12, with and without a super-period.  Measured worst cases 7.9e-14,
+    9.7e-14, 4.1e-14, 7.9e-14 and 1.6e-14 (613 MHz).  The 10 MHz trace's
+    1.56 ns slices are the exception: ||A dt|| is about 3e4, so expm squares
+    13 times, and cutting a slice moves literal stepping by about 1.2e-12
+    per 100 ns (uncut, _schedule_reference agrees within 3.8e-15).  Its
+    bound is 1e-11; measured 5.7e-12 over 1 us."""
+    prot = _super_period_case(kind, midband)
+    p = simulate_emission(qubit_spec_nobend, q1, prot).p_e
+    np.testing.assert_allclose(
+        p, _split_slice_reference(qubit_spec_nobend, q1, prot),
+        rtol=0, atol=1e-11 if kind == "10 MHz" else 1e-12)
+
+
+def test_slow_modulation_has_no_staircase(qubit_spec_nobend, q1, midband):
+    """A 10 MHz modulation (epsilon / 2 pi = 100 MHz) read every 0.5 ns,
+    three samples per 1.56 ns slice, reads each sample at its own time: no
+    two of the first 100 agree."""
+    p = simulate_emission(qubit_spec_nobend, q1,
+                          _super_period_case("10 MHz", midband)).p_e
+    assert np.unique(p[:100]).size == 100
 
 
 @pytest.mark.parametrize("index, builds", [(0.0, 1), (0.2, 32), (0.4, 32),
@@ -735,14 +867,20 @@ def test_modulation_builds_one_propagator_per_slice_pair(
         qubit_spec_nobend, q1, midband, monkeypatch, index, builds):
     """Slices j and _SLICES - 1 - j of a period run at one frequency, bit
     for bit (the cosine is even about the half period), so a modulated trace
-    builds _SLICES / 2 propagators, and one at index 0."""
+    builds `builds` slice propagators, _SLICES / 2 and one at index 0.  It
+    adds one side branch per read offset of its super-period that does not
+    fall on a slice end: of the 10 samples in 3 periods, all but the 5th
+    and 10th."""
     calls, expm = [], scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm",
                         lambda a: calls.append(a) or expm(a))
     simulate_modulated(qubit_spec_nobend, q1, Protocol(
         omega_interact=midband + _WMOD, t_max=2e-8, dt_output=5e-10,
         modulation=Modulation(omega_mod=_WMOD, epsilon=index * _WMOD)))
-    assert len(calls) == builds
+    x = _time_grid(5e-9, 5e-10)[1:] * _WMOD * _SLICES / (2 * math.pi)
+    side = np.count_nonzero(np.abs(x - np.rint(x)) > 1e-9 * x)
+    assert side == 8
+    assert len(calls) == builds + side
 
 
 @pytest.mark.parametrize("kind", ["oracle", "quantum"])
