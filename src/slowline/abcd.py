@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import (ArraySpec, Chain, UnitCellParams, ValidationError,
-                     _require, integer, write_csv)
+                     count, write_csv)
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ class TwoPortResponse:
 
 def default_grid(cell: UnitCellParams, n_points: int = 2001) -> np.ndarray:
     """Default frequency grid spanning both bandedges with margin."""
-    n_points = integer(n_points)
-    _require(n_points >= 1, "n_points must be >= 1")
+    n_points = count(n_points, "n_points", 1)
     w0 = cell.omega0
     return np.linspace(0.93 * w0, 1.02 * w0, n_points)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import UnitCellParams, _require, integer, write_csv
+from .params import UnitCellParams, _require, count, write_csv
 
 # Lattice constant of the fabricated device, metres.  Geometry metadata only:
 # all physics is per-cell; d enters in reporting delay per length/area.
@@ -52,8 +52,7 @@ def dispersion(cell: UnitCellParams, kd) -> np.ndarray:
 
 
 def dispersion_curve(cell: UnitCellParams, n_points: int = 1001) -> DispersionCurve:
-    n_points = integer(n_points)
-    _require(n_points >= 1, "n_points must be >= 1")
+    n_points = count(n_points, "n_points", 1)
     kd = np.linspace(-math.pi, math.pi, n_points)
     return DispersionCurve(k_grid=kd, omega=dispersion(cell, kd))
 
@@ -93,9 +92,10 @@ def coupling_spectrum(cell: UnitCellParams, m_cells: int = 2001,
                       max_distance: int = 10) -> CouplingSpectrum:
     """Photon-mediated interaction strengths V(n) from the discrete Fourier
     transform of the dispersion over an M-site Brillouin zone."""
-    m_cells, max_distance = integer(m_cells), integer(max_distance)
-    _require(m_cells % 2 and m_cells >= 2 * max_distance + 1 >= 1,
-             "m_cells must be odd and >= 2*max_distance + 1 >= 1")
+    m_cells = count(m_cells, "m_cells", 1)
+    max_distance = count(max_distance, "max_distance", 0)
+    _require(m_cells % 2 and m_cells >= 2 * max_distance + 1,
+             "m_cells must be odd and >= 2*max_distance + 1")
     m = np.arange(m_cells) - (m_cells - 1) // 2
     kd = 2.0 * math.pi * m / m_cells
     w = dispersion(cell, kd)

@@ -25,8 +25,8 @@ from .dressed import EDGES, MODELS, solve_dressed_states
 from .dynamics import (Protocol, simulate_emission, simulate_emission_quantum,
                        simulate_mirror)
 from .params import (TWO_PI, ArraySpec, EmitterParams, QubitCircuitParams,
-                     UnitCellParams, ValidationError, as_fields, hz, integer,
-                     list_of, one_of, read_object, real, write_csv,
+                     UnitCellParams, ValidationError, as_fields, count, hz,
+                     integer, list_of, one_of, read_object, real, write_csv,
                      write_json)
 from .taper import TaperProblem, optimize
 from . import disorder as disorder_mod
@@ -69,9 +69,7 @@ def _cmd_s21(cfg: dict, out: str, args) -> list:
     cfg = read_object(cfg, "config", {"spec": ArraySpec.from_dict},
                       {"n_points": integer, "f_min_hz": hz, "f_max_hz": hz})
     spec = cfg["spec"]
-    n = cfg.get("n_points", 2001)
-    if n < 1:
-        raise ValidationError("n_points must be >= 1")
+    n = count(cfg.get("n_points", 2001), "n_points", 1)
     if ("f_min_hz" in cfg) != ("f_max_hz" in cfg):
         raise ValidationError("config: give both f_min_hz and f_max_hz or "
                               "neither")

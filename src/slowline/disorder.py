@@ -19,7 +19,7 @@ import numpy as np
 
 from .abcd import TwoPortResponse, cascade_abcd
 from .bands import band_edges, tight_binding, window_grid
-from .params import (ArraySpec, Chain, ValidationError, _require, integer,
+from .params import (ArraySpec, Chain, ValidationError, _require, count,
                      write_csv)
 
 logger = logging.getLogger(__name__)
@@ -164,8 +164,7 @@ def extinction_curve(spec: ArraySpec, sigma_over_j, n_realizations: int,
     checked before any cascade.
     """
     sigma_over_j = _sigma_grid(sigma_over_j)
-    n_realizations = integer(n_realizations)
-    _require(n_realizations >= 1, "n_realizations must be >= 1")
+    n_realizations = count(n_realizations, "n_realizations", 1)
     j = tight_binding(spec.interior)["j_tb"]
     draws = [(soj * j, (seed, i)) for i in range(n_realizations)
              for soj in sigma_over_j]
@@ -231,8 +230,7 @@ def calibrate_sigma(measured_delta_fsr: float, spec: ArraySpec, sigma_grid,
     outside that prefix's range of Delta_FSR raises ``ValidationError``.
     """
     sigma_grid = _sigma_grid(sigma_grid)
-    n_realizations = integer(n_realizations)
-    _require(n_realizations >= 2, "n_realizations must be >= 2")
+    n_realizations = count(n_realizations, "n_realizations", 2)
     band = band_edges(spec.interior)
 
     def delta_fsr(resp):

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .bands import band_edges, coupling_spectrum, dispersion, group_velocity, tight_binding
-from .params import EmitterParams, UnitCellParams, ValidationError
+from .params import EmitterParams, UnitCellParams, ValidationError, count
 
 MODELS = ("effective_mass", "exact_band")
 EDGES = ("upper", "lower")
@@ -173,6 +173,7 @@ def bound_profile(e: float, cell: UnitCellParams, n_cells: int,
     Amplitudes follow e^{-|x|/lambda}; when omega_ge is supplied the photonic
     part carries weight 1 - |c_e|^2 so the full state is normalized.
     """
+    n_cells = count(n_cells, "n_cells", 1)
     w_edge, sign = _edge(cell, edge)
     jj = _default_j(cell, j)
     if sign * (e - w_edge) <= 0:
@@ -193,6 +194,7 @@ def single_excitation_hamiltonian(cell: UnitCellParams, emitter: EmitterParams,
                                   max_range: int = 10) -> np.ndarray:
     """(M+1) x (M+1) Hamiltonian: photonic block with hopping from the
     coupling spectrum, the emitter level last, coupled at the central cell."""
+    m_cells = count(m_cells, "m_cells", 1)
     cs = coupling_spectrum(cell, m_cells if m_cells % 2 else m_cells + 1,
                            max_range)
     hopping = np.zeros(m_cells)

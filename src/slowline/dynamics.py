@@ -7,10 +7,10 @@ is linear, so every classical protocol (quench, finite tune-in ramp,
 parametric modulation) is one piecewise-constant schedule of bare qubit
 frequencies, which simulate_emission steps with the matrix exponential of
 each slice's state-space generator (exactly energy-preserving for lossless
-configurations, unlike explicit stepping), reading each sample at t_k by
-one blocked path.  The excited-state population p_e is the qubit node's
-quanta E_q / omega_q under the instantaneous model, relative to its initial
-value; for a quench omega_q is fixed and p_e is the node's energy fraction.
+configurations, unlike explicit stepping).  The excited-state population
+p_e is the qubit node's quanta E_q / omega_q under the instantaneous model,
+relative to its initial value; for a quench omega_q is fixed and p_e is the
+node's energy fraction.
 The small-matrix work runs with one BLAS thread (``blas.single_thread``), so
 a trace does not depend on the BLAS thread count.
 
@@ -32,7 +32,7 @@ import scipy.linalg
 
 from .blas import single_thread
 from .params import (ArraySpec, Chain, JsonFields, QubitCircuitParams,
-                     ValidationError, _real_fields, _require, hz, integer,
+                     ValidationError, _real_fields, _require, count, hz,
                      nested, nullable, real, write_csv)
 from .statespace import StateSpaceModel, assemble_state_space
 
@@ -70,11 +70,7 @@ class Protocol(JsonFields):
     tune_time)), follows from tune_time in 64 constant-frequency slices per
     period, each at the frequency of its midpoint (slices j and 63 - j share
     one: the cosine is even about the half period).  Without a modulation,
-    omega_interact is held from tune_time in dt_output slices.  Every sample
-    is read at t_k, by the slice that contains it (on a slice end to
-    rounding, by the slice ending there).  When p <= 8 periods span q output
-    intervals (to rounding), slices and reads repeat every super-period of
-    64 p slices, read in blocks; the hold is its one-slice case.
+    omega_interact is held from tune_time in dt_output slices.
     """
     omega_interact: float                   # rad/s, bare qubit frequency
     t_max: float                            # s
@@ -167,9 +163,12 @@ def _schedule(protocol: Protocol, t_out: np.ndarray):
     the offsets reads[i] from its start, the whole item taken `repeats`
     times.
 
-    Each sample is read at t_k by the slice that contains it, one on a slice
-    end to rounding at that end (a ramp slice's offset is its length).  The
-    ramp goes as Protocol says, one slice per item.  From tune_time the
+    The read rule: each sample is read at t_k by the slice that contains it,
+    at the offset t_k - (slice start); a sample within _ROUNDING t_k of a
+    slice end is read once, by the slice ending there, at the offset dt (a
+    ramp slice's length).
+
+    The ramp goes as Protocol says, one slice per item.  From tune_time the
     qubit runs a period of slices, a modulation's _SLICES or one dt_output
     slice at omega_interact.  When p periods span q samples (_super_period;
     the hold is p = q = 1), one item of p periods repeats while whole ones
@@ -221,66 +220,55 @@ def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
     ``Chain`` (a stacked ``Chain`` raises ``ValidationError``), through the
     protocol's quench, ramp or modulation.
 
-    The chain is lowered once.  The state steps through _schedule's items
-    with expm propagators, the last _SLICES + 1 of them cached, and each
-    sample an item names is read as qubit-node quanta under its slice's
-    model.
+    The chain is lowered once.  The state starts with unit amplitude on the
+    qubit node under its first slice's model and steps through _schedule's
+    items with expm propagators, the last _SLICES + 1 of them cached.  A and
+    expm(A dt) are real, so the complex envelope is stepped as a real (2n, 2)
+    array of its real and imaginary parts, which never mix.
 
-    A and expm(A dt) are real, so the complex envelope is stepped as a real
-    (2n, 2) array of its real and imaginary parts, which never mix.  The
-    quanta E_q / omega_q are sum(weights * (R x)^2) over the read-out rows
-    R = [e_q; (0, row q of C^-1)] (the flux and voltage of the qubit node;
-    C^-1 is A's upper-right block) with weights (L^-1_qq, C_qq) / 2 omega_q.
-
-    Every item is read _CHUNK read rows per gemm and never stepped slice by
-    slice: with P_i the propagator of its slice i and M = P_L-1 ... P_0 its
-    product, built once, a sample at offset d in slice i gets the row
-    R_i P_i(d) P_i-1 ... P_0, R_i scaled to the weights of the item's first
-    slice.  P_i(d) = expm(A_i d) is a side branch built once per item, or P_i
-    itself when d is the slice's length (every read of a quench, a mirror or
-    a ramp).  These rows times M, M^2, ... are stacked once into a block of
-    whole repeats, and the state jumps by the block's power of M, built
-    once, between blocks.  For the hold (one slice P) the block is R P, ...,
-    R P^_CHUNK.
+    Each slice's read rows R are the flux and voltage of the qubit node,
+    e_q and row q of C^-1 (A's upper-right block), scaled by
+    sqrt((L^-1_qq, C_qq) / 2 omega_q), so a sample's quanta E_q / omega_q
+    are the sum of squares of its (2, 2) block R x.  With P_i the propagator
+    of an item's slice i, a sample at offset d in that slice gets the row
+    R_i P_i(d) P_i-1 ... P_0, where P_i(d) is P_i when d is the slice's
+    length and an uncached expm(A_i d) otherwise.  The rows of whole repeats
+    of the item are stacked once and read about _CHUNK samples per gemm.
     """
     chain = spec.lower()
-    x = n0 = None
-
-    def quanta(weights, y):         # y = R x, one (2, 2) block per sample
-        return (y.reshape(-1, 2, 2) ** 2).sum(axis=2) @ weights
 
     def build(w, dt):
-        nonlocal x, n0
         m = assemble_state_space(chain, replace(qubit, omega_ge=w))
         a = m.a_matrix()
         n, q = m.n_nodes, m.qubit_node
+        two_w = 2.0 * math.sqrt(m.linv[q, q] / m.cap[q, q])     # 2 omega_q
         rows = np.zeros((2, 2 * n))
-        rows[0, q] = 1.0
-        rows[1, n:] = a[q, n:]
-        c_qq, l_qq = m.cap[q, q], m.linv[q, q]
-        weights = np.array([l_qq, c_qq]) / (2.0 * math.sqrt(l_qq / c_qq))
-        if x is None:               # the trace starts in its first model
-            x0 = _initial_state(m)
-            x = np.column_stack([x0.real, x0.imag])
-            n0 = quanta(weights, rows @ x)[0]
-        return scipy.linalg.expm(a * dt), rows, weights
+        rows[0, q] = math.sqrt(m.linv[q, q] / two_w)
+        rows[1, n:] = a[q, n:] * math.sqrt(m.cap[q, q] / two_w)
+        return scipy.linalg.expm(a * dt), rows
+
+    def quanta(y):                  # y = R x, one (2, 2) block per sample
+        return (y.reshape(-1, 4) ** 2).sum(axis=1)
 
     stepper = functools.lru_cache(maxsize=_SLICES + 1)(build)
     t_out = _time_grid(protocol.t_max, protocol.dt_output)
     p = np.empty(t_out.shape)
     p[0] = 1.0
-    k = 1
+    k, x = 1, None
     for ws, dt, reads, repeats in _schedule(protocol, t_out):
         steps = [stepper(w, dt) for w in ws]
-        per, weights = len(ws), steps[0][2]
+        if x is None:       # the trace starts in its first slice's model
+            x0 = _initial_state(assemble_state_space(
+                chain, replace(qubit, omega_ge=ws[0])))
+            x = np.column_stack([x0.real, x0.imag])
+            n0 = quanta(steps[0][1] @ x)[0]
+        per = len(ws)
         heads, prod = {}, None      # one period's read rows by (slice, offset)
-        for i, (prop, rows, weights_i) in enumerate(steps):
-            rows = rows * np.sqrt(weights_i / weights)[:, None]
-            for d in {d for r in reads[i::per] for d in r} - {dt}:
-                side = rows @ build(ws[i], d)[0]
-                heads[i, d] = side if prod is None else side @ prod
+        for i, (prop, rows) in enumerate(steps):
+            for d in {d for r in reads[i::per] for d in r}:
+                row = rows @ (prop if d == dt else build(ws[i], d)[0])
+                heads[i, d] = row if prod is None else row @ prod
             prod = prop if prod is None else prop @ prod
-            heads[i, dt] = rows @ prod
         first = np.empty((0, prod.shape[1]))    # rows of period j times prod^j
         for j in reversed(range(len(reads) // per)):
             first = np.concatenate([heads[i % per, d]
@@ -297,7 +285,7 @@ def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
         for s in range(0, repeats, c):
             if s:
                 x = jump @ x
-            y = quanta(weights, block[:min(c, repeats - s) * len(first)] @ x)
+            y = quanta(block[:min(c, repeats - s) * len(first)] @ x)
             p[k:k + y.size] = y / n0
             k += y.size
         if k < p.size:                          # slices follow the item
@@ -471,8 +459,7 @@ def bandedge_oracle(g_uc: float, j: float, omega0: float, detuning: float,
     convergence_tol.
     """
     _require(0 < j < math.inf, "j must be positive and finite")
-    n_modes = integer(n_modes)
-    _require(n_modes >= 1, "n_modes must be at least 1")
+    n_modes = count(n_modes, "n_modes", 1)
     _require(all(map(math.isfinite, (g_uc, omega0, detuning, convergence_tol))),
              "g_uc, omega0, detuning and convergence_tol must be finite")
     t = _time_grid(t_max, dt_output)
@@ -621,6 +608,8 @@ def revival_onsets(trace: DynamicsTrace, n_revivals: int = 1,
     floor by rise_fraction of the revival height.
     """
     import scipy.signal     # slow to import (scipy.stats); only needed here
+    n_revivals = count(n_revivals, "n_revivals", 1)
+    _require(0 < rise_fraction <= 1, "rise_fraction must lie in (0, 1]")
     p = trace.p_e
     below = np.where(p < settle_level * p[0])[0]
     if below.size == 0:

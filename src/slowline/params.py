@@ -114,6 +114,16 @@ def integer(v) -> int:
     return int(v)
 
 
+def count(v, name: str, least: int) -> int:
+    """The integer argument ``name``, at least ``least``."""
+    try:
+        v = integer(v)
+    except ValidationError as exc:
+        raise ValidationError(f"{name}: {exc}") from None
+    _require(v >= least, f"{name} must be >= {least}")
+    return v
+
+
 def boolean(v) -> bool:
     _require(isinstance(v, bool), f"expected true or false, got {v!r}")
     return v

@@ -77,12 +77,14 @@ def test_coupling_spectrum_validation():
         coupling_spectrum(CELL, m_cells=21, max_distance=-1)
 
 
-@pytest.mark.parametrize("m_cells, max_distance", [
-    (21, 2.5), (21.5, 2), (True, 0), (21, True)])
-def test_coupling_spectrum_needs_integer_sizes(m_cells, max_distance):
-    """Fractional or bool sizes raise rather than being rounded up by
-    np.arange (21 cells at distance 2.5 would give four distances)."""
-    with pytest.raises(ValidationError, match="expected an integer"):
+@pytest.mark.parametrize("m_cells, max_distance, name", [
+    (21, 2.5, "max_distance"), (21.5, 2, "m_cells"), (True, 0, "m_cells"),
+    (21, True, "max_distance")], ids=["21-2.5", "21.5-2", "True-0", "21-True"])
+def test_coupling_spectrum_needs_integer_sizes(m_cells, max_distance, name):
+    """Fractional or bool sizes raise, naming the size, rather than being
+    rounded up by np.arange (21 cells at distance 2.5 would give four
+    distances)."""
+    with pytest.raises(ValidationError, match=f"{name}: expected an integer"):
         coupling_spectrum(CELL, m_cells=m_cells, max_distance=max_distance)
 
 

@@ -129,9 +129,9 @@ def test_grids_need_a_point(test_spec, n_points):
 def test_grid_sizes_must_be_integers(test_spec, n_points):
     """A fractional, bool or string point count is a ValidationError, not
     numpy's TypeError or a one-point grid."""
-    with pytest.raises(ValidationError, match="expected an integer"):
+    with pytest.raises(ValidationError, match="n_points: expected an integer"):
         default_grid(test_spec.interior, n_points)
-    with pytest.raises(ValidationError, match="expected an integer"):
+    with pytest.raises(ValidationError, match="n_points: expected an integer"):
         dispersion_curve(test_spec.interior, n_points)
 
 

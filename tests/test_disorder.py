@@ -345,9 +345,11 @@ def test_realization_counts_must_be_integers(tapered_26, monkeypatch, n):
     cascade, in both ensembles."""
     _forbid_cascade(monkeypatch)
     j = tight_binding(tapered_26.interior)["j_tb"]
-    with pytest.raises(ValidationError, match="expected an integer"):
+    with pytest.raises(ValidationError,
+                       match="n_realizations: expected an integer"):
         extinction_curve(tapered_26, [0.0, 0.05], n, seed=1)
-    with pytest.raises(ValidationError, match="expected an integer"):
+    with pytest.raises(ValidationError,
+                       match="n_realizations: expected an integer"):
         calibrate_sigma(1e6, tapered_26, np.array([0.02, 0.3]) * j,
                         n_realizations=n)
 

@@ -9,6 +9,7 @@ from slowline.dressed import (SingularPointError, bound_profile,
                               diagonalize_single_excitation, qubit_weight,
                               self_energy, single_excitation_hamiltonian,
                               solve_dressed_states)
+from slowline.dynamics import DynamicsTrace, revival_onsets
 from slowline.params import EmitterParams, UnitCellParams, ValidationError
 
 CELL = UnitCellParams(c0=353.2e-15, cg=5.05e-15, l0=3.151e-9)
@@ -154,6 +155,7 @@ def test_single_excitation_hamiltonian_structure():
     center = 25
     assert h[51, center] == pytest.approx(em.g_uc)
     assert h[51, 51] == pytest.approx(em.omega_ge)
+    assert np.array_equal(single_excitation_hamiltonian(CELL, em, 51.0), h)
 
 
 def test_extra_couplings_offset():
@@ -165,6 +167,30 @@ def test_extra_couplings_offset():
         single_excitation_hamiltonian(
             CELL, EmitterParams(omega_ge=W0, g_uc=J,
                                 extra_couplings={100: J}), m_cells=51)
+
+
+_T = np.linspace(0, 4e-7, 4001)
+_ECHO = DynamicsTrace(t=_T, p_e=np.exp(-1e8 * _T)
+                      + 0.05 * np.exp(-((_T - 2.5e-7) / 2e-8) ** 2))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: revival_onsets(_ECHO, rise_fraction=1.5), "rise_fraction"),
+    (lambda: revival_onsets(_ECHO, rise_fraction=0.0), "rise_fraction"),
+    (lambda: revival_onsets(_ECHO, n_revivals=2.5),
+     "n_revivals: expected an integer, got 2.5"),
+    (lambda: bound_profile(W0 + J, CELL, 2.5, j=J),
+     "n_cells: expected an integer, got 2.5"),
+    (lambda: single_excitation_hamiltonian(CELL, _emitter(0.3), "201"),
+     "m_cells: expected an integer"),
+], ids=["rise_fraction 1.5", "rise_fraction 0", "n_revivals 2.5",
+        "bound_profile 2.5 cells", "hamiltonian '201' cells"])
+def test_analysis_inputs_validated(call, match):
+    """Counts are read as integers and rise_fraction lies in (0, 1]: each
+    bad input raises ValidationError naming it, not an IndexError or
+    TypeError, and 2.5 cells are not rounded up to 3."""
+    with pytest.raises(ValidationError, match=match):
+        call()
 
 
 def test_diagonalization_finds_bound_state():

@@ -275,7 +275,7 @@ def test_bandedge_oracle_validation():
                 dict(n_modes=True), dict(n_modes=11.5), dict(n_modes="11"),
                 dict(g_uc=math.nan), dict(omega0=math.inf),
                 dict(detuning=math.nan), dict(convergence_tol=math.inf)):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=next(iter(bad))):
             bandedge_oracle(**{**ok, **bad})
     uncoupled = bandedge_oracle(**{**ok, "g_uc": 0.0})
     assert np.all(uncoupled.p_e == 1.0)
@@ -497,20 +497,67 @@ def test_ramp_matches_exact_sampling_reference(qubit_spec_nobend, q1, midband,
 
 
 @single_thread()
-def _expm_reference(spec, qubit, protocol):
-    """Literal LTI expm stepping; qubit-node energy with v = C^-1 q by solve."""
-    model = assemble_state_space(
-        spec, dataclasses.replace(qubit, omega_ge=protocol.omega_interact))
-    prop = scipy.linalg.expm(model.a_matrix() * protocol.dt_output)
-    n, q = model.n_nodes, model.qubit_node
-    x = _initial_state(model)
-    energy = []
-    for _ in range(int(round(protocol.t_max / protocol.dt_output)) + 1):
-        v = np.linalg.solve(model.cap, x[n:])
-        energy.append(0.5 * (model.cap[q, q] * abs(v[q]) ** 2
-                             + model.linv[q, q] * abs(x[q]) ** 2))
-        x = prop @ x
-    return np.array(energy) / energy[0]
+def _literal_reference(spec, qubit, protocol):
+    """Literal complex stepping of the protocol's slices, built from
+    Protocol's rules rather than _schedule's items: the ramp crosses each
+    output interval (the last one cut at tune_time) in the fewest equal
+    steps no longer than tune_time / 64, each at the ramp frequency of its
+    midpoint; from tune_time follow dt_output slices at omega_interact, or
+    64 slices per modulation period, slice j at omega_interact + epsilon
+    cos(pi (2 j + 1) / 64).  Each slice is stepped whole by expm on the
+    complex envelope.  A sample in it is read by expm(A delta) from the
+    slice's start, delta = t_k - start or, when t_k is on its end to
+    1e-12 t_k, the slice's length, as qubit-node quanta with v = C^-1 q by
+    solve under the slice's model."""
+    t = _time_grid(protocol.t_max, protocol.dt_output)
+    mod, tune = protocol.modulation, protocol.tune_time
+    w0, w1 = protocol.omega_park, protocol.omega_interact
+    slices = []                             # (start, duration, frequency)
+    if tune:
+        for a, e in itertools.pairwise(np.append(t[t < tune * (1 - 1e-12)],
+                                                 tune)):
+            n = max(1, math.ceil(64 * (e - a) / tune))
+            slices += [(a + j * (e - a) / n, (e - a) / n,
+                        w0 + (w1 - w0) * (a + (j + 0.5) * (e - a) / n) / tune)
+                       for j in range(n)]
+    ws, dt = [w1], protocol.dt_output
+    if mod is not None:                     # folded as Protocol says
+        dt = 2 * math.pi / mod.omega_mod / 64
+        ws = [w1 + mod.epsilon * math.cos(math.pi * (2 * j + 1) / 64)
+              for j in range(32)]
+        ws += ws[::-1]
+    slices += [(tune + j * dt, dt, ws[j % len(ws)])
+               for j in range(math.ceil((t[-1] - tune) / dt) + 1)]
+
+    @functools.cache
+    def model(w):
+        m = assemble_state_space(spec, dataclasses.replace(qubit, omega_ge=w))
+        return m, m.a_matrix()
+
+    @functools.cache
+    def prop(w, h):
+        return scipy.linalg.expm(model(w)[1] * h)
+
+    def quanta(m, x):
+        n, q = m.n_nodes, m.qubit_node
+        v = np.linalg.solve(m.cap, x[n:])
+        return (0.5 * (m.cap[q, q] * abs(v[q]) ** 2
+                       + m.linv[q, q] * abs(x[q]) ** 2)
+                / math.sqrt(m.linv[q, q] / m.cap[q, q]))
+
+    m = model(slices[0][2])[0]
+    x = _initial_state(m)
+    p, k = [quanta(m, x)], 1
+    for start, h, w in slices:
+        m, a = model(w)
+        while k < t.size and t[k] - start <= h + 1e-12 * t[k]:
+            delta = t[k] - start
+            side = (prop(w, h) if delta >= h - 1e-12 * t[k]
+                    else scipy.linalg.expm(a * delta))
+            p.append(quanta(m, side @ x))
+            k += 1
+        x = prop(w, h) @ x
+    return np.array(p) / p[0]
 
 
 @pytest.mark.parametrize("termination", ["matched", "open_mirror"])
@@ -519,7 +566,7 @@ def test_quench_matches_literal_expm_stepping(q1, midband, termination):
     prot = Protocol(omega_interact=midband, t_max=3e-8)
     sim = simulate_mirror if termination == "open_mirror" else simulate_emission
     tr = sim(spec, q1, prot)
-    np.testing.assert_allclose(tr.p_e, _expm_reference(spec, q1, prot),
+    np.testing.assert_allclose(tr.p_e, _literal_reference(spec, q1, prot),
                                rtol=0, atol=1e-12)
 
 
@@ -530,14 +577,14 @@ def test_quench_blocks_match_literal_expm_stepping(q1, midband, termination,
                                                    steps):
     """A quench reads its `steps` held steps _CHUNK samples per block:
     short of one block, one exact block, one sample past it, and two blocks
-    and a sample.  Measured worst case against literal stepping 1.1e-15 on
+    and a sample.  Measured worst case against literal stepping 6.7e-16 on
     both terminations; the bound is 1e-12."""
     spec = qubit_device(termination_out=termination)
     prot = Protocol(omega_interact=midband, t_max=steps * 2e-10,
                     dt_output=2e-10)
     tr = simulate_emission(spec, q1, prot)
     assert tr.t.size == steps + 1
-    np.testing.assert_allclose(tr.p_e, _expm_reference(spec, q1, prot),
+    np.testing.assert_allclose(tr.p_e, _literal_reference(spec, q1, prot),
                                rtol=0, atol=1e-12)
 
 
@@ -554,49 +601,8 @@ def test_far_detuned_quench_matches_literal_expm_stepping(qubit_spec, q1,
                     dt_output=2e-9)
     tr = simulate_emission(qubit_spec, q1, prot)
     assert powers == [_CHUNK]
-    np.testing.assert_allclose(tr.p_e, _expm_reference(qubit_spec, q1, prot),
+    np.testing.assert_allclose(tr.p_e, _literal_reference(qubit_spec, q1, prot),
                                rtol=0, atol=1e-12)
-
-
-@single_thread()
-def _schedule_reference(spec, qubit, protocol):
-    """Literal complex stepping over the same _schedule items: one expm
-    per distinct slice and x = prop @ x on the complex envelope for each
-    slice of each repeat of an item; each sample at offset d in a slice is
-    read by the side branch expm(A d) @ x from the slice's start, as
-    qubit-node quanta 0.5 (C_qq |v_q|^2 + L^-1_qq |flux_q|^2) / omega_q with
-    v_q from row q of C^-1 (A's upper-right block)."""
-    t = _time_grid(protocol.t_max, protocol.dt_output)
-
-    def quanta(m, a, x):
-        n, q = m.n_nodes, m.qubit_node
-        c_qq, l_qq = m.cap[q, q], m.linv[q, q]
-        v_q = a[q, n:] @ x[n:]
-        return (0.5 * (c_qq * abs(v_q) ** 2 + l_qq * abs(x[q]) ** 2)
-                / math.sqrt(l_qq / c_qq))
-
-    @functools.cache
-    def model(w):
-        m = assemble_state_space(spec, dataclasses.replace(qubit, omega_ge=w))
-        return m, m.a_matrix()
-
-    @functools.cache
-    def prop(w, dt):
-        return scipy.linalg.expm(model(w)[1] * dt)
-
-    p, x = [1.0], None
-    for ws, dt, reads, repeats in _schedule(protocol, t):
-        for _ in range(repeats):
-            for i, offsets in enumerate(reads):
-                w = ws[i % len(ws)]
-                m, a = model(w)
-                if x is None:
-                    x = _initial_state(m)
-                    n0 = quanta(m, a, x)
-                p += [quanta(m, a, prop(w, d) @ x) / n0 for d in offsets]
-                x = prop(w, dt) @ x
-    assert len(p) == t.size
-    return np.array(p)
 
 
 _WMOD = 2 * math.pi * 600e6
@@ -605,12 +611,12 @@ _WMOD = 2 * math.pi * 600e6
 @pytest.mark.parametrize("kind", ["index 0.4", "ramp", "held mid-schedule"])
 def test_real_state_matches_complex_schedule_stepping(qubit_spec_nobend, q1,
                                                       midband, kind):
-    """The real two-column state follows literal complex stepping of the
-    same schedule within 1e-12: a 20 ns index-0.4 modulation (four
+    """The real two-column state follows literal complex stepping
+    (_literal_reference) within 1e-12: a 20 ns index-0.4 modulation (four
     super-periods), a 4 ns ramp from +1.5 GHz, and an unmodulated (index 0)
     modulation read just faster than its slices, which has no super-period
     of at most 8 periods: its equal slices are stepped one by one, each read
-    once or twice.  Measured worst cases 6.1e-15, 2.0e-15 and 1.6e-15."""
+    once or twice.  Measured worst cases 6.1e-15, 2.0e-15 and 1.9e-15."""
     if kind == "index 0.4":
         prot = Protocol(omega_interact=midband + _WMOD, t_max=2e-8,
                         dt_output=5e-10,
@@ -629,7 +635,7 @@ def test_real_state_matches_complex_schedule_stepping(qubit_spec_nobend, q1,
             == {(1, 1)}
         assert {len(reads[0]) for _, _, reads, _ in items} == {1, 2}
     p = simulate_emission(qubit_spec_nobend, q1, prot).p_e
-    np.testing.assert_allclose(p, _schedule_reference(qubit_spec_nobend, q1,
+    np.testing.assert_allclose(p, _literal_reference(qubit_spec_nobend, q1,
                                                       prot),
                                rtol=0, atol=1e-12)
 
@@ -702,6 +708,14 @@ _SUPER_PERIOD_CASES = ["index 0.4", "index 0", "after a 4.05 ns ramp",
                        "10 MHz", "ends mid-super-period"]
 
 
+@functools.cache
+def _super_period_reference(kind, midband):
+    """_literal_reference of one _super_period_case on the no-bend device,
+    shared by the two tests that compare modulated traces with it."""
+    return _literal_reference(qubit_device(bend_c_series=None), qubit_q1(),
+                              _super_period_case(kind, midband))
+
+
 def _modulation_slices(protocol):
     """(frequency, read offsets) of every modulation slice that _schedule
     names, in order from tune_time, each item's repeats spelled out."""
@@ -762,94 +776,30 @@ def test_slice_end_samples_are_read_once(midband):
 @pytest.mark.parametrize("kind", _SUPER_PERIOD_CASES)
 def test_super_period_matches_literal_stepping(qubit_spec_nobend, q1, midband,
                                                kind):
-    """Traces read by super-period blocks follow literal complex stepping of
-    the same schedule within 1e-12: criterion 9's index-0.4 trace over
+    """Traces read by super-period blocks follow literal complex stepping
+    (_literal_reference) within 1e-12: criterion 9's index-0.4 trace over
     600 ns (120 super-periods), its 250 ns index-0 trace, the index-0.4
     trace after a 4.05 ns ramp, a 10 MHz modulation (200 samples per
     super-period) and a trace ending mid-super-period.  Measured worst
-    cases 1.5e-14, 9.0e-14, 6.9e-15, 3.8e-15 and 1.5e-14."""
-    prot = _super_period_case(kind, midband)
-    p = simulate_emission(qubit_spec_nobend, q1, prot).p_e
-    np.testing.assert_allclose(p, _schedule_reference(qubit_spec_nobend, q1,
-                                                      prot),
+    cases 1.5e-14, 9.2e-14, 7.3e-15, 1.6e-13 and 1.5e-14."""
+    p = simulate_emission(qubit_spec_nobend, q1,
+                          _super_period_case(kind, midband)).p_e
+    np.testing.assert_allclose(p, _super_period_reference(kind, midband),
                                rtol=0, atol=1e-12)
-
-
-@single_thread()
-def _split_slice_reference(spec, qubit, protocol):
-    """Literal stepping of the protocol's slices, built here from Protocol's
-    rules rather than _schedule's items: the ramp crosses each output
-    interval (the last one cut at tune_time) in the fewest equal steps no
-    longer than tune_time / 64, each at the ramp frequency of its midpoint;
-    then slice j of duration T / 64 runs at omega_interact + epsilon
-    cos(pi (2 j + 1) / 64), folded into the first half period as Protocol
-    says.  Each slice is cut at every t_k inside it and both pieces are
-    stepped by expm on the complex envelope; the sample is read at the cut
-    under the slice's model.  A sample on a slice end to rounding is read
-    there, with the slice that ends there."""
-    t = _time_grid(protocol.t_max, protocol.dt_output)
-    mod, tune = protocol.modulation, protocol.tune_time
-    w0, w1 = protocol.omega_park, protocol.omega_interact
-    slices = []                             # (start, duration, frequency)
-    if tune:
-        for a, e in itertools.pairwise(np.append(t[t < tune], tune)):
-            n = max(1, math.ceil(64 * (e - a) / tune))
-            slices += [(a + j * (e - a) / n, (e - a) / n,
-                        w0 + (w1 - w0) * (a + (j + 0.5) * (e - a) / n) / tune)
-                       for j in range(n)]
-    dt = 2 * math.pi / mod.omega_mod / 64
-    half = [w1 + mod.epsilon * math.cos(math.pi * (2 * j + 1) / 64)
-            for j in range(32)]
-    slices += [(tune + j * dt, dt, (half + half[::-1])[j % 64])
-               for j in range(math.ceil((t[-1] - tune) / dt) + 1)]
-
-    @functools.cache
-    def model(w):
-        m = assemble_state_space(spec, dataclasses.replace(qubit, omega_ge=w))
-        return m, m.a_matrix()
-
-    @functools.cache
-    def prop(w, h):
-        return scipy.linalg.expm(model(w)[1] * h)
-
-    def quanta(m, x):
-        n, q = m.n_nodes, m.qubit_node
-        v = np.linalg.solve(m.cap, x[n:])
-        return (0.5 * (m.cap[q, q] * abs(v[q]) ** 2
-                       + m.linv[q, q] * abs(x[q]) ** 2)
-                / math.sqrt(m.linv[q, q] / m.cap[q, q]))
-
-    x = _initial_state(model(slices[0][2])[0])
-    p, k = [quanta(model(slices[0][2])[0], x)], 1
-    for start, h, w in slices:
-        done = 0.0
-        while k < t.size and t[k] - start <= h + 1e-12 * t[k]:
-            cut = min(t[k] - start, h)
-            x = prop(w, cut - done) @ x
-            p.append(quanta(model(w)[0], x))
-            done, k = cut, k + 1
-        if k == t.size:
-            break
-        x = prop(w, h - done) @ x
-    return np.array(p) / p[0]
 
 
 @pytest.mark.parametrize("kind", _SUPER_PERIOD_CASES + ["613 MHz"])
 def test_modulation_matches_split_slice_reference(qubit_spec_nobend, q1,
                                                   midband, kind):
     """Every modulated trace reads each sample at t_k: it follows literal
-    stepping of slices cut at every t_k (_split_slice_reference) within
-    1e-12, with and without a super-period.  Measured worst cases 7.9e-14,
-    9.7e-14, 4.1e-14, 7.9e-14 and 1.6e-14 (613 MHz).  The 10 MHz trace's
-    1.56 ns slices are the exception: ||A dt|| is about 3e4, so expm squares
-    13 times, and cutting a slice moves literal stepping by about 1.2e-12
-    per 100 ns (uncut, _schedule_reference agrees within 3.8e-15).  Its
-    bound is 1e-11; measured 5.7e-12 over 1 us."""
-    prot = _super_period_case(kind, midband)
-    p = simulate_emission(qubit_spec_nobend, q1, prot).p_e
-    np.testing.assert_allclose(
-        p, _split_slice_reference(qubit_spec_nobend, q1, prot),
-        rtol=0, atol=1e-11 if kind == "10 MHz" else 1e-12)
+    stepping of the protocol's slices, each sample read from its slice's
+    start (_literal_reference), within 1e-12, with and without a
+    super-period (613 MHz).  Measured worst case 1.6e-13 (10 MHz over
+    1 us), 8.0e-15 at 613 MHz."""
+    p = simulate_emission(qubit_spec_nobend, q1,
+                          _super_period_case(kind, midband)).p_e
+    np.testing.assert_allclose(p, _super_period_reference(kind, midband),
+                               rtol=0, atol=1e-12)
 
 
 def test_slow_modulation_has_no_staircase(qubit_spec_nobend, q1, midband):
