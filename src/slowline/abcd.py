@@ -71,42 +71,68 @@ def _ldexp(x: np.ndarray, exp: np.ndarray) -> np.ndarray:
     return parts.view(complex)[..., 0]
 
 
-def _cascade(chain: Chain, freq_grid):
-    """Rows (a, b, c, d) of the chain's ABCD matrix over 2**exp, and exp, each
-    of shape ``chain.l.shape[:-1] + freq_grid.shape``: one row per stacked
-    realization when ``chain.l`` is 2-D.
+def _cascade(chain: Chain, freq_grid, cells=None, start=None):
+    """Rows (a, b/i, c/i, d) of the chain's ABCD matrix over 2**exp, and exp,
+    each of shape ``chain.l.shape[:-1] + freq_grid.shape``: one row per
+    stacked realization when ``chain.l`` is 2-D.  The rows are real when the
+    chain is lossless; _abcd_rows gives (a, b, c, d).
 
     From the input port, each coupler right-multiplies by [[1, z], [0, 1]]
-    and each resonator by [[1, 0], [y, 1]].  The loop keeps (a, b/i, c/i, d),
-    real when the chain is lossless: with zh = z/i = -1/(wC) a coupler does
-    b/i += a*zh and d -= (c/i)*zh; with yh = y/i a resonator does
-    a -= (b/i)*yh and c/i += d*yh.  Each product and sum is the one the
-    complex update computes, so the entries are bit for bit the same.
+    and each resonator by [[1, 0], [y, 1]].  The loop keeps (a, b/i, c/i, d):
+    with zh = z/i = -1/(wC) a coupler does b/i += a*zh and d -= (c/i)*zh;
+    with yh = y/i a resonator does a -= (b/i)*yh and c/i += d*yh.  Each
+    product and sum is the one the complex update computes, so the entries
+    are bit for bit the same.
+
+    ``cells`` (private; default all) is a run of cells to cascade, cell i
+    being coupler i then resonator i and the last coupler a cell of its
+    own.  ``start`` (private) is a (rows, exp) pair such as this function
+    returns; the loop starts from a copy of it instead of the identity, so
+    a cascade can continue past a product cached elsewhere (_join).
 
     Past _RESCALE_ABOVE every point is scaled to a peak in [0.5, 1) by a power
     of two, which is exact: no bit changes where the plain product is finite.
     The entries are searched only once a bound on them passes the threshold:
     an element multiplies the largest entry by at most 1 + max|zh| or
     1 + max|yh|, so no entry passes the threshold unseen, and a cascade
-    makes a few searches rather than one per element.
+    makes a few searches rather than one per element.  Start rows are
+    searched before the first element.
     """
     w = np.asarray(freq_grid, dtype=float)
     if np.any(w <= 0):
         raise ValidationError("frequency grid must avoid DC and be positive")
     lossy = math.isfinite(chain.q_internal)
     g_loss = chain.g_loss
-    m = np.zeros((4, *chain.l.shape[:-1], w.size),
-                 dtype=complex if lossy else float)
-    m[0] = m[3] = 1.0
+    if start is None:
+        m = np.zeros((4, *chain.l.shape[:-1], w.size),
+                     dtype=complex if lossy else float)
+        m[0] = m[3] = 1.0
+        exp = np.zeros(m.shape[1:], dtype=int)
+        bound = 1.0     # no entry is larger in magnitude
+    else:
+        m, exp = start[0].copy(), start[1].copy()
+        bound = math.inf
     a, bh, ch, d = m
     parts = m.view(float).reshape(*m.shape, -1)
-    exp = np.zeros(m.shape[1:], dtype=int)
     w_lo, w_hi = w.min(), w.max()
     y_bound = (w_hi * chain.c_shunt
                + 1.0 / (w_lo * np.atleast_2d(chain.l).min(axis=0))
                + np.atleast_2d(g_loss).max(axis=0))
-    bound = 1.0     # no entry is larger in magnitude
-    for i, cap in enumerate(chain.couplers):
+
+    def rescale():
+        peak = np.abs(m).max(axis=0)
+        top = peak.max()
+        if top <= _RESCALE_ABOVE:
+            return top
+        _, e = np.frexp(peak)
+        np.ldexp(parts, -e[..., None], out=parts)
+        np.add(exp, e, out=exp)
+        return 1.0
+
+    if bound > _RESCALE_ABOVE:
+        bound = rescale()
+    for i in range(chain.couplers.size) if cells is None else cells:
+        cap = chain.couplers[i]
         zh = -1.0 / (w * cap)
         bh += a * zh
         d -= ch * zh
@@ -119,22 +145,47 @@ def _cascade(chain: Chain, freq_grid):
             ch += d * yh
             bound *= 1.0 + y_bound[i]
         if bound > _RESCALE_ABOVE:
-            peak = np.abs(m).max(axis=0)
-            bound = peak.max()
-            if bound > _RESCALE_ABOVE:
-                _, e = np.frexp(peak)
-                np.ldexp(parts, -e[..., None], out=parts)
-                exp += e
-                bound = 1.0
+            bound = rescale()
+    return m, exp
+
+
+def _join(left, right):
+    """The product left * right of two (rows, exp) pairs as _cascade returns
+    them, in the same (a, b/i, c/i, d) form."""
+    (a, bh, ch, d), (ra, rbh, rch, rd) = left[0], right[0]
+    rows = np.stack([a * ra - bh * rch, a * rbh + bh * rd,
+                     ch * ra + d * rch, d * rd - ch * rbh])
+    return rows, left[1] + right[1]
+
+
+def _abcd_rows(m: np.ndarray) -> np.ndarray:
+    """(a, b, c, d) as complex from _cascade's rows (a, b/i, c/i, d); a
+    complex ``m`` is converted in place."""
     m = m.astype(complex, copy=False)
     m[1:3] *= 1j
-    return m, exp
+    return m
+
+
+def _response(rows, freq_grid, port_impedance: float) -> TwoPortResponse:
+    """S21/S11 between resistive ports of impedance ``port_impedance`` from
+    a (rows, exp) pair of _cascade; the rows are converted in place.  Grid
+    points where the conversion is singular yield NaN rather than raising."""
+    m, exp = rows
+    a, b, c, d = _abcd_rows(m)
+    z0 = port_impedance
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = a + b / z0 + c * z0 + d
+        s21 = _ldexp(2.0 / denom, -exp)
+        s11 = (a + b / z0 - c * z0 - d) / denom
+    return TwoPortResponse(freq_grid=np.asarray(freq_grid, dtype=float),
+                           s21=s21, s11=s11)
 
 
 def chain_abcd(spec: ArraySpec | Chain, freq_grid: np.ndarray):
     """Total ABCD matrix of the chain (port to port), per grid point; entries
     beyond the float range are +-inf."""
-    return tuple(_ldexp(*_cascade(spec.lower(), freq_grid)))
+    m, exp = _cascade(spec.lower(), freq_grid)
+    return tuple(_ldexp(_abcd_rows(m), exp))
 
 
 def cascade_abcd(spec: ArraySpec | Chain,
@@ -147,14 +198,8 @@ def cascade_abcd(spec: ArraySpec | Chain,
     raising.
     """
     chain = spec.lower()
-    (a, b, c, d), exp = _cascade(chain, freq_grid)
-    z0 = chain.port_impedance
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = a + b / z0 + c * z0 + d
-        s21 = _ldexp(2.0 / denom, -exp)
-        s11 = (a + b / z0 - c * z0 - d) / denom
-    return TwoPortResponse(freq_grid=np.asarray(freq_grid, dtype=float),
-                           s21=s21, s11=s11)
+    return _response(_cascade(chain, freq_grid), freq_grid,
+                     chain.port_impedance)
 
 
 def unit_cell_abcd(cell: UnitCellParams, freq_grid: np.ndarray):

@@ -34,7 +34,8 @@ from .blas import single_thread
 from .params import (ArraySpec, Chain, JsonFields, QubitCircuitParams,
                      ValidationError, _real_fields, _require, count, hz,
                      nested, nullable, real, write_csv)
-from .statespace import StateSpaceModel, assemble_state_space
+from .statespace import (StateSpaceModel, _retuned_generator,
+                         assemble_state_space)
 
 _SLICES = 64        # steps per modulation period; ramp steps <= tune_time / 64
 _CHUNK = 128        # read rows, roots or time samples per block
@@ -220,11 +221,16 @@ def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
     ``Chain`` (a stacked ``Chain`` raises ``ValidationError``), through the
     protocol's quench, ramp or modulation.
 
-    The chain is lowered once.  The state starts with unit amplitude on the
-    qubit node under its first slice's model and steps through _schedule's
-    items with expm propagators, the last _SLICES + 1 of them cached.  A and
-    expm(A dt) are real, so the complex envelope is stepped as a real (2n, 2)
-    array of its real and imaginary parts, which never mix.
+    The chain is lowered once, and the model assembled and its generator A
+    formed once, at the first slice's frequency; the state starts there
+    with unit amplitude on the qubit node.  Only the qubit's row of A moves
+    with its frequency, so a slice at another frequency gets a copy of A
+    with that row rewritten (statespace._retuned_generator), equal to the
+    generator of a model assembled at that frequency.  The state steps
+    through _schedule's items with expm propagators, the last _SLICES + 1
+    of them cached.  A and expm(A dt) are real, so the complex envelope is
+    stepped as a real (2n, 2) array of its real and imaginary parts, which
+    never mix.
 
     Each slice's read rows R are the flux and voltage of the qubit node,
     e_q and row q of C^-1 (A's upper-right block), scaled by
@@ -236,16 +242,17 @@ def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
     of the item are stacked once and read about _CHUNK samples per gemm.
     """
     chain = spec.lower()
+    model = a = None
 
     def build(w, dt):
-        m = assemble_state_space(chain, replace(qubit, omega_ge=w))
-        a = m.a_matrix()
-        n, q = m.n_nodes, m.qubit_node
-        two_w = 2.0 * math.sqrt(m.linv[q, q] / m.cap[q, q])     # 2 omega_q
+        n, q = model.n_nodes, model.qubit_node
+        a_w = _retuned_generator(model, a, qubit, w)
+        linv, cap = -a_w[n + q, q], model.cap[q, q]             # L^-1_qq at w
+        two_w = 2.0 * math.sqrt(linv / cap)                     # 2 omega_q
         rows = np.zeros((2, 2 * n))
-        rows[0, q] = math.sqrt(m.linv[q, q] / two_w)
-        rows[1, n:] = a[q, n:] * math.sqrt(m.cap[q, q] / two_w)
-        return scipy.linalg.expm(a * dt), rows
+        rows[0, q] = math.sqrt(linv / two_w)
+        rows[1, n:] = a[q, n:] * math.sqrt(cap / two_w)
+        return scipy.linalg.expm(a_w * dt), rows
 
     def quanta(y):                  # y = R x, one (2, 2) block per sample
         return (y.reshape(-1, 4) ** 2).sum(axis=1)
@@ -254,14 +261,15 @@ def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
     t_out = _time_grid(protocol.t_max, protocol.dt_output)
     p = np.empty(t_out.shape)
     p[0] = 1.0
-    k, x = 1, None
+    k = 1
     for ws, dt, reads, repeats in _schedule(protocol, t_out):
-        steps = [stepper(w, dt) for w in ws]
-        if x is None:       # the trace starts in its first slice's model
-            x0 = _initial_state(assemble_state_space(
-                chain, replace(qubit, omega_ge=ws[0])))
+        if model is None:   # the trace starts in its first slice's model
+            model = assemble_state_space(chain, replace(qubit, omega_ge=ws[0]))
+            a = model.a_matrix()
+            x0 = _initial_state(model)
             x = np.column_stack([x0.real, x0.imag])
-            n0 = quanta(steps[0][1] @ x)[0]
+            n0 = quanta(stepper(ws[0], dt)[1] @ x)[0]
+        steps = [stepper(w, dt) for w in ws]
         per = len(ws)
         heads, prod = {}, None      # one period's read rows by (slice, offset)
         for i, (prop, rows) in enumerate(steps):

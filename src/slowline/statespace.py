@@ -20,7 +20,8 @@ import numpy as np
 import scipy.linalg
 
 from .blas import single_thread
-from .params import ArraySpec, Chain, QubitCircuitParams, ValidationError
+from .params import (ArraySpec, Chain, QubitCircuitParams, ValidationError,
+                     _require)
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,31 @@ class StateSpaceModel:
         return out if out.ndim else out[()]
 
 
+def _qubit_terms(qubit: QubitCircuitParams, omega: float):
+    """(L^-1_qq, G_qq): the qubit node's inverse inductance and conductance
+    at bare frequency ``omega``, the only entries of the model that depend
+    on it."""
+    _require(0 < omega < math.inf, "omega_ge must be positive and finite")
+    g = (omega * qubit.c_node / qubit.q_intrinsic
+         if math.isfinite(qubit.q_intrinsic) else 0.0)
+    return 1.0 / qubit.inductance_for(omega), g
+
+
+def _retuned_generator(model: StateSpaceModel, a: np.ndarray,
+                      qubit: QubitCircuitParams, omega: float) -> np.ndarray:
+    """``model.a_matrix()`` for the qubit at bare frequency ``omega``, from
+    the generator ``a`` of ``model`` (assembled with ``qubit`` at any
+    frequency): a copy of ``a`` with only the qubit's row of the lower
+    blocks rewritten, -L^-1_qq and -G_qq * C^-1[q, :].  G is diagonal, so
+    every entry equals the one a_matrix computes."""
+    n, q = model.n_nodes, model.qubit_node
+    linv, g = _qubit_terms(qubit, omega)
+    out = a.copy()
+    out[n + q, q] = -linv
+    out[n + q, n:] = -g * a[q, n:]
+    return out
+
+
 def _add_cap(cap: np.ndarray, i: int, j: int, value: float) -> None:
     cap[i, i] += value
     cap[j, j] += value
@@ -128,9 +154,8 @@ def assemble_state_space(spec: ArraySpec | Chain,
                     f"qubit coupling index {idx} outside resonator range 1..{r}")
             _add_cap(cap, q_node, idx, c)
         cap[q_node, q_node] += qubit.c_sigma
-        linv[q_node, q_node] = 1.0 / qubit.inductance_for(qubit.omega_ge)
-        if math.isfinite(qubit.q_intrinsic):
-            g[q_node, q_node] += qubit.omega_ge * qubit.c_node / qubit.q_intrinsic
+        linv[q_node, q_node], g[q_node, q_node] = _qubit_terms(qubit,
+                                                              qubit.omega_ge)
 
     diag = np.diag(cap)
     if np.any(diag <= 0):

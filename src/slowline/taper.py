@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .abcd import cascade_abcd
+from .abcd import _cascade, _join, _response, cascade_abcd
 from .bands import window_grid
 from .params import (ArraySpec, JsonFields, ValidationError, _integer_field,
                      _real_fields, _require, boolean, boundary_cells, integer,
@@ -49,6 +49,8 @@ class TaperProblem(JsonFields):
         _integer_field(self, "max_iterations")
         _real_fields(self, "band_window")
         _require(self.n_modified >= 0, "n_modified must be >= 0")
+        _require(2 * self.n_modified < self.base.n_resonators,
+                 "n_modified must be below half of base.n_resonators")
         _require(0.0 < self.band_window <= 1.0, "band_window must be in (0, 1]")
         _require(self.max_iterations >= 1, "max_iterations must be >= 1")
 
@@ -67,7 +69,10 @@ def ripple(spec: ArraySpec, band_window: float = 0.5) -> float:
     if not 0.0 < band_window <= 1.0:
         raise ValidationError("band_window must be in (0, 1]")
     grid = window_grid(spec.interior, band_window, RIPPLE_GRID_POINTS)
-    db = cascade_abcd(spec, grid).s21_db
+    return _peak_to_peak(cascade_abcd(spec, grid).s21_db)
+
+
+def _peak_to_peak(db: np.ndarray) -> float:
     if not np.all(np.isfinite(db)):
         raise ValidationError("non-finite transmission inside the band window")
     return float(db.max() - db.min())
@@ -100,12 +105,46 @@ def _analytic_guess(base: ArraySpec, n: int) -> np.ndarray:
     return np.array([g_port * (cell.cg / g_port) ** (i / n) for i in range(n)])
 
 
+def _ripple_objective(problem: TaperProblem):
+    """score(couplers): the ripple of ``spec_with_couplers(problem.base,
+    couplers)`` over the problem's band window, 1e3 when that raises or its
+    transmission is non-finite there.
+
+    It scores as ``ripple`` does but cascades in three parts, L * M * R.
+    The middle M, every element between the n modified cells at each end, is
+    the same for every candidate: it is cascaded once, from the unmodified
+    array, on the ripple grid.  Each score cascades only the candidate's own
+    2n end cells (a bend among them included) and joins them to M, so it
+    differs from ``ripple`` by rounding alone.
+    """
+    base, n = problem.base, problem.n_modified
+    size = base.n_resonators
+    grid = window_grid(base.interior, problem.band_window, RIPPLE_GRID_POINTS)
+    unmodified = replace(base, interior_count=size, boundary_in=(),
+                         boundary_out=())
+    middle = _cascade(unmodified.lower(), grid, cells=range(n, size - n))
+
+    def score(couplers) -> float:
+        try:
+            chain = spec_with_couplers(base, couplers).lower()
+            left = _cascade(chain, grid, cells=range(n))
+            rows = _cascade(chain, grid, cells=range(size - n, size + 1),
+                            start=_join(left, middle))
+            return _peak_to_peak(
+                _response(rows, grid, chain.port_impedance).s21_db)
+        except ValidationError:
+            return 1e3
+    return score
+
+
 def optimize(problem: TaperProblem) -> TaperReport:
     """Derivative-free (Nelder-Mead) minimization of the windowed ripple.
 
     The search runs in log-coupling coordinates from two seeds: the
     unmodified array and the analytic geometric-taper guess; the better
-    endpoint wins, ties broken by smaller deviation from its seed.
+    endpoint wins, ties broken by smaller deviation from its seed.  Each
+    evaluation is one _ripple_objective score, which cascades only the
+    candidate's modified cells against a middle cascaded once per call.
     """
     import scipy.optimize   # slow to import; only needed here
     base = problem.base
@@ -116,16 +155,13 @@ def optimize(problem: TaperProblem) -> TaperReport:
     if not problem.symmetric:
         raise ValidationError("only symmetric taper optimization is supported")
 
+    score = _ripple_objective(problem)
     history = []
     state = {"best": math.inf, "neval": 0}
 
     def objective(logg):
         state["neval"] += 1
-        try:
-            r = ripple(spec_with_couplers(base, np.exp(logg)),
-                       problem.band_window)
-        except ValidationError:
-            r = 1e3
+        r = score(np.exp(logg))
         if r < state["best"]:
             state["best"] = r
             history.append((state["neval"], r))

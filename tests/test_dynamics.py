@@ -16,7 +16,8 @@ import slowline
 from slowline.abcd import TwoPortResponse
 from slowline.bands import (CouplingSpectrum, DispersionCurve, band_edges,
                             tight_binding)
-from slowline.devices import QUBIT_CELL_INDEX, qubit_device, qubit_q1
+from slowline.devices import (BEND_C_SERIES, QUBIT_CELL_INDEX, qubit_device,
+                              qubit_q1)
 from slowline.disorder import (DisorderEnsembleResult, SigmaCalibration,
                                sample_disordered)
 from slowline.blas import single_thread
@@ -30,7 +31,8 @@ from slowline.dynamics import (_CHUNK, _SLICES, DynamicsTrace, Modulation,
                                simulate_modulated)
 from slowline.params import (ArraySpec, UnitCellParams, ValidationError,
                              write_csv)
-from slowline.statespace import assemble_state_space
+from slowline.statespace import (StateSpaceModel, _retuned_generator,
+                                 assemble_state_space)
 
 CELL = UnitCellParams(c0=353.2e-15, cg=5.05e-15, l0=3.151e-9)
 J = tight_binding(CELL)["j_tb"]
@@ -831,6 +833,55 @@ def test_modulation_builds_one_propagator_per_slice_pair(
     side = np.count_nonzero(np.abs(x - np.rint(x)) > 1e-9 * x)
     assert side == 8
     assert len(calls) == builds + side
+
+
+@pytest.mark.parametrize("termination", ["matched", "open_mirror"])
+@pytest.mark.parametrize("bend", [BEND_C_SERIES, None],
+                         ids=["bend", "no bend"])
+@pytest.mark.parametrize("q_intrinsic", [9e4, math.inf])
+def test_retuned_generator_is_the_assembled_one(midband, q_intrinsic, bend,
+                                                termination):
+    """A generator formed at one qubit frequency and retuned to another, by
+    rewriting the qubit's row, is the generator of the model assembled at
+    that frequency, entry for entry: with finite and infinite intrinsic Q, with
+    and without the bend, matched and open-mirror."""
+    spec = qubit_device(bend_c_series=bend, termination_out=termination)
+    qubit = qubit_q1(q_intrinsic=q_intrinsic)
+    model = assemble_state_space(spec, qubit)
+    a = model.a_matrix()
+    for f_hz in (-1.5e9, -300e6, 0.0, 37e6, 600e6):
+        w = midband + 2 * math.pi * f_hz
+        want = assemble_state_space(
+            spec, dataclasses.replace(qubit, omega_ge=w)).a_matrix()
+        assert np.array_equal(_retuned_generator(model, a, qubit, w), want)
+
+
+@pytest.mark.parametrize("kind, builds", [("quench", 1), ("mirror", 1),
+                                          ("modulated", 40), ("ramp", 81)])
+def test_trace_assembles_its_model_once(q1, midband, monkeypatch, kind,
+                                        builds):
+    """A trace assembles the circuit and forms its generator once, whatever
+    its protocol; every other slice frequency retunes that generator.  It
+    builds one expm per slice frequency and side branch: the modulation's
+    32 slice pairs and 8 side branches, the ramp's 80 slices and its
+    hold."""
+    calls = {"assemble": 0, "a_matrix": 0, "expm": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(slowline.dynamics, "assemble_state_space",
+                        counted("assemble", assemble_state_space))
+    monkeypatch.setattr(StateSpaceModel, "a_matrix",
+                        counted("a_matrix", StateSpaceModel.a_matrix))
+    monkeypatch.setattr(scipy.linalg, "expm",
+                        counted("expm", scipy.linalg.expm))
+    spec, sim, prot = _lowered_case(kind, midband)
+    sim(spec, q1, prot)
+    assert calls == {"assemble": 1, "a_matrix": 1, "expm": builds}
 
 
 @pytest.mark.parametrize("kind", ["oracle", "quantum"])

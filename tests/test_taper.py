@@ -1,8 +1,13 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from slowline.params import ValidationError
-from slowline.taper import (TaperProblem, optimize, ripple,
+import slowline.taper
+from slowline.devices import untapered_device
+from slowline.params import Bend, ValidationError
+from slowline.taper import (TaperProblem, _ripple_objective, optimize, ripple,
                             spec_with_couplers)
 
 
@@ -26,6 +31,9 @@ def test_problem_validation(untapered_26):
         TaperProblem(base=untapered_26, n_modified=-1)
     with pytest.raises(ValidationError):
         TaperProblem(base=untapered_26, band_window=0.0)
+    with pytest.raises(ValidationError, match="n_modified"):
+        TaperProblem(base=untapered_26, n_modified=13)
+    TaperProblem(base=untapered_26, n_modified=12)
 
 
 def test_problem_round_trip(untapered_26):
@@ -93,3 +101,78 @@ def test_spec_with_couplers_positivity(untapered_26):
                      [cell.cg, np.nan], [cell.cg] * 13):
         with pytest.raises(ValidationError):
             spec_with_couplers(untapered_26, couplers)
+
+
+_BENDS = {None: None, "middle": Bend(position=13, c_series=4e-15),
+          "input end": Bend(position=1, c_series=20e-15),
+          "output end": Bend(position=25, c_series=20e-15)}
+
+
+def _base(q_internal, bend):
+    """26 cells, lossless or Q = 1e4, with no bend, a bend in the middle, or
+    one on coupler 1 or 25: inside the modified cells at the input or the
+    output end once n >= 2, the output one in the end cells also at n = 1."""
+    return dataclasses.replace(untapered_device(26, q_internal=q_internal),
+                               bend=_BENDS[bend])
+
+
+@pytest.mark.parametrize("bend", list(_BENDS))
+@pytest.mark.parametrize("q_internal", [math.inf, 1e4])
+def test_objective_matches_full_cascade(q_internal, bend):
+    """The objective, which cascades only the 2n modified cells against a
+    cached middle, scores a candidate as ripple(spec_with_couplers(...))
+    does, for n = 1, 2 and 3 on 30 random couplers each (log-uniform from
+    cg / 2 to 400 fF), and every candidate spec_with_couplers rejects (a
+    negative shunt, a NaN coupler, and some of the draws) scores 1e3.
+    Measured worst case 3.1e-11 dB, on lossless draws with deep nulls; the
+    bound is 3e-10 dB, ten times that."""
+    rng = np.random.default_rng(25)
+    rejected = 0
+    for n in (1, 2, 3):
+        base = _base(q_internal, bend)
+        score = _ripple_objective(TaperProblem(base=base, n_modified=n))
+        cell = base.interior
+        draws = np.exp(rng.uniform(math.log(cell.cg / 2),
+                                   math.log(400e-15), (30, n)))
+        for couplers in draws:
+            try:
+                want = ripple(spec_with_couplers(base, couplers), 0.5)
+            except ValidationError:
+                want = 1e3
+                rejected += 1
+            assert abs(score(couplers) - want) <= 3e-10
+        for couplers in ([2 * cell.c0] + [cell.cg] * (n - 1),
+                         [cell.cg] * (n - 1) + [np.nan]):
+            with pytest.raises(ValidationError):
+                spec_with_couplers(base, couplers)
+            assert score(couplers) == 1e3
+    assert rejected > 0
+
+
+def _full_cascade_objective(problem):
+    """The reference objective: every candidate cascaded whole by ripple."""
+    def score(couplers):
+        try:
+            return ripple(spec_with_couplers(problem.base, couplers),
+                          problem.band_window)
+        except ValidationError:
+            return 1e3
+    return score
+
+
+@pytest.mark.parametrize("q_internal, bend, n", [
+    (math.inf, None, 2), (math.inf, "input end", 3), (1e4, "middle", 2)])
+def test_optimize_follows_full_cascade_search(monkeypatch, q_internal, bend,
+                                              n):
+    """Nelder-Mead takes the same path on the cached-middle objective as on
+    the full cascade: the same couplers bit for bit, iterations and
+    improving evaluations, the ripple to 1e-12 dB."""
+    problem = TaperProblem(base=_base(q_internal, bend), n_modified=n)
+    got = optimize(problem)
+    monkeypatch.setattr(slowline.taper, "_ripple_objective",
+                        _full_cascade_objective)
+    want = optimize(problem)
+    assert got.spec == want.spec
+    assert got.n_iterations == want.n_iterations
+    assert [k for k, _ in got.history] == [k for k, _ in want.history]
+    assert abs(got.ripple_db - want.ripple_db) <= 1e-12
