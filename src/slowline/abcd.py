@@ -99,8 +99,9 @@ def _cascade(chain: Chain, freq_grid, cells=None, start=None):
     searched before the first element.
     """
     w = np.asarray(freq_grid, dtype=float)
-    if np.any(w <= 0):
-        raise ValidationError("frequency grid must avoid DC and be positive")
+    if not w.size or np.any(w <= 0):
+        raise ValidationError("frequency grid must be non-empty, avoid DC "
+                              "and be positive")
     lossy = math.isfinite(chain.q_internal)
     g_loss = chain.g_loss
     if start is None:
@@ -204,17 +205,13 @@ def cascade_abcd(spec: ArraySpec | Chain,
 
 def unit_cell_abcd(cell: UnitCellParams, freq_grid: np.ndarray):
     """ABCD of one periodic cell (series coupler followed by shunt branch),
-    [[1, z], [0, 1]] [[1, 0], [y, 1]] = [[1 + z y, z], [y, 1]], computed as
-    _cascade computes it."""
+    [[1, z], [0, 1]] [[1, 0], [y, 1]] = [[1 + z y, z], [y, 1]]: cell 0 of
+    the one-resonator chain, cascaded by _cascade, in the grid's shape."""
     w = np.asarray(freq_grid, dtype=float)
-    if np.any(w <= 0):
-        raise ValidationError("frequency grid must avoid DC and be positive")
-    zh = -1.0 / (w * cell.cg)                           # z / i
-    yh = w * cell.c0 - 1.0 / (w * cell.l0)              # y / i
-    if math.isfinite(cell.q_internal):
-        yh = yh - 1j * (math.sqrt(cell.c0 / cell.l0) / cell.q_internal)
-    return ((1.0 - zh * yh).astype(complex), 1j * zh, 1j * yh,
-            np.ones(w.shape, dtype=complex))
+    chain = Chain(c_shunt=np.array([cell.c0]), l=np.array([cell.l0]),
+                  couplers=np.full(2, cell.cg), q_internal=cell.q_internal)
+    rows = _abcd_rows(_cascade(chain, w.ravel(), cells=range(1))[0])
+    return tuple(rows.reshape(4, *w.shape))
 
 
 def bloch_analysis(cell: UnitCellParams, freq_grid: np.ndarray) -> dict:

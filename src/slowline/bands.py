@@ -26,7 +26,6 @@ DEFAULT_LATTICE_CONSTANT = 290e-6
 class DispersionCurve:
     k_grid: np.ndarray    # k*d, dimensionless, in (-pi, pi]
     omega: np.ndarray     # rad/s
-    d: float = DEFAULT_LATTICE_CONSTANT
 
     def to_csv(self, path) -> None:
         write_csv(path, "k_per_d,omega_rad_s", [self.k_grid, self.omega])

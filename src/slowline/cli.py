@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .abcd import cascade_abcd, default_grid
 from .bands import dispersion_curve
-from .dressed import EDGES, MODELS, solve_dressed_states
+from .dressed import EDGES, solve_dressed_states
 from .dynamics import (Protocol, simulate_emission, simulate_emission_quantum,
                        simulate_mirror)
 from .params import (TWO_PI, ArraySpec, EmitterParams, QubitCircuitParams,
@@ -95,7 +95,7 @@ def _cmd_dressed(cfg: dict, out: str, args) -> list:
     sol = solve_dressed_states(**read_object(
         cfg, "config", {"cell": UnitCellParams.from_dict,
                         "emitter": EmitterParams.from_dict},
-        {"model": one_of(MODELS), "edge": one_of(EDGES)}))
+        {"edge": one_of(EDGES)}))
     write_json(os.path.join(out, "dressed.json"), {
         "e_bound_hz": sol.e_bound / TWO_PI,
         "e_radiative_hz_re": sol.e_radiative.real / TWO_PI,
@@ -179,7 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None,
                        help="accepted for compatibility; results do not "
                             "depend on it")
@@ -194,6 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dyn.add_argument("--sweep", action="store_true")
     p_dis = add("disorder", _cmd_disorder)
     p_dis.add_argument("mode", choices=_DISORDER_KEYS)
+    p_dis.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -209,7 +209,7 @@ def main(argv=None) -> int:
             "command": command,
             "parameters": cfg,
             "version": __version__,
-            "seed": args.seed,
+            "seed": getattr(args, "seed", None),
             "input_digests": {args.config: _digest(args.config)},
             "outputs": sorted(outputs),
             "started_utc": started,

@@ -13,10 +13,15 @@ from .params import (TWO_PI, ArraySpec, Bend, QubitCircuitParams,
                      UnitCellParams, boundary_cells)
 
 
+def _test_cell(q_internal: float) -> UnitCellParams:
+    """The test waveguide's interior cell, shared by both devices below."""
+    return UnitCellParams(c0=353.2e-15, cg=5.05e-15, l0=3.151e-9,
+                          q_internal=q_internal)
+
+
 def test_device(q_internal: float = math.inf) -> ArraySpec:
     """26-resonator test waveguide (2 matching cells per boundary)."""
-    cell = UnitCellParams(c0=353.2e-15, cg=5.05e-15, l0=3.151e-9,
-                          q_internal=q_internal)
+    cell = _test_cell(q_internal)
     boundary = boundary_cells((87.5e-15, 7.3e-15, cell.cg),
                               (275.5e-15, 352.1e-15), cell.l0)
     return ArraySpec(interior=cell, interior_count=22,
@@ -24,10 +29,9 @@ def test_device(q_internal: float = math.inf) -> ArraySpec:
 
 
 def untapered_device(n_cells: int = 26, q_internal: float = math.inf) -> ArraySpec:
-    """Same interior as the test device but without boundary matching."""
-    cell = UnitCellParams(c0=353.2e-15, cg=5.05e-15, l0=3.151e-9,
-                          q_internal=q_internal)
-    return ArraySpec(interior=cell, interior_count=n_cells)
+    """The test device's interior cell, ``n_cells`` of them, without boundary
+    matching."""
+    return ArraySpec(interior=_test_cell(q_internal), interior_count=n_cells)
 
 
 # Default bend series capacitance.  The inter-row link is a mismatch element;

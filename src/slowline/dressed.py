@@ -120,8 +120,8 @@ def _exact_band_sigma(e: complex, g_uc: float, cell: UnitCellParams,
 
 
 def solve_dressed_states(emitter: EmitterParams, cell: UnitCellParams,
-                         model: str = "effective_mass", j: float = None,
-                         edge: str = "upper") -> DressedStateSolution:
+                         j: float = None, edge: str = "upper"
+                         ) -> DressedStateSolution:
     """Bound and radiative roots of E = omega_ge + Sigma(E) (effective mass).
 
     With y = sqrt(J s (E - omega_edge)), s = +1 at the upper edge and -1 at
@@ -134,9 +134,6 @@ def solve_dressed_states(emitter: EmitterParams, cell: UnitCellParams,
     bound state, first sheet.  The other two have negative real parts (second
     sheet); the one furthest left is the radiative pole.
     """
-    if model != "effective_mass":
-        raise ValidationError("dressed states need model 'effective_mass', "
-                              f"got {model!r}")
     w_edge, sign = _edge(cell, edge)
     jj = _default_j(cell, j)
     g = emitter.g_uc

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -32,8 +32,8 @@ import scipy.linalg
 
 from .blas import single_thread
 from .params import (ArraySpec, Chain, JsonFields, QubitCircuitParams,
-                     ValidationError, _real_fields, _require, count, hz,
-                     nested, nullable, real, write_csv)
+                     ValidationError, _instance_fields, _real_fields,
+                     _require, count, hz, nested, nullable, real, write_csv)
 from .statespace import (StateSpaceModel, _retuned_generator,
                          assemble_state_space)
 
@@ -86,6 +86,7 @@ class Protocol(JsonFields):
               "omega_park_hz": nullable(hz)})
 
     def __post_init__(self):
+        _instance_fields(self, Modulation, "modulation", optional=True)
         _real_fields(self, "omega_interact", "t_max", "dt_output",
                      "initial_excited_population", "tune_time",
                      optional=("omega_park",))
@@ -107,7 +108,6 @@ class Protocol(JsonFields):
 class DynamicsTrace:
     t: np.ndarray       # s
     p_e: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.t.shape != self.p_e.shape:
@@ -300,7 +300,7 @@ def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
             for _ in range(min(c, repeats - s)):
                 x = held @ x
     p *= protocol.initial_excited_population
-    return DynamicsTrace(t=t_out, p_e=p, metadata={"protocol": protocol.to_dict()})
+    return DynamicsTrace(t=t_out, p_e=p)
 
 
 def simulate_mirror(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
@@ -347,9 +347,7 @@ def ideal_mirror_oracle(gamma_1d: float, tau_d: float, phase: float,
         k = np.searchsorted(t, n * tau_d, side="right")
         y = g2 * (t[k:] - n * tau_d)
         c[k:] += fb**n * np.exp(n * np.log(y) - y - math.lgamma(n + 1))
-    return DynamicsTrace(t=t, p_e=np.abs(c) ** 2,
-                         metadata={"gamma_1d": gamma_1d, "tau_d": tau_d,
-                                   "phase": phase})
+    return DynamicsTrace(t=t, p_e=np.abs(c) ** 2)
 
 
 _EPS = np.finfo(float).eps
@@ -484,9 +482,7 @@ def bandedge_oracle(g_uc: float, j: float, omega0: float, detuning: float,
         raise ValidationError(
             f"bandedge oracle not converged at {n_modes} modes "
             f"(deviation {np.max(np.abs(p1 - p2)):.3g})")
-    return DynamicsTrace(t=t, p_e=p2,
-                         metadata={"g_uc": g_uc, "j": j, "omega0": omega0,
-                                   "detuning": detuning, "n_modes": 2 * n_modes})
+    return DynamicsTrace(t=t, p_e=p2)
 
 
 def _exp_sum_power(a: np.ndarray, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -537,8 +533,7 @@ def simulate_emission_quantum(spec: ArraySpec | Chain, qubit: QubitCircuitParams
     t = _time_grid(protocol.t_max, protocol.dt_output)
     p = _exp_sum_power((readout @ evecs * coeff)[0], evals, t)
     p *= protocol.initial_excited_population
-    return DynamicsTrace(t=t, p_e=p, metadata={"protocol": protocol.to_dict(),
-                                               "method": "quantum"})
+    return DynamicsTrace(t=t, p_e=p)
 
 
 def _quantum_modes(spec: ArraySpec | Chain, qubit: QubitCircuitParams,

@@ -124,17 +124,12 @@ def count(v, name: str, least: int) -> int:
     return v
 
 
-def boolean(v) -> bool:
-    _require(isinstance(v, bool), f"expected true or false, got {v!r}")
-    return v
-
-
 def _same(v):
     return v
 
 
 # Each converter's ``write`` is its inverse, used by ``JsonFields.to_dict``.
-real.write = integer.write = boolean.write = _same
+real.write = integer.write = _same
 hz.write = lambda v: v / TWO_PI
 
 
@@ -202,11 +197,33 @@ def _integer_field(obj, name: str) -> None:
                                            getattr(obj, name)))
 
 
+def _instance_fields(obj, kind, *names, optional=False, items=False) -> None:
+    """Check that ``obj``'s fields ``names`` each hold what the JSON reader
+    builds for them: a ``kind``, None as well when ``optional``, or a tuple
+    or list of ``kind`` when ``items``.  A wrong type then raises
+    ValidationError naming class and field, rather than an AttributeError
+    where the field is first read.  Converts nothing."""
+    for name in names:
+        v = getattr(obj, name)
+        if items:
+            ok = (isinstance(v, (tuple, list))
+                  and all(isinstance(x, kind) for x in v))
+        else:
+            ok = isinstance(v, kind) or optional and v is None
+        if not ok:          # the message is built only on failure
+            what = (f"a tuple of {kind.__name__}" if items else
+                    f"{kind.__name__} or None" if optional else kind.__name__)
+            raise ValidationError(f"{type(obj).__name__}.{name}: expected "
+                                  f"{what}, got {v!r}")
+
+
 def _real_fields(obj, *names, maps=(), optional=()) -> None:
     """Check that ``obj``'s fields ``names``, every value of its dict fields
-    ``maps`` and each of its fields ``optional`` that is not None hold real
-    numbers other than bool, so the range checks that follow raise
-    ValidationError rather than TypeError.  Converts nothing."""
+    ``maps`` (each checked to be a dict first) and each of its fields
+    ``optional`` that is not None hold real numbers other than bool, so the
+    range checks that follow raise ValidationError rather than TypeError.
+    Converts nothing."""
+    _instance_fields(obj, dict, *maps)
     values = [(n, getattr(obj, n)) for n in names]
     values += [(n, v) for n in maps for v in getattr(obj, n).values()]
     values += [(n, getattr(obj, n)) for n in optional
@@ -347,6 +364,10 @@ class ArraySpec:
     bend: Optional[Bend] = None
 
     def __post_init__(self):
+        _instance_fields(self, UnitCellParams, "interior")
+        _instance_fields(self, BoundaryCellParams, "boundary_in",
+                         "boundary_out", items=True)
+        _instance_fields(self, Bend, "bend", optional=True)
         object.__setattr__(self, "boundary_in", tuple(self.boundary_in))
         object.__setattr__(self, "boundary_out", tuple(self.boundary_out))
         _integer_field(self, "interior_count")
@@ -533,18 +554,15 @@ class EmitterParams(JsonFields):
     omega_ge: float                     # rad/s
     g_uc: float                         # rad/s
     extra_couplings: dict = field(default_factory=dict)  # cell offset -> rad/s
-    q_intrinsic: float = math.inf
     _JSON = ({"omega_ge_hz": hz, "g_uc_hz": hz},
-             {"extra_couplings_hz": index_map(hz), "q_intrinsic": real})
+             {"extra_couplings_hz": index_map(hz)})
 
     def __post_init__(self):
-        _real_fields(self, "omega_ge", "g_uc", "q_intrinsic",
-                     maps=("extra_couplings",))
+        _real_fields(self, "omega_ge", "g_uc", maps=("extra_couplings",))
         _require(0 < self.omega_ge < math.inf, "omega_ge must be positive and finite")
         _require(0 <= self.g_uc < math.inf, "g_uc must be non-negative and finite")
         _require(all(map(math.isfinite, self.extra_couplings.values())),
                  "extra couplings must be finite")
-        _require(self.q_intrinsic > 0, "q_intrinsic must be positive")
         object.__setattr__(self, "extra_couplings", {
             _convert(type(self).__name__, "extra_couplings", integer, k): float(v)
             for k, v in self.extra_couplings.items()})

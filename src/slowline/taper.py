@@ -16,9 +16,9 @@ import numpy as np
 
 from .abcd import _cascade, _join, _response, cascade_abcd
 from .bands import window_grid
-from .params import (ArraySpec, JsonFields, ValidationError, _integer_field,
-                     _real_fields, _require, boolean, boundary_cells, integer,
-                     nested, real)
+from .params import (ArraySpec, JsonFields, ValidationError, _instance_fields,
+                     _integer_field, _real_fields, _require, boundary_cells,
+                     integer, nested, real)
 
 # Fixed frequency grid size for the ripple objective; pinned to the analytic
 # band limits of the interior cell so the scoring window does not move with
@@ -38,13 +38,13 @@ class TaperProblem(JsonFields):
     base: ArraySpec
     n_modified: int = 2
     band_window: float = 0.5
-    symmetric: bool = True
     max_iterations: int = 400
     _JSON = ({"base": nested(ArraySpec)},
              {"n_modified": integer, "band_window": real,
-              "symmetric": boolean, "max_iterations": integer})
+              "max_iterations": integer})
 
     def __post_init__(self):
+        _instance_fields(self, ArraySpec, "base")
         _integer_field(self, "n_modified")
         _integer_field(self, "max_iterations")
         _real_fields(self, "band_window")
@@ -152,8 +152,6 @@ def optimize(problem: TaperProblem) -> TaperReport:
         r = ripple(base, problem.band_window)
         return TaperReport(spec=base, ripple_db=r, n_iterations=0,
                            converged=True, history=((0, r),))
-    if not problem.symmetric:
-        raise ValidationError("only symmetric taper optimization is supported")
 
     score = _ripple_objective(problem)
     history = []

@@ -117,6 +117,27 @@ def test_steady_state_s21_keeps_the_grid_shape(test_spec):
     assert np.array_equal(square.ravel(), full[:4])
 
 
+def test_bloch_analysis_keeps_the_grid_shape(test_spec):
+    """A 2-D grid gives its own shape and a float frequency a scalar, each
+    bit-equal to those points of a 1-D call."""
+    cell = test_spec.interior
+    grid = default_grid(cell, 5)
+    full = bloch_analysis(cell, grid)
+    square = bloch_analysis(cell, grid[:4].reshape(2, 2))
+    scalar = bloch_analysis(cell, float(grid[2]))
+    for key, v in full.items():
+        assert np.array_equal(square[key], v[:4].reshape(2, 2))
+        assert np.ndim(scalar[key]) == 0 and scalar[key] == v[2]
+
+
+@pytest.mark.parametrize("call", [
+    cascade_abcd, chain_abcd, lambda spec, w: bloch_analysis(spec.interior, w),
+], ids=["cascade_abcd", "chain_abcd", "bloch_analysis"])
+def test_empty_grid_rejected(test_spec, call):
+    with pytest.raises(ValidationError, match="grid must be non-empty"):
+        call(test_spec, np.array([]))
+
+
 @pytest.mark.parametrize("n_points", [0, -2])
 def test_grids_need_a_point(test_spec, n_points):
     with pytest.raises(ValidationError, match="n_points must be >= 1"):

@@ -222,9 +222,8 @@ EMITTER = {"omega_ge_hz": 4.745e9, "g_uc_hz": 3e7}
      "config.spec.interior_count:"),
     (["s21"], {"spec": {**SPEC, "boundary_in": [5]}},
      "config.spec.boundary_in.0:"),
-    (["taper-opt"], {"base": SPEC, "n_modified": 1, "max_iterations": 1,
-                     "symmetric": "false"},
-     "TaperProblem.symmetric:"),
+    (["taper-opt"], {"base": SPEC, "n_modified": 1, "max_iterations": 2.5},
+     "TaperProblem.max_iterations:"),
     (["dynamics"], {"spec": SPEC, "qubit": {**QUBIT, "couplings_f": [1e-15]},
                     "protocol": PROTOCOL}, "config.qubit.couplings_f:"),
     (["dressed"], {"cell": CELL, "emitter": {
@@ -244,17 +243,43 @@ EMITTER = {"omega_ge_hz": 4.745e9, "g_uc_hz": 3e7}
      "config.edge:"),
     (["dynamics"], {"spec": SPEC, "qubit": QUBIT, "protocol": {
         **PROTOCOL, "omega_park_hz": 4.9e9}}, "config.protocol:"),
+    (["taper-opt"], {"base": SPEC, "symmetric": True},
+     "TaperProblem: unknown keys ['symmetric']"),
+    (["dressed"], {"cell": CELL, "emitter": EMITTER, "model": "exact_band"},
+     "config: unknown keys ['model']"),
 ])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, argv, cfg,
                                                  path):
-    """Bad types, missing nested keys and non-objects are validation errors
-    naming the key path, never a raw exception or a silent conversion."""
+    """Bad types, missing nested keys, non-objects and unknown keys are
+    validation errors naming the key path, never a raw exception, a silent
+    conversion or an ignored key."""
     cfg_path = _write(tmp_path, "cfg.json", cfg)
     assert main([*argv, "--config", cfg_path,
                  "--out", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["type"] == "validation"
     assert path in err["error"]
+
+
+def test_seed_is_a_disorder_flag(tmp_path, capsys):
+    """Only disorder draws anything, so only disorder takes --seed, and its
+    manifest records it; every other manifest writes seed null, and --seed
+    elsewhere is a usage error."""
+    def manifest_seed(argv, cfg):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--config", _write(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())["seed"]
+
+    assert manifest_seed(["band"], {"cell": CELL, "n_points": 11}) is None
+    assert manifest_seed(["disorder", "extinction", "--seed", "3"],
+                         {"spec": SPEC, "sigma_over_j": [0.1],
+                          "n_realizations": 2}) == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["s21", "--config", str(tmp_path / "cfg.json"),
+              "--out", str(tmp_path / "s21"), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode, cfg", [

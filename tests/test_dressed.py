@@ -227,12 +227,6 @@ def test_unknown_edge_rejected(call):
         call("uper")
 
 
-@pytest.mark.parametrize("model", ["exact_band", "bogus"])
-def test_dressed_states_need_effective_mass_model(model):
-    with pytest.raises(ValidationError, match=model):
-        solve_dressed_states(_emitter(0.3), CELL, j=J, model=model)
-
-
 @pytest.mark.parametrize("edge", ["upper", "lower"])
 @pytest.mark.parametrize("g_over_j", [0.05, 0.3, 1.0])
 @pytest.mark.parametrize("detuning", [-2.0, -1.0, 0.0, 1.0, 10.0])

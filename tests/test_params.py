@@ -196,6 +196,10 @@ def test_emitter_round_trip():
 def test_emitter_rejects_unknown_key():
     with pytest.raises(ValidationError, match="g_uc"):
         EmitterParams.from_dict({"omega_ge_hz": 3e9, "g_uc": 1e7})
+    with pytest.raises(ValidationError,
+                       match=r"unknown keys \['q_intrinsic'\]"):
+        EmitterParams.from_dict({"omega_ge_hz": 3e9, "g_uc_hz": 1e7,
+                                 "q_intrinsic": 1e5})
 
 
 @pytest.mark.parametrize("count, ok", [
@@ -244,8 +248,7 @@ _ROUND_TRIP = {
         _VALID["QubitCircuitParams"], couplings={1: 1.6e-16, 3: 1.9e-15},
         q_intrinsic=9e4),
     "EmitterParams_extra": EmitterParams(omega_ge=3e10, g_uc=1e8,
-                                         extra_couplings={-1: 2e6, 2: 1.3e7},
-                                         q_intrinsic=1e5),
+                                         extra_couplings={-1: 2e6, 2: 1.3e7}),
     "Modulation": _MODULATION,
     "Protocol_ramp_modulation": Protocol(
         omega_interact=3e10, t_max=2e-7, dt_output=5e-10,
@@ -325,7 +328,7 @@ _REAL_FIELDS = {
     "QubitCircuitParams": (_VALID["QubitCircuitParams"],
                            "c_sigma couplings omega_ge q_intrinsic"),
     "EmitterParams": (_VALID["EmitterParams"],
-                      "omega_ge g_uc extra_couplings q_intrinsic"),
+                      "omega_ge g_uc extra_couplings"),
     "Modulation": (_MODULATION, "omega_mod epsilon"),
     "Protocol": (_ROUND_TRIP["Protocol_ramp_modulation"],
                  "omega_interact t_max dt_output initial_excited_population "
@@ -345,6 +348,29 @@ def test_real_fields_reject_bool_and_non_numbers(where, bad):
     value = {3: bad} if name.endswith("couplings") else bad
     with pytest.raises(ValidationError, match=f"{where}: expected a number"):
         dataclasses.replace(_REAL_FIELDS[kind][0], **{name: value})
+
+
+_STRUCTURED_FIELDS = {
+    "Protocol.modulation": 5,
+    "ArraySpec.interior": "x",
+    "ArraySpec.boundary_in": (1,),
+    "ArraySpec.boundary_out": 5,
+    "ArraySpec.bend": 5,
+    "TaperProblem.base": "x",
+    "QubitCircuitParams.couplings": [1e-15],
+    "EmitterParams.extra_couplings": [1e6],
+}
+
+
+@pytest.mark.parametrize("where", sorted(_STRUCTURED_FIELDS))
+def test_structured_fields_reject_wrong_types(where):
+    """Constructors reject a wrongly typed nested object, cell tuple or
+    coupling map, as the JSON reader does, naming class and field, rather
+    than failing later with an AttributeError."""
+    kind, name = where.split(".")
+    with pytest.raises(ValidationError, match=f"{where}: expected"):
+        dataclasses.replace(_REAL_FIELDS[kind][0],
+                            **{name: _STRUCTURED_FIELDS[where]})
 
 
 def test_real_fields_keep_what_they_are_given():

@@ -40,7 +40,7 @@ def test_problem_round_trip(untapered_26):
     p = TaperProblem(base=untapered_26, n_modified=2, band_window=0.5)
     q = TaperProblem.from_dict(p.to_dict())
     assert q.base == p.base
-    assert (q.n_modified, q.band_window, q.symmetric) == (2, 0.5, True)
+    assert (q.n_modified, q.band_window) == (2, 0.5)
     with pytest.raises(ValidationError, match="bogus"):
         TaperProblem.from_dict({"base": untapered_26.to_dict(), "bogus": 1})
 
