@@ -32,7 +32,7 @@ class TwoPortResponse:
 
     @property
     def s21_db(self) -> np.ndarray:
-        return 20.0 * np.log10(np.abs(self.s21))
+        return _db(self.s21)
 
     def group_delay(self) -> np.ndarray:
         """Group delay -d arg(s21)/d omega, seconds."""
@@ -167,16 +167,30 @@ def _abcd_rows(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _db(s21: np.ndarray) -> np.ndarray:
+    return 20.0 * np.log10(np.abs(s21))
+
+
+def _s21(abcd, exp, z0: float):
+    """S21 between resistive ports of impedance z0 from the complex
+    (a, b, c, d) of _abcd_rows and the exponent of _cascade, with the
+    denominator a + b/z0 + c z0 + d it divides by.  Grid points where the
+    conversion is singular yield NaN rather than raising."""
+    a, b, c, d = abcd
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = a + b / z0 + c * z0 + d
+        return _ldexp(2.0 / denom, -exp), denom
+
+
 def _response(rows, freq_grid, port_impedance: float) -> TwoPortResponse:
     """S21/S11 between resistive ports of impedance ``port_impedance`` from
     a (rows, exp) pair of _cascade; the rows are converted in place.  Grid
     points where the conversion is singular yield NaN rather than raising."""
     m, exp = rows
-    a, b, c, d = _abcd_rows(m)
+    a, b, c, d = abcd = _abcd_rows(m)
     z0 = port_impedance
+    s21, denom = _s21(abcd, exp, z0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        denom = a + b / z0 + c * z0 + d
-        s21 = _ldexp(2.0 / denom, -exp)
         s11 = (a + b / z0 - c * z0 - d) / denom
     return TwoPortResponse(freq_grid=np.asarray(freq_grid, dtype=float),
                            s21=s21, s11=s11)

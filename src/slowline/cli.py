@@ -154,7 +154,9 @@ def _cmd_disorder(cfg: dict, out: str, args) -> list:
     kw = as_fields(read_object(
         cfg, "config", {"spec": ArraySpec.from_dict, **required},
         {"seed": integer, **optional}))
-    kw["seed"] = args.seed if args.seed is not None else kw.get("seed", 0)
+    # the manifest records the seed the draws use: flag, else config, else 0
+    args.seed = kw["seed"] = (args.seed if args.seed is not None
+                              else kw.get("seed", 0))
     if args.mode == "extinction":
         res = disorder_mod.extinction_curve(**kw)
         res.to_csv(os.path.join(out, "extinction.csv"))

@@ -38,7 +38,7 @@ from .statespace import (StateSpaceModel, _retuned_generator,
                          assemble_state_space)
 
 _SLICES = 64        # steps per modulation period; ramp steps <= tune_time / 64
-_CHUNK = 128        # read rows, roots or time samples per block
+_CHUNK = 128        # read rows or time samples per block
 _MAX_PERIODS = 8    # modulation periods in the longest super-period
 _ROUNDING = 1e-12   # relative: times this close are one time
 
@@ -351,17 +351,21 @@ def ideal_mirror_oracle(gamma_1d: float, tau_d: float, phase: float,
 
 
 _EPS = np.finfo(float).eps
-_MAX_ITER = 64                  # tested inputs have needed at most 13 passes
+# passes of _secular_roots, each O(1) per inner root (_band_sums) and O(M)
+# per outer root (_direct_sums); tested inputs have needed at most 13
+_MAX_ITER = 64
 
 
-def _secular_chunk(d: np.ndarray, detuning: float, rho: float, i: np.ndarray):
+def _secular_roots(d: np.ndarray, detuning: float, i: np.ndarray, sums):
     """Roots lam_i in (d_i, d_i+1) of the arrowhead secular equation
 
         f(lam) = lam - detuning + sum_{0 < k < n-1} rho / (d_k - lam)
 
     and their emitter weights w_i = 1 / f'(lam_i), for the root indices i.
     The end poles d_0 and d_n-1 carry no residue: they only bound the
-    outer intervals.
+    outer intervals.  ``sums(r, side, tau)`` gives, at lam = d_r+side + tau
+    for the roots r, the pole sum sum_k rho / (d_k - lam) and the derivative
+    sums sum_k rho / (d_k - lam)^2 over the poles k <= r and k > r.
 
     Each root is held as an offset tau from its nearer pole, so d_k - lam is
     formed from pole differences and keeps full relative accuracy.  Each
@@ -371,41 +375,32 @@ def _secular_chunk(d: np.ndarray, detuning: float, rho: float, i: np.ndarray):
     bracket when a step leaves it.
     """
     gap = d[i + 1] - d[i]
-    org = d[i].copy()               # origin pole; pass 0 may move it to d_i+1
-    tau = 0.5 * gap                 # start at the midpoint
+    side = np.zeros(i.size, dtype=int)  # origin pole d_i+side; pass 0 may set 1
+    tau = 0.5 * gap                     # start at the midpoint
     lo, hi = np.zeros_like(gap), gap.copy()
     lam, w = np.empty(i.size), np.empty(i.size)
-    act = np.arange(i.size)         # rows still iterating
+    act = np.arange(i.size)             # rows still iterating
     done = np.zeros(i.size, dtype=bool)
     for it in range(_MAX_ITER):
         r = i[act]
-        delta = (d - org[act, None]) - tau[act, None]       # d_k - lam
-        terms = rho / delta         # scalar rho: a per-pole array divides slower
-        terms[:, [0, -1]] = 0.0     # the residue-free end poles
-        f = ((org[act] - detuning) + tau[act]) + terms.sum(axis=1)
-        terms /= delta                                      # rho/(d_k - lam)^2
-        # poles k <= r (left group) and k > r; only columns r[0]..r[-1] mix
-        c0, c1 = r[0], r[-1] + 1
-        left = np.arange(c0, c1) <= r[:, None]
-        mixed = terms[:, c0:c1]
-        dpsi = terms[:, :c0].sum(axis=1) + np.where(left, mixed, 0.0).sum(axis=1)
-        dphi = terms[:, c1:].sum(axis=1) + np.where(left, 0.0, mixed).sum(axis=1)
-        if it == 0:                 # root right of the midpoint: origin d_i+1
-            flip = act[f < 0]
-            org[flip] = d[i[flip] + 1]
+        g, dpsi, dphi = sums(r, side[act], tau[act])
+        f = ((d[r + side[act]] - detuning) + tau[act]) + g
+        if it == 0:                     # root right of the midpoint: origin d_i+1
+            flip = f < 0
+            side[flip] = 1
             tau[flip] -= gap[flip]
             lo[flip] -= gap[flip]
             hi[flip] -= gap[flip]
         # the linear term's slope joins the group of the far pole, which
         # looks linear on the scale of the distance to the near one
-        right = org[act] != d[r]
+        right = side[act] == 1
         dpsi += right
         dphi += ~right
-        t = tau[act]
+        org, t = d[r + side[act]], tau[act]
         lo[act] = np.where(f < 0, t, lo[act])      # t lies inside the bracket
         hi[act] = np.where(f > 0, t, hi[act])
-        di = (d[r] - org[act]) - t
-        dj = (d[r + 1] - org[act]) - t
+        di = (d[r] - org) - t
+        dj = (d[r + 1] - org) - t
         a = (di + dj) * f - di * dj * (dpsi + dphi)
         b = di * dj * f
         c = f - di * dpsi - dj * dphi
@@ -413,10 +408,10 @@ def _secular_chunk(d: np.ndarray, detuning: float, rho: float, i: np.ndarray):
         with np.errstate(divide="ignore", invalid="ignore"):
             eta = np.where(a > 0, 2.0 * b / (a + disc), (a - disc) / (2.0 * c))
         eta[(f == 0) | ~np.isfinite(eta)] = 0.0
-        lam[act] = org[act] + t
+        lam[act] = org + t
         w[act] = 1.0 / (dpsi + dphi)
-        checked = done[act]         # stepped once more after converging
-        done[act] = np.abs(eta) <= 4 * _EPS * (np.abs(t) + np.abs(org[act]))
+        checked = done[act]             # stepped once more after converging
+        done[act] = np.abs(eta) <= 4 * _EPS * (np.abs(t) + np.abs(org))
         step = t + eta
         keep = done[act] | ((step > lo[act]) & (step < hi[act]))
         tau[act] = np.where(keep, step, 0.5 * (lo[act] + hi[act]))
@@ -427,9 +422,62 @@ def _secular_chunk(d: np.ndarray, detuning: float, rho: float, i: np.ndarray):
                        f"in {_MAX_ITER} iterations")
 
 
+def _direct_sums(d: np.ndarray, rho: float):
+    """``sums`` of _secular_roots by summing over every pole: O(n) per root."""
+    def sums(r, side, tau):
+        delta = (d - d[r + side, None]) - tau[:, None]     # d_k - lam
+        terms = rho / delta         # scalar rho: a per-pole array divides slower
+        terms[:, [0, -1]] = 0.0     # the residue-free end poles
+        g = terms.sum(axis=1)
+        terms /= delta                                      # rho/(d_k - lam)^2
+        left = np.arange(d.size) <= r[:, None]
+        return (g, np.where(left, terms, 0.0).sum(axis=1),
+                np.where(left, 0.0, terms).sum(axis=1))
+    return sums
+
+
+def _band_sums(a: float, m: int, rho: float):
+    """``sums`` of _secular_roots in closed form, O(1) per root, for the
+    interior roots 0 < r < m of the half-integer band d_k = -a s_k^2,
+    s_k = m - k + 1/2 (0 < k <= m).
+
+    With lam = -a y^2, root r lies between s = n - 1/2 and n + 1/2 (n = m - r),
+    at y = n - 1/2 + u = n + 1/2 - v.  The poles s < y give the consecutive
+    terms |y -+ s| = u + q, 0 <= q < 2n, and the poles s > y give s - y = v + q,
+    0 <= q < m - n, and y + s = u + q, 2n <= q < m + n, so with
+    1/(y^2 - s^2) = (1/(y - s) + 1/(y + s)) / 2y each group sum is a
+    difference of digamma (psi) and, squared, of trigamma (zeta(2, .)) values
+    at arguments >= 1.  u or v is formed from the offset tau to the origin
+    pole, so both keep full relative accuracy.
+    """
+    import scipy.special    # slow to import; only the band-edge oracle needs it
+    c = rho / a
+
+    def sums(r, side, tau):
+        n = m - r
+        sp = n + 0.5 - side                     # s of the origin pole
+        x = tau / a                             # sp^2 - y^2
+        y = np.sqrt(sp * sp - x)
+        off = x / (y + sp)                      # sp - y
+        u, v = (1 - side) - off, side + off
+        args = np.stack([1.0 + u, 1.0 + v, u + 2 * n, v + (m - n), u + (m + n)])
+        p1u, p1v, p2n, pmv, pmu = scipy.special.psi(args)
+        z1u, z1v, z2n, zmv, zmu = scipy.special.zeta(2.0, args)
+        # sum 1/(y - s) + 1/(y + s) and its square terms, poles s < y, s > y
+        pr = 1.0 / u + (p2n - p1u)
+        pl = (pmu - p2n) - (1.0 / v + (pmv - p1v))
+        qr = 1.0 / (u * u) + (z1u - z2n)
+        ql = 1.0 / (v * v) + (z1v - zmv) + (z2n - zmu)
+        s2 = (c / a) / (4.0 * y * y)
+        return (c / (2.0 * y)) * (pr + pl), s2 * (ql + pl / y), s2 * (qr + pr / y)
+    return sums
+
+
 def _bandedge_spectrum(g_uc: float, j: float, detuning: float, m: int):
     """Eigenvalues E_i - omega0 (ascending) and emitter weights |<e|i>|^2 of
-    [[diag(omega_k), g/sqrt(m)], [g/sqrt(m), omega0 + detuning]]."""
+    [[diag(omega_k), g/sqrt(m)], [g/sqrt(m), omega0 + detuning]].  The
+    m - 1 roots inside the band read the pole sums in closed form
+    (_band_sums), the two outer ones sum them directly."""
     k = (np.arange(m) + 0.5) / m * math.pi      # half of the BZ; even band
     d = -j * k[::-1] ** 2                       # omega_k - omega0, ascending
     # Zero-residue end poles 2g beyond the band and the emitter close the
@@ -441,9 +489,11 @@ def _bandedge_spectrum(g_uc: float, j: float, detuning: float, m: int):
     # +/- k pairs folded into symmetric modes: g/sqrt(2m) * sqrt(2)
     rho = g_uc * g_uc / m
     lam, w = np.empty(m + 1), np.empty(m + 1)
-    for i0 in range(0, m + 1, _CHUNK):
-        i = np.arange(i0, min(i0 + _CHUNK, m + 1))
-        lam[i], w[i] = _secular_chunk(d, detuning, rho, i)
+    outer, inner = np.array([0, m]), np.arange(1, m)
+    lam[outer], w[outer] = _secular_roots(d, detuning, outer,
+                                          _direct_sums(d, rho))
+    lam[inner], w[inner] = _secular_roots(
+        d, detuning, inner, _band_sums(j * (math.pi / m) ** 2, m, rho))
     return lam, w
 
 
@@ -457,8 +507,10 @@ def bandedge_oracle(g_uc: float, j: float, omega0: float, detuning: float,
     mode.  The M + 1 eigenvalues of this arrowhead Hamiltonian are the roots
     of its secular equation, one between each pair of adjacent modes and one
     on each side of the band, and the emitter weight of each is 1/f'(E_i)
-    in closed form (_bandedge_spectrum).  All roots are solved together in
-    O(M^2) work and O(M) memory, to about 1e-15 relative accuracy in E - omega0;
+    in closed form (_bandedge_spectrum).  The M - 1 roots inside the band
+    read the pole sums of f and f' as digamma and trigamma differences
+    (_band_sums), the two outer ones sum over the M poles, so a spectrum
+    costs O(M) work and memory, to about 1e-15 relative accuracy in E - omega0;
     p_e(t) = |sum_i w_i exp(-i (E_i - omega0) t)|^2 is summed in blocks
     without BLAS (_exp_sum_power), so it does not depend on the BLAS thread
     count.  Raises if the M-mode and 2M-mode traces differ by more than

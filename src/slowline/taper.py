@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .abcd import _cascade, _join, _response, cascade_abcd
+from .abcd import _abcd_rows, _cascade, _db, _join, _s21, cascade_abcd
 from .bands import window_grid
 from .params import (ArraySpec, JsonFields, ValidationError, _instance_fields,
                      _integer_field, _real_fields, _require, boundary_cells,
@@ -128,10 +128,10 @@ def _ripple_objective(problem: TaperProblem):
         try:
             chain = spec_with_couplers(base, couplers).lower()
             left = _cascade(chain, grid, cells=range(n))
-            rows = _cascade(chain, grid, cells=range(size - n, size + 1),
-                            start=_join(left, middle))
-            return _peak_to_peak(
-                _response(rows, grid, chain.port_impedance).s21_db)
+            m, exp = _cascade(chain, grid, cells=range(size - n, size + 1),
+                              start=_join(left, middle))
+            s21, _ = _s21(_abcd_rows(m), exp, chain.port_impedance)
+            return _peak_to_peak(_db(s21))
         except ValidationError:
             return 1e3
     return score

@@ -263,7 +263,8 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, argv, cfg,
 
 def test_seed_is_a_disorder_flag(tmp_path, capsys):
     """Only disorder draws anything, so only disorder takes --seed, and its
-    manifest records it; every other manifest writes seed null, and --seed
+    manifest records the seed its draws used: the flag, else the config key
+    ``seed``, else 0.  Every other manifest writes seed null, and --seed
     elsewhere is a usage error."""
     def manifest_seed(argv, cfg):
         out = tmp_path / argv[0]
@@ -272,9 +273,12 @@ def test_seed_is_a_disorder_flag(tmp_path, capsys):
         return json.loads((out / "manifest.json").read_text())["seed"]
 
     assert manifest_seed(["band"], {"cell": CELL, "n_points": 11}) is None
+    extinction = {"spec": SPEC, "sigma_over_j": [0.1], "n_realizations": 2}
     assert manifest_seed(["disorder", "extinction", "--seed", "3"],
-                         {"spec": SPEC, "sigma_over_j": [0.1],
-                          "n_realizations": 2}) == 3
+                         extinction) == 3
+    assert manifest_seed(["disorder", "extinction"],
+                         {**extinction, "seed": 5}) == 5
+    assert manifest_seed(["disorder", "extinction"], extinction) == 0
     with pytest.raises(SystemExit) as exc:
         main(["s21", "--config", str(tmp_path / "cfg.json"),
               "--out", str(tmp_path / "s21"), "--seed", "1"])

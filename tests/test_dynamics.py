@@ -22,11 +22,11 @@ from slowline.disorder import (DisorderEnsembleResult, SigmaCalibration,
                                sample_disordered)
 from slowline.blas import single_thread
 from slowline.dynamics import (_CHUNK, _SLICES, DynamicsTrace, Modulation,
-                               Protocol, _bandedge_spectrum, _exp_sum_power,
-                               _initial_state, _quantum_modes, _schedule,
-                               _time_grid, bandedge_oracle, effective_rate,
-                               ideal_mirror_oracle, lifetime_1e,
-                               revival_onsets, simulate_emission,
+                               Protocol, _band_sums, _bandedge_spectrum,
+                               _exp_sum_power, _initial_state, _quantum_modes,
+                               _schedule, _time_grid, bandedge_oracle,
+                               effective_rate, ideal_mirror_oracle,
+                               lifetime_1e, revival_onsets, simulate_emission,
                                simulate_emission_quantum, simulate_mirror,
                                simulate_modulated)
 from slowline.params import (ArraySpec, UnitCellParams, ValidationError,
@@ -268,6 +268,67 @@ def test_bandedge_oracle_outer_roots_match_dense_reference(detuning, n_modes,
     """The same check where the outer roots hug the band (1e-4 J) and where
     they lie far from it (30 J)."""
     test_bandedge_oracle_matches_dense_reference(detuning, n_modes, g_over_j)
+
+
+_EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("m", [2, 3, 301, 2402])
+def test_band_sums_match_direct_sums(m):
+    """_band_sums' closed-form pole sum and its two derivative groups (poles
+    k <= r and k > r) against math.fsum over the poles, for roots at both
+    band ends and mid-band, each origin pole, and offsets from 1e-12 of the
+    gap to the midpoint.  d_k - lam = a (sp^2 - s_k^2) - tau is formed with
+    the origin pole's sp exactly, so each term is good to a few eps.
+    Measured worst: the sum 1.8 eps of sum |terms|, a derivative group 44
+    eps relative (the far group, no pole within a gap, at the top band
+    edge where its partial fractions cancel most, and then below 1.2e-6 of
+    the near group) and both groups together, which set the weight, 2.2
+    eps; the bounds leave about 2x, 1.5x and 2x."""
+    a, rho = (math.pi / m) ** 2, 0.09 / m
+    sums = _band_sums(a, m, rho)
+    s = [m - k + 0.5 for k in range(1, m + 1)]          # pole k = 1..m
+    for r in sorted({1, m // 2, m - 1}):
+        n = m - r
+        for side in (0, 1):
+            sp = n + 0.5 - side
+            for frac in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.5):
+                tau = (1 - 2 * side) * frac * 2 * a * n     # gap 2 a n
+                g, dpsi, dphi = (float(x[0]) for x in sums(
+                    np.array([r]), np.array([side]), np.array([tau])))
+                delta = [a * (sp * sp - sk * sk) - tau for sk in s]
+                terms = [rho / dk for dk in delta]
+                sq = [t / dk for t, dk in zip(terms, delta)]
+                assert abs(g - math.fsum(terms)) <= (
+                    4 * _EPS * math.fsum(map(abs, terms)))
+                for got, group in ((dpsi, sq[:r]), (dphi, sq[r:])):
+                    assert got == pytest.approx(math.fsum(group),
+                                                rel=64 * _EPS, abs=0)
+                assert dpsi + dphi == pytest.approx(math.fsum(sq),
+                                                    rel=4 * _EPS, abs=0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= _EPS,
+                    reason="needs a long double wider than double")
+@pytest.mark.parametrize("g_over_j, detuning",
+                         [(1e-4, -3.0), (0.3, 0.0), (30.0, 0.0)])
+def test_bandedge_spectrum_secular_residual(g_over_j, detuning):
+    """Every root of the 2402-mode spectrum solves the secular equation, read
+    in long double from the exact poles -a (p + 1/2)^2: the Newton
+    correction |f / f'| is within 4 eps of |lam| (measured worst 2.4 on
+    this grid and at detunings 20 J and -3 J for each coupling)."""
+    m, ld = 2402, np.longdouble
+    lam, _ = _bandedge_spectrum(g_over_j * J, J, detuning * J, m)
+    a = ld(J) * (ld(math.pi) / m) ** 2
+    d = -a * (np.arange(m, dtype=ld) + ld(0.5)) ** 2
+    rho = ld(g_over_j * J) ** 2 / m
+    for i in range(0, m + 1, 128):
+        root = lam[i:i + 128].astype(ld)
+        delta = d - root[:, None]
+        terms = rho / delta
+        f = (root - ld(detuning * J)) + terms.sum(axis=1)
+        fp = 1 + (terms / delta).sum(axis=1)
+        assert np.all(np.abs(f / fp) <= 4 * _EPS * np.abs(root))
 
 
 def test_bandedge_oracle_validation():
