@@ -159,7 +159,12 @@ def qubit_weight(e: float, omega_ge: float, omega0: float) -> float:
         raise SingularPointError("qubit weight singular at E = omega0")
     if e < omega0:
         raise ValidationError("upper-edge form requires E > omega0")
-    return 1.0 / (1.0 + 0.5 * (e - omega_ge) / (e - omega0))
+    return _bound_weight(e, omega_ge, omega0)
+
+
+def _bound_weight(e: float, omega_ge: float, w_edge: float) -> float:
+    """|c_e|^2 of a bound state at E beside the band edge w_edge."""
+    return 1.0 / (1.0 + 0.5 * (e - omega_ge) / (e - w_edge))
 
 
 def bound_profile(e: float, cell: UnitCellParams, n_cells: int,
@@ -181,8 +186,7 @@ def bound_profile(e: float, cell: UnitCellParams, n_cells: int,
     norm = math.sqrt(np.sum(amp**2))
     amp /= norm
     if omega_ge is not None:    # qubit_weight's form holds at either edge
-        weight = 1.0 / (1.0 + 0.5 * (e - omega_ge) / (e - w_edge))
-        amp *= math.sqrt(1.0 - weight)
+        amp *= math.sqrt(1.0 - _bound_weight(e, omega_ge, w_edge))
     return amp
 
 

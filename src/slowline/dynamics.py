@@ -32,8 +32,8 @@ import scipy.linalg
 
 from .blas import single_thread
 from .params import (ArraySpec, Chain, JsonFields, QubitCircuitParams,
-                     ValidationError, _instance_fields, _real_fields,
-                     _require, count, hz, nested, nullable, real, write_csv)
+                     ValidationError, _check_fields, _require, count, hz,
+                     nested, nullable, real, real_array, write_csv)
 from .statespace import (StateSpaceModel, _retuned_generator,
                          assemble_state_space)
 
@@ -50,7 +50,7 @@ class Modulation(JsonFields):
     _JSON = ({"omega_mod_hz": hz, "epsilon_hz": hz}, {})
 
     def __post_init__(self):
-        _real_fields(self, "omega_mod", "epsilon")
+        _check_fields(self)
         _require(0 < self.omega_mod < math.inf and 0 <= self.epsilon < math.inf,
                  "omega_mod must be positive, epsilon non-negative, both finite")
 
@@ -86,10 +86,7 @@ class Protocol(JsonFields):
               "omega_park_hz": nullable(hz)})
 
     def __post_init__(self):
-        _instance_fields(self, Modulation, "modulation", optional=True)
-        _real_fields(self, "omega_interact", "t_max", "dt_output",
-                     "initial_excited_population", "tune_time",
-                     optional=("omega_park",))
+        _check_fields(self)
         _require(0 < self.t_max < math.inf and 0 < self.dt_output < math.inf,
                  "t_max and dt_output must be positive and finite")
         _require(0.0 <= self.initial_excited_population <= 1.0,
@@ -108,8 +105,10 @@ class Protocol(JsonFields):
 class DynamicsTrace:
     t: np.ndarray       # s
     p_e: np.ndarray
+    _FIELDS = {"t": real_array, "p_e": real_array}
 
     def __post_init__(self):
+        _check_fields(self)
         if self.t.shape != self.p_e.shape:
             raise ValidationError("t and p_e must have matching shapes")
 

@@ -91,14 +91,23 @@ def read_object(d, where: str, required: dict, optional: dict = None) -> dict:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    # float, the usual case, first: isinstance of numbers.Real costs more
+    return type(v) is float or (isinstance(v, numbers.Real)
+                                and not isinstance(v, bool))
+
+
+def _expect(ok: bool, what: str, v):
+    """``v`` if ``ok``, else ValidationError "expected ``what``, got ``v``",
+    its message built only then."""
+    if not ok:
+        raise ValidationError(f"expected {what}, got {v!r}")
+    return v
 
 
 def real(v) -> float:
     """A finite number (Python's json also parses NaN and Infinity)."""
-    _require(_is_number(v) and math.isfinite(v),
-             f"expected a finite number, got {v!r}")
-    return float(v)
+    return float(_expect(_is_number(v) and math.isfinite(v),
+                         "a finite number", v))
 
 
 def hz(v) -> float:
@@ -108,10 +117,9 @@ def hz(v) -> float:
 
 def integer(v) -> int:
     """A number with an integral value."""
-    _require(not isinstance(v, bool) and (isinstance(v, numbers.Integral) or
-             isinstance(v, float) and v.is_integer()),
-             f"expected an integer, got {v!r}")
-    return int(v)
+    return int(_expect(not isinstance(v, bool) and (
+        isinstance(v, numbers.Integral) or
+        isinstance(v, float) and v.is_integer()), "an integer", v))
 
 
 def count(v, name: str, least: int) -> int:
@@ -128,16 +136,21 @@ def _same(v):
     return v
 
 
-# Each converter's ``write`` is its inverse, used by ``JsonFields.to_dict``.
+# A converter's ``check`` reads a constructor argument as its field stores it
+# (so ``hz.check`` converts nothing), for ``_check_fields``; its ``write`` is
+# its inverse, used by ``JsonFields.to_dict``.
+real.check = hz.check = lambda v: _expect(_is_number(v), "a number", v)
+integer.check = integer
 real.write = integer.write = _same
 hz.write = lambda v: v / TWO_PI
 
 
 def one_of(options):
+    what = f"one of {list(options)}"
+
     def read(v):
-        _require(isinstance(v, str) and v in options,
-                 f"expected one of {list(options)}, got {v!r}")
-        return v
+        return _expect(isinstance(v, str) and v in options, what, v)
+    read.check = read
     read.write = _same
     return read
 
@@ -145,6 +158,7 @@ def one_of(options):
 def nullable(convert):
     def read(v):
         return None if v is None else convert(v)
+    read.check = lambda v: None if v is None else convert.check(v)
     read.write = lambda v: None if v is None else convert.write(v)
     return read
 
@@ -152,9 +166,11 @@ def nullable(convert):
 def list_of(convert):
     """A JSON list, read item by item into a tuple."""
     def read(v):
-        _require(isinstance(v, list), f"expected a JSON list, got {v!r}")
+        _expect(isinstance(v, list), "a JSON list", v)
         return tuple(_convert("list", str(i), convert, x)
                      for i, x in enumerate(v))
+    read.check = lambda v: tuple(map(convert.check, _expect(
+        isinstance(v, (tuple, list)), "a tuple or list", v)))
     read.write = lambda v: [convert.write(x) for x in v]
     return read
 
@@ -162,11 +178,16 @@ def list_of(convert):
 def index_map(convert):
     """A JSON object keyed by integers, read into a dict."""
     def read(v):
-        _require(isinstance(v, dict) and all(re.fullmatch(r"-?\d+", str(k))
-                                             for k in v),
-                 f"expected a JSON object keyed by integers, got {v!r}")
+        _expect(isinstance(v, dict) and all(re.fullmatch(r"-?\d+", str(k))
+                                            for k in v),
+                "a JSON object keyed by integers", v)
         return {int(k): _convert("map", str(k), convert, x)
                 for k, x in v.items()}
+
+    def check(v):
+        _expect(isinstance(v, dict), "a dict keyed by integers", v)
+        return {integer(k): float(convert.check(x)) for k, x in v.items()}
+    read.check = check
     read.write = lambda v: {str(k): convert.write(x)
                             for k, x in sorted(v.items())}
     return read
@@ -176,8 +197,25 @@ def nested(cls):
     """A JSON object read by ``cls.from_dict``."""
     def read(v):
         return cls.from_dict(v)
+    read.check = lambda v: _expect(isinstance(v, cls), cls.__name__, v)
     read.write = lambda v: v.to_dict()
     return read
+
+
+def real_array(v) -> np.ndarray:
+    """Real numbers other than bool, any shape, as float64.  Fields only."""
+    a = np.asarray(v)
+    _expect(a.dtype.kind in "iuf", "an array of real numbers", v)
+    return a.astype(np.float64, copy=False)
+
+
+def boolean(v) -> bool:
+    """A bool, numpy's included.  Fields only."""
+    return bool(_expect(isinstance(v, (bool, np.bool_)), "a bool", v))
+
+
+real_array.check = real_array
+boolean.check = boolean
 
 
 def _field_name(key: str) -> str:
@@ -190,55 +228,24 @@ def as_fields(values: dict) -> dict:
     return {_field_name(k): v for k, v in values.items()}
 
 
-def _integer_field(obj, name: str) -> None:
-    """Set the frozen ``obj``'s field ``name`` to its value read by
-    ``integer``, so 22.0 reads as 22 as it does in JSON."""
-    object.__setattr__(obj, name, _convert(type(obj).__name__, name, integer,
-                                           getattr(obj, name)))
-
-
-def _instance_fields(obj, kind, *names, optional=False, items=False) -> None:
-    """Check that ``obj``'s fields ``names`` each hold what the JSON reader
-    builds for them: a ``kind``, None as well when ``optional``, or a tuple
-    or list of ``kind`` when ``items``.  A wrong type then raises
-    ValidationError naming class and field, rather than an AttributeError
-    where the field is first read.  Converts nothing."""
-    for name in names:
-        v = getattr(obj, name)
-        if items:
-            ok = (isinstance(v, (tuple, list))
-                  and all(isinstance(x, kind) for x in v))
-        else:
-            ok = isinstance(v, kind) or optional and v is None
-        if not ok:          # the message is built only on failure
-            what = (f"a tuple of {kind.__name__}" if items else
-                    f"{kind.__name__} or None" if optional else kind.__name__)
-            raise ValidationError(f"{type(obj).__name__}.{name}: expected "
-                                  f"{what}, got {v!r}")
-
-
-def _real_fields(obj, *names, maps=(), optional=()) -> None:
-    """Check that ``obj``'s fields ``names``, every value of its dict fields
-    ``maps`` (each checked to be a dict first) and each of its fields
-    ``optional`` that is not None hold real numbers other than bool, so the
-    range checks that follow raise ValidationError rather than TypeError.
-    Converts nothing."""
-    _instance_fields(obj, dict, *maps)
-    values = [(n, getattr(obj, n)) for n in names]
-    values += [(n, v) for n in maps for v in getattr(obj, n).values()]
-    values += [(n, getattr(obj, n)) for n in optional
-               if getattr(obj, n) is not None]
-    for name, v in values:
-        if not _is_number(v):   # the message is built only on failure
-            raise ValidationError(f"{type(obj).__name__}.{name}: expected a "
-                                  f"number, got {v!r}")
+def _check_fields(obj) -> None:
+    """Store each field of the frozen ``obj`` as read by its converter's
+    ``check`` in ``obj._FIELDS``, raising ValidationError that names class and
+    field on a wrong type, before any range check reads it."""
+    for name, convert in obj._FIELDS.items():
+        object.__setattr__(obj, name, _convert(
+            type(obj).__name__, name, convert.check, getattr(obj, name)))
 
 
 class JsonFields:
-    """A dataclass whose JSON object is declared once, in ``_JSON =
-    (required, optional)``: each maps a key (the field plus its unit) to
-    the converter that reads it and writes it back.  ``to_dict`` leaves out
+    """A dataclass whose fields are typed once, in ``_JSON = (required,
+    optional)``: each maps a key (the field plus its unit) to the converter
+    that reads it from JSON, writes it back and checks the constructor's
+    argument (``_FIELDS``, derived once per class).  ``to_dict`` leaves out
     an optional key whose value is None, inf or an empty dict."""
+
+    def __init_subclass__(cls):
+        cls._FIELDS = as_fields({**cls._JSON[0], **cls._JSON[1]})
 
     @classmethod
     def from_dict(cls, d: dict):
@@ -266,7 +273,7 @@ class UnitCellParams(JsonFields):
     _JSON = ({"c0_f": real, "cg_f": real, "l0_h": real}, {"q_internal": real})
 
     def __post_init__(self):
-        _real_fields(self, "c0", "cg", "l0", "q_internal")
+        _check_fields(self)
         _require(0 < self.c0 < math.inf, "c0 must be positive and finite")
         _require(0 < self.cg < math.inf, "cg must be positive and finite")
         _require(0 < self.l0 < math.inf, "l0 must be positive and finite")
@@ -297,7 +304,7 @@ class BoundaryCellParams(JsonFields):
                            real), {})
 
     def __post_init__(self):
-        _real_fields(self, "c_shunt", "c_left", "c_right", "l0")
+        _check_fields(self)
         for name in ("c_shunt", "c_left", "c_right", "l0"):
             _require(0 < getattr(self, name) < math.inf,
                      f"{name} must be positive and finite")
@@ -330,8 +337,7 @@ class Bend(JsonFields):
     _JSON = ({"position": integer, "c_series_f": real}, {})
 
     def __post_init__(self):
-        _integer_field(self, "position")
-        _real_fields(self, "c_series")
+        _check_fields(self)
         _require(self.position >= 1, "bend position must be >= 1")
         _require(0 < self.c_series < math.inf,
                  "bend c_series must be positive and finite")
@@ -362,21 +368,17 @@ class ArraySpec:
     port_impedance: float = 50.0
     termination_out: str = "matched"
     bend: Optional[Bend] = None
+    _FIELDS = {"interior": nested(UnitCellParams), "interior_count": integer,
+               **dict.fromkeys(("boundary_in", "boundary_out"),
+                               list_of(nested(BoundaryCellParams))),
+               "port_impedance": real, "termination_out": one_of(TERMINATIONS),
+               "bend": nullable(nested(Bend))}
 
     def __post_init__(self):
-        _instance_fields(self, UnitCellParams, "interior")
-        _instance_fields(self, BoundaryCellParams, "boundary_in",
-                         "boundary_out", items=True)
-        _instance_fields(self, Bend, "bend", optional=True)
-        object.__setattr__(self, "boundary_in", tuple(self.boundary_in))
-        object.__setattr__(self, "boundary_out", tuple(self.boundary_out))
-        _integer_field(self, "interior_count")
-        _real_fields(self, "port_impedance")
+        _check_fields(self)
         _require(self.interior_count >= 1, "interior_count must be >= 1")
         _require(0 < self.port_impedance < math.inf,
                  "port_impedance must be positive and finite")
-        _require(self.termination_out in TERMINATIONS,
-                 f"termination_out must be one of {TERMINATIONS}")
         for cells in (self.boundary_in, self.boundary_out):
             for a, b in zip(cells, cells[1:]):
                 _require(abs(a.c_right - b.c_left) <= _SHARED_CAP_RTOL * a.c_right,
@@ -438,14 +440,14 @@ class ArraySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArraySpec":
-        cells = list_of(nested(BoundaryCellParams))
-        v = as_fields(read_object(
+        fields = cls._FIELDS
+        v = as_fields(read_object(      # with the interior cell's keys
             d, cls.__name__,
-            {"c0_f": real, "cg_f": real, "l0_h": real, "interior_count": integer},
-            {"q_internal": nullable(real), "boundary_in": cells,
-             "boundary_out": cells, "port_impedance_ohm": real,
-             "termination_out": one_of(TERMINATIONS),
-             "bend": nullable(nested(Bend))}))
+            {**UnitCellParams._JSON[0], "interior_count": fields["interior_count"]},
+            {"q_internal": nullable(real),
+             "port_impedance_ohm": fields["port_impedance"],
+             **{k: fields[k] for k in ("boundary_in", "boundary_out",
+                                       "termination_out", "bend")}}))
         q = v.pop("q_internal", None)
         interior = UnitCellParams(c0=v.pop("c0"), cg=v.pop("cg"), l0=v.pop("l0"),
                                   q_internal=math.inf if q is None else q)
@@ -474,13 +476,16 @@ class Chain:
     q_internal: float = math.inf
     port_impedance: float = 50.0
     matched_out: bool = True
+    _FIELDS = {**dict.fromkeys(("c_shunt", "l", "couplers"), real_array),
+               "q_internal": real, "port_impedance": real,
+               "matched_out": boolean}
 
     def __post_init__(self):
+        _check_fields(self)
         _require(np.ndim(self.c_shunt) == 1 and np.ndim(self.couplers) == 1,
                  "Chain.c_shunt and Chain.couplers must be 1-D")
         _require(self.couplers.size == self.n_resonators + 1,
                  "Chain.couplers must have n_resonators + 1 entries")
-        _real_fields(self, "q_internal", "port_impedance")
         _require(np.ndim(self.l) in (1, 2)
                  and np.shape(self.l)[-1] == self.n_resonators,
                  "Chain.l must have shape (n_resonators,) or "
@@ -522,15 +527,11 @@ class QubitCircuitParams(JsonFields):
               "omega_ge_hz": hz}, {"q_intrinsic": real})
 
     def __post_init__(self):
-        _real_fields(self, "c_sigma", "omega_ge", "q_intrinsic",
-                     maps=("couplings",))
+        _check_fields(self)
         _require(0 < self.c_sigma < math.inf, "c_sigma must be positive and finite")
         _require(len(self.couplings) > 0, "qubit needs at least one coupling")
         _require(all(0 <= c < math.inf for c in self.couplings.values()),
                  "coupling capacitance must be non-negative and finite")
-        object.__setattr__(self, "couplings", {
-            _convert(type(self).__name__, "couplings", integer, k): float(c)
-            for k, c in self.couplings.items()})
         _require(min(self.couplings) >= 1, "coupling index must be >= 1")
         _require(0 < self.omega_ge < math.inf,
                  "omega_ge must be positive and finite")
@@ -558,11 +559,8 @@ class EmitterParams(JsonFields):
              {"extra_couplings_hz": index_map(hz)})
 
     def __post_init__(self):
-        _real_fields(self, "omega_ge", "g_uc", maps=("extra_couplings",))
+        _check_fields(self)
         _require(0 < self.omega_ge < math.inf, "omega_ge must be positive and finite")
         _require(0 <= self.g_uc < math.inf, "g_uc must be non-negative and finite")
         _require(all(map(math.isfinite, self.extra_couplings.values())),
                  "extra couplings must be finite")
-        object.__setattr__(self, "extra_couplings", {
-            _convert(type(self).__name__, "extra_couplings", integer, k): float(v)
-            for k, v in self.extra_couplings.items()})

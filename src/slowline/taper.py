@@ -16,9 +16,8 @@ import numpy as np
 
 from .abcd import _abcd_rows, _cascade, _db, _join, _s21, cascade_abcd
 from .bands import window_grid
-from .params import (ArraySpec, JsonFields, ValidationError, _instance_fields,
-                     _integer_field, _real_fields, _require, boundary_cells,
-                     integer, nested, real)
+from .params import (ArraySpec, JsonFields, ValidationError, _check_fields,
+                     _require, boundary_cells, integer, nested, real)
 
 # Fixed frequency grid size for the ripple objective; pinned to the analytic
 # band limits of the interior cell so the scoring window does not move with
@@ -44,10 +43,7 @@ class TaperProblem(JsonFields):
               "max_iterations": integer})
 
     def __post_init__(self):
-        _instance_fields(self, ArraySpec, "base")
-        _integer_field(self, "n_modified")
-        _integer_field(self, "max_iterations")
-        _real_fields(self, "band_window")
+        _check_fields(self)
         _require(self.n_modified >= 0, "n_modified must be >= 0")
         _require(2 * self.n_modified < self.base.n_resonators,
                  "n_modified must be below half of base.n_resonators")

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from slowline.dynamics import Modulation, Protocol
-from slowline.params import (ArraySpec, Bend, BoundaryCellParams,
-                             EmitterParams, QubitCircuitParams,
+from slowline.dynamics import DynamicsTrace, Modulation, Protocol
+from slowline.params import (ArraySpec, Bend, BoundaryCellParams, Chain,
+                             EmitterParams, JsonFields, QubitCircuitParams,
                              UnitCellParams, ValidationError, boundary_cells)
 from slowline.taper import TaperProblem
 
@@ -378,3 +378,49 @@ def test_real_fields_keep_what_they_are_given():
                           l0=3.151e-9, q_internal=10**4)
     assert [type(v) for v in (cell.c0, cell.cg, cell.q_internal)] == [
         np.float64, np.float32, int]
+
+
+_CHAIN = dict(c_shunt=np.full(3, 3e-13), l=np.full(3, 3e-9),
+              couplers=np.full(4, 5e-15))
+
+
+@pytest.mark.parametrize("name, bad, what", [
+    ("matched_out", "open_mirror", "a bool"),
+    ("matched_out", 1, "a bool"),
+    ("c_shunt", np.array(["3e-13"] * 3), "an array of real numbers"),
+    ("couplers", np.full(4, True), "an array of real numbers"),
+])
+def test_chain_rejects_wrongly_typed_fields(name, bad, what):
+    """A string termination is not a matched flag, and the per-resonator
+    arrays hold real numbers, so neither passes as a working chain."""
+    with pytest.raises(ValidationError, match=f"Chain.{name}: expected {what}"):
+        Chain(**{**_CHAIN, name: bad})
+
+
+def test_chain_reads_lists_as_float64():
+    chain = Chain(**{k: v.tolist() for k, v in _CHAIN.items()})
+    for name, want in _CHAIN.items():
+        assert getattr(chain, name).dtype == np.float64
+        np.testing.assert_array_equal(getattr(chain, name), want)
+    assert chain.n_resonators == 3 and chain.matched_out is True
+
+
+def test_dynamics_trace_reads_lists_as_float64():
+    trace = DynamicsTrace(t=[0, 1e-9, 2e-9], p_e=[1, 0.5, 0.25])
+    assert trace.t.dtype == trace.p_e.dtype == np.float64
+    np.testing.assert_array_equal(trace.p_e, [1.0, 0.5, 0.25])
+
+
+def test_termination_is_checked_as_a_field():
+    with pytest.raises(ValidationError, match="ArraySpec.termination_out: "
+                       r"expected one of \['matched', 'open_mirror'\]"):
+        dataclasses.replace(_VALID["ArraySpec"], termination_out="open")
+
+
+@pytest.mark.parametrize("cls", [*JsonFields.__subclasses__(), ArraySpec,
+                                 Chain, DynamicsTrace],
+                         ids=lambda cls: cls.__name__)
+def test_every_field_is_type_checked(cls):
+    """Each field's type is declared in its class's table, so a field added
+    without one fails here rather than going unchecked."""
+    assert set(cls._FIELDS) == {f.name for f in dataclasses.fields(cls)}
