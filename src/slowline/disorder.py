@@ -111,12 +111,15 @@ def sample_disordered(spec: ArraySpec, sigma: float, rng_seed) -> Chain:
     """One disorder realization of ``spec`` as a lowered ``Chain``.
 
     Frequencies are drawn N(omega_nominal, sigma^2) from the substream
-    ``rng_seed``; a non-positive draw raises ``ValidationError``, as does a
-    negative or non-finite ``sigma``.  ``sigma = 0`` gives the clean chain
+    ``rng_seed``, a non-negative integer or a tuple of them; a non-positive
+    draw raises ``ValidationError``, as does a negative or non-finite
+    ``sigma`` or any other ``rng_seed``.  ``sigma = 0`` gives the clean chain
     ``spec.lower()``.  Every coupler, the bend's included, is carried over
     unchanged.
     """
-    return _realization(spec.lower(), float(_sigmas(sigma)), rng_seed)
+    key = (tuple(count(k, "rng_seed", 0) for k in rng_seed)
+           if isinstance(rng_seed, tuple) else count(rng_seed, "rng_seed", 0))
+    return _realization(spec.lower(), float(_sigmas(sigma)), key)
 
 
 # Fraction of the band scored by the extinction statistic; the central half
@@ -160,11 +163,12 @@ def extinction_curve(spec: ArraySpec, sigma_over_j, n_realizations: int,
     i))``: the same standard-normal draws rescaled, so the curve is both
     reproducible and variance-reduced across the grid, and ``sigma = 0``
     scores the clean chain.  ``sigma_over_j`` must be a non-empty 1-D grid
-    of finite values >= 0, and ``n_realizations`` at least 1; both are
-    checked before any cascade.
+    of finite values >= 0, ``n_realizations`` at least 1 and ``seed`` a
+    non-negative integer; all are checked before any cascade.
     """
     sigma_over_j = _sigma_grid(sigma_over_j)
     n_realizations = count(n_realizations, "n_realizations", 1)
+    seed = count(seed, "seed", 0)
     j = tight_binding(spec.interior)["j_tb"]
     draws = [(soj * j, (seed, i)) for i in range(n_realizations)
              for soj in sigma_over_j]
@@ -222,15 +226,17 @@ def calibrate_sigma(measured_delta_fsr: float, spec: ArraySpec, sigma_grid,
 
     Realization i at ``sigma_grid[k]`` is ``sample_disordered(spec,
     sigma_grid[k], (seed, k, i))``; ``sigma = 0`` gives the clean chain.
-    ``sigma_grid`` must be a non-empty 1-D grid of finite values >= 0, and
-    ``n_realizations`` at least 2; both are checked before any cascade.  A
-    realization with unresolvable ripples is dropped from its sigma's mean,
-    with a warning.  Non-monotone segments are flagged and the inversion
-    restricted to the longest increasing prefix of the table; a measurement
-    outside that prefix's range of Delta_FSR raises ``ValidationError``.
+    ``sigma_grid`` must be a non-empty 1-D grid of finite values >= 0,
+    ``n_realizations`` at least 2 and ``seed`` a non-negative integer; all
+    are checked before any cascade.  A realization with unresolvable ripples
+    is dropped from its sigma's mean, with a warning.  Non-monotone segments
+    are flagged and the inversion restricted to the longest increasing
+    prefix of the table; a measurement outside that prefix's range of
+    Delta_FSR raises ``ValidationError``.
     """
     sigma_grid = _sigma_grid(sigma_grid)
     n_realizations = count(n_realizations, "n_realizations", 2)
+    seed = count(seed, "seed", 0)
     band = band_edges(spec.interior)
 
     def delta_fsr(resp):

@@ -61,10 +61,15 @@ def self_energy(e, g_uc: float, cell: UnitCellParams,
     effective_mass uses the closed form above; ``sheet='second'`` selects the
     analytic continuation through the branch cut (sqrt -> -sqrt).  exact_band
     integrates g^2/(E - omega_k) over the Brillouin zone; real in-band E is
-    evaluated as the principal value with the retarded -i pi * DOS term.
+    evaluated as the principal value with the retarded -i pi * DOS term.  It
+    reads the cell's own band, so it takes no ``j`` and only the first sheet.
     """
     if model not in MODELS:
         raise ValidationError(f"unknown self-energy model: {model!r}")
+    if sheet not in ("first", "second"):
+        raise ValidationError(f"sheet must be 'first' or 'second': {sheet!r}")
+    if model == "exact_band" and (j is not None or sheet != "first"):
+        raise ValidationError("exact_band takes no j and only sheet='first'")
     w_edge, sign = _edge(cell, edge)
     jj = _default_j(cell, j)
     e_arr = np.atleast_1d(np.asarray(e, dtype=complex))

@@ -33,7 +33,8 @@ import scipy.linalg
 from .blas import single_thread
 from .params import (ArraySpec, Chain, JsonFields, QubitCircuitParams,
                      ValidationError, _check_fields, _require, count, hz,
-                     nested, nullable, real, real_array, write_csv)
+                     limited, nested, non_negative, nullable, positive, real,
+                     real_array, write_csv)
 from .statespace import (StateSpaceModel, _retuned_generator,
                          assemble_state_space)
 
@@ -47,12 +48,8 @@ _ROUNDING = 1e-12   # relative: times this close are one time
 class Modulation(JsonFields):
     omega_mod: float    # rad/s
     epsilon: float      # rad/s, frequency-modulation amplitude
-    _JSON = ({"omega_mod_hz": hz, "epsilon_hz": hz}, {})
-
-    def __post_init__(self):
-        _check_fields(self)
-        _require(0 < self.omega_mod < math.inf and 0 <= self.epsilon < math.inf,
-                 "omega_mod must be positive, epsilon non-negative, both finite")
+    _JSON = ({"omega_mod_hz": positive(hz), "epsilon_hz": non_negative(hz)},
+             {})
 
     @property
     def index(self) -> float:
@@ -80,23 +77,16 @@ class Protocol(JsonFields):
     modulation: Optional[Modulation] = None
     tune_time: float = 0.0                  # s, 0 = instantaneous quench
     omega_park: Optional[float] = None      # rad/s, start of a finite ramp
-    _JSON = ({"omega_interact_hz": hz, "t_max_s": real},
-             {"dt_output_s": real, "initial_excited_population": real,
-              "tune_time_s": real, "modulation": nullable(nested(Modulation)),
-              "omega_park_hz": nullable(hz)})
+    _JSON = ({"omega_interact_hz": positive(hz), "t_max_s": positive(real)},
+             {"dt_output_s": positive(real),
+              "initial_excited_population": limited(
+                  real, lambda v: 0 <= v <= 1, "in [0, 1]"),
+              "tune_time_s": non_negative(real),
+              "modulation": nullable(nested(Modulation)),
+              "omega_park_hz": nullable(positive(hz))})
 
     def __post_init__(self):
         _check_fields(self)
-        _require(0 < self.t_max < math.inf and 0 < self.dt_output < math.inf,
-                 "t_max and dt_output must be positive and finite")
-        _require(0.0 <= self.initial_excited_population <= 1.0,
-                 "initial population must lie in [0, 1]")
-        _require(0 <= self.tune_time < math.inf,
-                 "tune_time must be non-negative and finite")
-        _require(0 < self.omega_interact < math.inf,
-                 "omega_interact must be positive and finite")
-        _require(self.omega_park is None or 0 < self.omega_park < math.inf,
-                 "omega_park must be positive and finite")
         _require((self.tune_time > 0) == (self.omega_park is not None),
                  "a ramp needs both tune_time > 0 and omega_park")
 

@@ -69,6 +69,9 @@ def fit_to_spectrum(measured: TwoPortResponse, template: ArraySpec,
     unknown = set(free) - set(FIT_PARAM_NAMES)
     if unknown:
         raise ValidationError(f"unknown fit parameters: {sorted(unknown)}")
+    repeated = sorted({name for name in free if free.count(name) > 1})
+    if repeated:
+        raise ValidationError(f"repeated fit parameters: {repeated}")
     base = _get_params(template)
     missing = set(free) - set(base)
     if missing:

@@ -64,15 +64,16 @@ def write_json(path, obj) -> None:
 # --------------------------------------------------------------------------
 # JSON reading.  A converter returns the value read or raises
 # ValidationError; ``read_object`` re-raises that naming the key path, which
-# grows by one key per level of nesting.  Other exceptions are bugs and pass.
+# grows by one key per level of nesting ("path must be …" for a value out of
+# range, "path: …" otherwise).  Other exceptions are bugs and pass.
 
 def _convert(where: str, key: str, convert, value):
     try:
         return convert(value)
     except ValidationError as exc:
         path = (key, *getattr(exc, "path", ()))
-        reason = getattr(exc, "reason", str(exc))
-        err = ValidationError(".".join((where, *path)) + ": " + reason)
+        reason = getattr(exc, "reason", ": " + str(exc))
+        err = ValidationError(".".join((where, *path)).lstrip(".") + reason)
         err.path, err.reason = path, reason
         raise err from None
 
@@ -122,16 +123,6 @@ def integer(v) -> int:
         isinstance(v, float) and v.is_integer()), "an integer", v))
 
 
-def count(v, name: str, least: int) -> int:
-    """The integer argument ``name``, at least ``least``."""
-    try:
-        v = integer(v)
-    except ValidationError as exc:
-        raise ValidationError(f"{name}: {exc}") from None
-    _require(v >= least, f"{name} must be >= {least}")
-    return v
-
-
 def _same(v):
     return v
 
@@ -143,6 +134,47 @@ real.check = hz.check = lambda v: _expect(_is_number(v), "a number", v)
 integer.check = integer
 real.write = integer.write = _same
 hz.write = lambda v: v / TWO_PI
+
+
+def limited(convert, ok, what: str):
+    """``convert`` (read and check) restricted to the values ``ok`` accepts,
+    else ValidationError "must be ``what``, got …", its message built only
+    then.  ``ok`` reads the value as converted, once its type is checked; the
+    message shows the value as given (a Hz key in Hz)."""
+    def restrict(read):
+        def limited_read(v):
+            if ok(out := read(v)):
+                return out
+            err = ValidationError(f"must be {what}, got {v!r}")
+            err.reason = f" {err}"
+            raise err
+        return limited_read
+    read = restrict(convert)
+    vars(read).update(vars(convert), check=restrict(convert.check))
+    return read
+
+
+def positive(convert):
+    return limited(convert, lambda v: 0 < v < math.inf, "positive and finite")
+
+
+def non_negative(convert):
+    return limited(convert, lambda v: 0 <= v < math.inf,
+                   "non-negative and finite")
+
+
+def at_least(least: int):
+    """An integer, at least ``least``."""
+    return limited(integer, lambda v: v >= least, f">= {least}")
+
+
+# A quality factor: inf (lossless) passes a constructor; JSON leaves it out.
+quality = limited(real, lambda v: v > 0, "positive")
+
+
+def count(v, name: str, least: int) -> int:
+    """The integer argument ``name``, at least ``least``."""
+    return _convert("", name, at_least(least), v)
 
 
 def one_of(options):
@@ -204,8 +236,12 @@ def nested(cls):
 
 def real_array(v) -> np.ndarray:
     """Real numbers other than bool, any shape, as float64.  Fields only."""
-    a = np.asarray(v)
-    _expect(a.dtype.kind in "iuf", "an array of real numbers", v)
+    try:
+        a = np.asarray(v)
+    except ValueError:      # numpy's "inhomogeneous shape": a ragged nest
+        a = None
+    _expect(a is not None and a.dtype.kind in "iuf",
+            "an array of real numbers", v)
     return a.astype(np.float64, copy=False)
 
 
@@ -216,6 +252,9 @@ def boolean(v) -> bool:
 
 real_array.check = real_array
 boolean.check = boolean
+positive_array = limited(
+    real_array, lambda a: a.size and 0 < a.min() and a.max() < math.inf,
+    "non-empty, positive and finite")
 
 
 def _field_name(key: str) -> str:
@@ -231,7 +270,8 @@ def as_fields(values: dict) -> dict:
 def _check_fields(obj) -> None:
     """Store each field of the frozen ``obj`` as read by its converter's
     ``check`` in ``obj._FIELDS``, raising ValidationError that names class and
-    field on a wrong type, before any range check reads it."""
+    field on a wrong type or a value out of range, before any rule that reads
+    two fields runs."""
     for name, convert in obj._FIELDS.items():
         object.__setattr__(obj, name, _convert(
             type(obj).__name__, name, convert.check, getattr(obj, name)))
@@ -241,11 +281,13 @@ class JsonFields:
     """A dataclass whose fields are typed once, in ``_JSON = (required,
     optional)``: each maps a key (the field plus its unit) to the converter
     that reads it from JSON, writes it back and checks the constructor's
-    argument (``_FIELDS``, derived once per class).  ``to_dict`` leaves out
-    an optional key whose value is None, inf or an empty dict."""
+    argument, type and range (``_FIELDS``, derived once per class).
+    ``to_dict`` omits an optional key whose value is None, inf or {}."""
 
     def __init_subclass__(cls):
         cls._FIELDS = as_fields({**cls._JSON[0], **cls._JSON[1]})
+
+    __post_init__ = _check_fields
 
     @classmethod
     def from_dict(cls, d: dict):
@@ -270,14 +312,8 @@ class UnitCellParams(JsonFields):
     cg: float           # F
     l0: float           # H
     q_internal: float = math.inf
-    _JSON = ({"c0_f": real, "cg_f": real, "l0_h": real}, {"q_internal": real})
-
-    def __post_init__(self):
-        _check_fields(self)
-        _require(0 < self.c0 < math.inf, "c0 must be positive and finite")
-        _require(0 < self.cg < math.inf, "cg must be positive and finite")
-        _require(0 < self.l0 < math.inf, "l0 must be positive and finite")
-        _require(self.q_internal > 0, "q_internal must be positive")
+    _JSON = ({"c0_f": positive(real), "cg_f": positive(real),
+              "l0_h": positive(real)}, {"q_internal": quality})
 
     @property
     def omega0(self) -> float:
@@ -301,13 +337,7 @@ class BoundaryCellParams(JsonFields):
     c_right: float      # F
     l0: float           # H
     _JSON = (dict.fromkeys(("c_shunt_f", "c_left_f", "c_right_f", "l0_h"),
-                           real), {})
-
-    def __post_init__(self):
-        _check_fields(self)
-        for name in ("c_shunt", "c_left", "c_right", "l0"):
-            _require(0 < getattr(self, name) < math.inf,
-                     f"{name} must be positive and finite")
+                           positive(real)), {})
 
     @property
     def c_total(self) -> float:
@@ -334,13 +364,7 @@ class Bend(JsonFields):
 
     position: int
     c_series: float     # F
-    _JSON = ({"position": integer, "c_series_f": real}, {})
-
-    def __post_init__(self):
-        _check_fields(self)
-        _require(self.position >= 1, "bend position must be >= 1")
-        _require(0 < self.c_series < math.inf,
-                 "bend c_series must be positive and finite")
+    _JSON = ({"position": at_least(1), "c_series_f": positive(real)}, {})
 
 
 TERMINATIONS = ("matched", "open_mirror")
@@ -368,17 +392,16 @@ class ArraySpec:
     port_impedance: float = 50.0
     termination_out: str = "matched"
     bend: Optional[Bend] = None
-    _FIELDS = {"interior": nested(UnitCellParams), "interior_count": integer,
+    _FIELDS = {"interior": nested(UnitCellParams),
+               "interior_count": at_least(1),
                **dict.fromkeys(("boundary_in", "boundary_out"),
                                list_of(nested(BoundaryCellParams))),
-               "port_impedance": real, "termination_out": one_of(TERMINATIONS),
+               "port_impedance": positive(real),
+               "termination_out": one_of(TERMINATIONS),
                "bend": nullable(nested(Bend))}
 
     def __post_init__(self):
         _check_fields(self)
-        _require(self.interior_count >= 1, "interior_count must be >= 1")
-        _require(0 < self.port_impedance < math.inf,
-                 "port_impedance must be positive and finite")
         for cells in (self.boundary_in, self.boundary_out):
             for a, b in zip(cells, cells[1:]):
                 _require(abs(a.c_right - b.c_left) <= _SHARED_CAP_RTOL * a.c_right,
@@ -444,7 +467,7 @@ class ArraySpec:
         v = as_fields(read_object(      # with the interior cell's keys
             d, cls.__name__,
             {**UnitCellParams._JSON[0], "interior_count": fields["interior_count"]},
-            {"q_internal": nullable(real),
+            {"q_internal": nullable(quality),
              "port_impedance_ohm": fields["port_impedance"],
              **{k: fields[k] for k in ("boundary_in", "boundary_out",
                                        "termination_out", "bend")}}))
@@ -476,8 +499,8 @@ class Chain:
     q_internal: float = math.inf
     port_impedance: float = 50.0
     matched_out: bool = True
-    _FIELDS = {**dict.fromkeys(("c_shunt", "l", "couplers"), real_array),
-               "q_internal": real, "port_impedance": real,
+    _FIELDS = {**dict.fromkeys(("c_shunt", "l", "couplers"), positive_array),
+               "q_internal": quality, "port_impedance": positive(real),
                "matched_out": boolean}
 
     def __post_init__(self):
@@ -490,13 +513,6 @@ class Chain:
                  and np.shape(self.l)[-1] == self.n_resonators,
                  "Chain.l must have shape (n_resonators,) or "
                  "(realizations, n_resonators)")
-        for name in ("c_shunt", "l", "couplers"):
-            v = getattr(self, name)     # min and max propagate NaN
-            _require(0 < v.min() and v.max() < math.inf,
-                     f"Chain.{name} must be positive and finite")
-        _require(0 < self.port_impedance < math.inf,
-                 "Chain.port_impedance must be positive and finite")
-        _require(self.q_internal > 0, "Chain.q_internal must be positive")
 
     @property
     def n_resonators(self) -> int:
@@ -523,19 +539,14 @@ class QubitCircuitParams(JsonFields):
     couplings: dict = field(default_factory=dict)  # resonator index (1-based) -> F
     omega_ge: float = field(kw_only=True)  # rad/s, bare frequency (node loaded by neighbours grounded)
     q_intrinsic: float = math.inf
-    _JSON = ({"c_sigma_f": real, "couplings_f": index_map(real),
-              "omega_ge_hz": hz}, {"q_intrinsic": real})
+    _JSON = ({"c_sigma_f": positive(real),
+              "couplings_f": index_map(non_negative(real)),
+              "omega_ge_hz": positive(hz)}, {"q_intrinsic": quality})
 
     def __post_init__(self):
         _check_fields(self)
-        _require(0 < self.c_sigma < math.inf, "c_sigma must be positive and finite")
         _require(len(self.couplings) > 0, "qubit needs at least one coupling")
-        _require(all(0 <= c < math.inf for c in self.couplings.values()),
-                 "coupling capacitance must be non-negative and finite")
         _require(min(self.couplings) >= 1, "coupling index must be >= 1")
-        _require(0 < self.omega_ge < math.inf,
-                 "omega_ge must be positive and finite")
-        _require(self.q_intrinsic > 0, "q_intrinsic must be positive")
 
     @property
     def c_node(self) -> float:
@@ -555,12 +566,6 @@ class EmitterParams(JsonFields):
     omega_ge: float                     # rad/s
     g_uc: float                         # rad/s
     extra_couplings: dict = field(default_factory=dict)  # cell offset -> rad/s
-    _JSON = ({"omega_ge_hz": hz, "g_uc_hz": hz},
-             {"extra_couplings_hz": index_map(hz)})
-
-    def __post_init__(self):
-        _check_fields(self)
-        _require(0 < self.omega_ge < math.inf, "omega_ge must be positive and finite")
-        _require(0 <= self.g_uc < math.inf, "g_uc must be non-negative and finite")
-        _require(all(map(math.isfinite, self.extra_couplings.values())),
-                 "extra couplings must be finite")
+    _JSON = ({"omega_ge_hz": positive(hz), "g_uc_hz": non_negative(hz)},
+             {"extra_couplings_hz": index_map(limited(hz, math.isfinite,
+                                                      "finite"))})

@@ -17,7 +17,7 @@ import numpy as np
 from .abcd import _abcd_rows, _cascade, _db, _join, _s21, cascade_abcd
 from .bands import window_grid
 from .params import (ArraySpec, JsonFields, ValidationError, _check_fields,
-                     _require, boundary_cells, integer, nested, real)
+                     _require, at_least, boundary_cells, limited, nested, real)
 
 # Fixed frequency grid size for the ripple objective; pinned to the analytic
 # band limits of the interior cell so the scoring window does not move with
@@ -39,16 +39,14 @@ class TaperProblem(JsonFields):
     band_window: float = 0.5
     max_iterations: int = 400
     _JSON = ({"base": nested(ArraySpec)},
-             {"n_modified": integer, "band_window": real,
-              "max_iterations": integer})
+             {"n_modified": at_least(0),
+              "band_window": limited(real, lambda v: 0 < v <= 1, "in (0, 1]"),
+              "max_iterations": at_least(1)})
 
     def __post_init__(self):
         _check_fields(self)
-        _require(self.n_modified >= 0, "n_modified must be >= 0")
         _require(2 * self.n_modified < self.base.n_resonators,
                  "n_modified must be below half of base.n_resonators")
-        _require(0.0 < self.band_window <= 1.0, "band_window must be in (0, 1]")
-        _require(self.max_iterations >= 1, "max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -492,3 +492,11 @@ def test_fit_unknown_param_rejected(test_spec):
     measured = cascade_abcd(test_spec, grid)
     with pytest.raises(ValidationError, match="zz"):
         fit_to_spectrum(measured, test_spec, free_params=("zz",))
+
+
+def test_fit_repeated_param_rejected(test_spec):
+    """A name freed twice would fit two coordinates for one element."""
+    measured = cascade_abcd(test_spec, default_grid(test_spec.interior, 11))
+    with pytest.raises(ValidationError,
+                       match=r"repeated fit parameters: \['cg'\]"):
+        fit_to_spectrum(measured, test_spec, free_params=("cg", "l0", "cg"))

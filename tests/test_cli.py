@@ -286,6 +286,26 @@ def test_seed_is_a_disorder_flag(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, cfg_seed", [(["--seed", "-1"], None),
+                                            ([], -3)],
+                         ids=["flag", "config"])
+def test_negative_disorder_seed_exits_2(tmp_path, capsys, flag, cfg_seed):
+    """A negative seed, from the flag or the config key, is a validation
+    error: exit 2 and one JSON line, not numpy's traceback."""
+    cfg = {"spec": SPEC, "sigma_over_j": [0.1], "n_realizations": 2}
+    if cfg_seed is not None:
+        cfg["seed"] = cfg_seed
+    out = tmp_path / "out"
+    assert main(["disorder", "extinction", *flag, "--config",
+                 _write(tmp_path, "cfg.json", cfg), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["type"] == "validation"
+    assert "seed must be >= 0" in err["error"]
+    assert not (out / "extinction.csv").exists()
+
+
 @pytest.mark.parametrize("mode, cfg", [
     ("extinction", {"sigma_over_j": [], "n_realizations": 5}),
     ("calibrate", {"measured_delta_fsr_hz": 1e6, "sigma_grid_hz": []}),

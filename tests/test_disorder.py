@@ -354,6 +354,33 @@ def test_realization_counts_must_be_integers(tapered_26, monkeypatch, n):
                         n_realizations=n)
 
 
+@pytest.mark.parametrize("seed, match", [
+    (-1, "seed must be >= 0, got -1"), (1.5, "seed: expected an integer"),
+    (True, "seed: expected an integer")])
+def test_ensemble_seed_must_be_a_non_negative_integer(tapered_26, monkeypatch,
+                                                      seed, match):
+    """A negative, fractional or bool seed raises ValidationError before any
+    cascade, in both ensembles, rather than numpy's error or seed 1."""
+    _forbid_cascade(monkeypatch)
+    j = tight_binding(tapered_26.interior)["j_tb"]
+    with pytest.raises(ValidationError, match=match):
+        extinction_curve(tapered_26, [0.0, 0.05], 2, seed=seed)
+    with pytest.raises(ValidationError, match=match):
+        calibrate_sigma(1e6, tapered_26, np.array([0.02, 0.3]) * j,
+                        n_realizations=2, seed=seed)
+
+
+@pytest.mark.parametrize("key", [-1, (1, -2), 1.5, True, (7, True)],
+                         ids=str)
+def test_realization_key_must_be_non_negative_integers(tapered_26, key):
+    """``sample_disordered`` draws from a non-negative integer or a tuple of
+    them; any other key raises ValidationError naming it, at sigma = 0 too."""
+    j = tight_binding(tapered_26.interior)["j_tb"]
+    for sigma in (0.0, 0.05 * j):
+        with pytest.raises(ValidationError, match="rng_seed"):
+            sample_disordered(tapered_26, sigma, key)
+
+
 def test_calibration_warns_of_dropped_realizations(tapered_26, caplog):
     """One realization at sigma/J = 0.3 has too few resolvable ripples: it is
     dropped with one warning whose arguments are (dropped, drawn)."""

@@ -62,6 +62,23 @@ def test_self_energy_in_band_imaginary_part():
     assert sigma.imag == pytest.approx(-g**2 / vg, rel=1e-6)
 
 
+@pytest.mark.parametrize("kw, match", [
+    (dict(sheet="Second"), "sheet must be 'first' or 'second'"),
+    (dict(sheet=2), "sheet must be 'first' or 'second'"),
+    (dict(model="exact_band", sheet="Second"),
+     "sheet must be 'first' or 'second'"),
+    (dict(model="exact_band", sheet="second"), "exact_band"),
+    (dict(model="exact_band", j=J), "exact_band"),
+], ids=["sheet Second", "sheet 2", "exact_band sheet Second",
+        "exact_band sheet second", "exact_band j"])
+def test_self_energy_inputs_select_something(kw, match):
+    """A misspelt sheet is not read as the first, and the exact band, which
+    reads the cell's own band on the first sheet, refuses a j or the second
+    sheet rather than ignoring it."""
+    with pytest.raises(ValidationError, match=match):
+        self_energy(W0 + 0.5 * J, 0.1 * J, CELL, **kw)
+
+
 def test_dressed_state_anchor_closed_forms():
     """omega_ge = omega0: E_b, E_r, and arg from the cube-root closed forms."""
     em = _emitter(0.3)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -424,3 +425,89 @@ def test_every_field_is_type_checked(cls):
     """Each field's type is declared in its class's table, so a field added
     without one fails here rather than going unchecked."""
     assert set(cls._FIELDS) == {f.name for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("c_shunt", [[3e-13], [3e-13, 3e-13]]), ("couplers", [5e-15, [5e-15]])])
+def test_chain_rejects_ragged_arrays(name, bad):
+    """A ragged nest of lists is not an array of real numbers."""
+    with pytest.raises(ValidationError,
+                       match=f"Chain.{name}: expected an array of real"):
+        Chain(**{**_CHAIN, name: bad})
+
+
+def test_dynamics_trace_rejects_ragged_arrays():
+    with pytest.raises(ValidationError,
+                       match="DynamicsTrace.t: expected an array of real"):
+        DynamicsTrace(t=[[0.0], [1e-9, 2e-9]], p_e=[1.0, 0.5])
+
+
+# Values outside each range; for an array None stands for no entries, any
+# other value for the last entry of an otherwise good array.
+_OUTSIDE = {
+    "positive and finite": (0.0, -1e-15, math.inf, math.nan),
+    "non-negative and finite": (-1e-15, math.inf, -math.inf, math.nan),
+    "positive": (0.0, -1.0, math.nan),      # a quality factor: inf is lossless
+    "finite": (math.inf, -math.inf, math.nan),
+    "in [0, 1]": (-0.5, 1.5, math.nan),
+    "in (0, 1]": (0.0, 1.5, math.nan),
+    ">= 0": (-1, 2.5),
+    ">= 1": (0, -1, 2.5),
+    "non-empty, positive and finite": (None, 0.0, -1e-15, math.inf, math.nan),
+}
+_POSITIVE = "positive and finite"
+_RANGED_FIELDS = {
+    "UnitCellParams": (_ROUND_TRIP["UnitCellParams_lossy"], dict(
+        c0=_POSITIVE, cg=_POSITIVE, l0=_POSITIVE, q_internal="positive")),
+    "BoundaryCellParams": (_VALID["BoundaryCellParams"], dict.fromkeys(
+        ("c_shunt", "c_left", "c_right", "l0"), _POSITIVE)),
+    "Bend": (_VALID["Bend"], dict(position=">= 1", c_series=_POSITIVE)),
+    "ArraySpec": (_VALID["ArraySpec"], dict(interior_count=">= 1",
+                                            port_impedance=_POSITIVE)),
+    "Chain": (_VALID["ArraySpec"].lower(), {
+        **dict.fromkeys(("c_shunt", "l", "couplers"),
+                        "non-empty, positive and finite"),
+        "q_internal": "positive", "port_impedance": _POSITIVE}),
+    "QubitCircuitParams": (_ROUND_TRIP["QubitCircuitParams_lossy"], dict(
+        c_sigma=_POSITIVE, couplings="non-negative and finite",
+        omega_ge=_POSITIVE, q_intrinsic="positive")),
+    "EmitterParams": (_VALID["EmitterParams"], dict(
+        omega_ge=_POSITIVE, g_uc="non-negative and finite",
+        extra_couplings="finite")),
+    "Modulation": (_MODULATION, dict(omega_mod=_POSITIVE,
+                                     epsilon="non-negative and finite")),
+    "Protocol": (_ROUND_TRIP["Protocol_ramp_modulation"], dict(
+        omega_interact=_POSITIVE, t_max=_POSITIVE, dt_output=_POSITIVE,
+        initial_excited_population="in [0, 1]",
+        tune_time="non-negative and finite", omega_park=_POSITIVE)),
+    "TaperProblem": (_ROUND_TRIP["TaperProblem"], dict(
+        n_modified=">= 0", band_window="in (0, 1]", max_iterations=">= 1")),
+}
+
+
+@pytest.mark.parametrize("where, bad", [
+    (f"{kind}.{name}", bad) for kind, (_, ranges) in _RANGED_FIELDS.items()
+    for name, what in ranges.items() for bad in _OUTSIDE[what]])
+def test_out_of_range_fields_are_rejected(where, bad):
+    """Each field's range is part of its table entry: a value outside it is
+    refused by the constructor, naming class and field, and by from_dict,
+    naming the key (a coupling map's entry under it), whether the value is
+    of the wrong kind (2.5 for a count, NaN in JSON) or out of range."""
+    kind, name = where.split(".")
+    obj, _ = _RANGED_FIELDS[kind]
+    good = getattr(obj, name)
+    if isinstance(good, np.ndarray):
+        value = np.array([] if bad is None else [*good[:-1], bad])
+    else:
+        value = {3: bad} if name.endswith("couplings") else bad
+    with pytest.raises(ValidationError,
+                       match=rf"^{where}( must be |: expected )"):
+        dataclasses.replace(obj, **{name: value})
+    if kind == "Chain":
+        return
+    d = obj.to_dict()
+    key, = (k for k in d if re.fullmatch(rf"{name}(_[a-z]+)?", k))
+    value = {"3": bad} if name.endswith("couplings") else bad
+    with pytest.raises(ValidationError,
+                       match=rf"^{kind}\.{key}(\.3)?( must be |: expected )"):
+        type(obj).from_dict({**d, key: value})
