@@ -26,8 +26,8 @@ from .dynamics import (Protocol, simulate_emission, simulate_emission_quantum,
                        simulate_mirror)
 from .params import (TWO_PI, ArraySpec, EmitterParams, QubitCircuitParams,
                      UnitCellParams, ValidationError, as_fields, count, hz,
-                     integer, list_of, one_of, read_object, real, write_csv,
-                     write_json)
+                     integer, list_of, one_of, positive, read_object, real,
+                     write_csv, write_json)
 from .taper import TaperProblem, optimize
 from . import disorder as disorder_mod
 
@@ -120,7 +120,7 @@ def _cmd_dynamics(cfg: dict, out: str, args) -> list:
                        "qubit": QubitCircuitParams.from_dict,
                        "protocol": Protocol.from_dict},
                       {"method": one_of(_DYNAMICS_METHODS),
-                       "sweep_omega_interact_hz": list_of(real)})
+                       "sweep_omega_interact_hz": list_of(positive(real))})
     spec, qubit, protocol = cfg["spec"], cfg["qubit"], cfg["protocol"]
     run = _DYNAMICS_METHODS[cfg.get("method", "emission")]
     sweep = cfg.get("sweep_omega_interact_hz")

@@ -55,26 +55,30 @@ def _edge(cell: UnitCellParams, edge: str) -> tuple:
 
 def self_energy(e, g_uc: float, cell: UnitCellParams,
                 model: str = "effective_mass", j: float = None,
-                edge: str = "upper", sheet: str = "first"):
+                edge: str = None, sheet: str = "first"):
     """Sigma(E) for scalar or array E (complex allowed).
 
-    effective_mass uses the closed form above; ``sheet='second'`` selects the
-    analytic continuation through the branch cut (sqrt -> -sqrt).  exact_band
-    integrates g^2/(E - omega_k) over the Brillouin zone; real in-band E is
-    evaluated as the principal value with the retarded -i pi * DOS term.  It
-    reads the cell's own band, so it takes no ``j`` and only the first sheet.
+    effective_mass uses the closed form above at ``edge`` (default
+    ``'upper'``); ``sheet='second'`` selects the analytic continuation
+    through the branch cut (sqrt -> -sqrt).  exact_band integrates
+    g^2/(E - omega_k) over the Brillouin zone; real in-band E is evaluated as
+    the principal value with the retarded -i pi * DOS term.  It reads the
+    cell's own band, both edges included, so it takes no ``j``, no ``edge``
+    and only the first sheet.
     """
     if model not in MODELS:
         raise ValidationError(f"unknown self-energy model: {model!r}")
     if sheet not in ("first", "second"):
         raise ValidationError(f"sheet must be 'first' or 'second': {sheet!r}")
-    if model == "exact_band" and (j is not None or sheet != "first"):
-        raise ValidationError("exact_band takes no j and only sheet='first'")
-    w_edge, sign = _edge(cell, edge)
-    jj = _default_j(cell, j)
+    if model == "exact_band" and (j is not None or edge is not None
+                                  or sheet != "first"):
+        raise ValidationError(
+            "exact_band takes no j, no edge and only sheet='first'")
     e_arr = np.atleast_1d(np.asarray(e, dtype=complex))
 
     if model == "effective_mass":
+        w_edge, sign = _edge(cell, "upper" if edge is None else edge)
+        jj = _default_j(cell, j)
         z = sign * (e_arr - w_edge)
         if np.any(z == 0):
             raise SingularPointError("self-energy evaluated exactly at the bandedge")

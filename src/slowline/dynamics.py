@@ -15,8 +15,9 @@ The small-matrix work runs with one BLAS thread (``blas.single_thread``), so
 a trace does not depend on the BLAS thread count.
 
 Two independent oracles are provided: the ideal-mirror delay equation
-(dispersionless semi-infinite waveguide) and a discretized quadratic-bandedge
-continuum (John-Quang regime).
+(dispersionless semi-infinite waveguide), summed over photon round trips,
+and the continuum quadratic band edge (John-Quang regime), inverted from the
+emitter's resolvent by one FFT on a grid set by the output times.
 """
 
 from __future__ import annotations
@@ -339,191 +340,62 @@ def ideal_mirror_oracle(gamma_1d: float, tau_d: float, phase: float,
     return DynamicsTrace(t=t, p_e=np.abs(c) ** 2)
 
 
-_EPS = np.finfo(float).eps
-# passes of _secular_roots, each O(1) per inner root (_band_sums) and O(M)
-# per outer root (_direct_sums); tested inputs have needed at most 13
-_MAX_ITER = 64
-
-
-def _secular_roots(d: np.ndarray, detuning: float, i: np.ndarray, sums):
-    """Roots lam_i in (d_i, d_i+1) of the arrowhead secular equation
-
-        f(lam) = lam - detuning + sum_{0 < k < n-1} rho / (d_k - lam)
-
-    and their emitter weights w_i = 1 / f'(lam_i), for the root indices i.
-    The end poles d_0 and d_n-1 carry no residue: they only bound the
-    outer intervals.  ``sums(r, side, tau)`` gives, at lam = d_r+side + tau
-    for the roots r, the pole sum sum_k rho / (d_k - lam) and the derivative
-    sums sum_k rho / (d_k - lam)^2 over the poles k <= r and k > r.
-
-    Each root is held as an offset tau from its nearer pole, so d_k - lam is
-    formed from pole differences and keeps full relative accuracy.  Each
-    step goes to the root of the two-pole model c + s/(D_i - eta) +
-    S/(D_i+1 - eta) that matches f and f' (the "middle way" of LAPACK dlaed4;
-    Bunch, Nielsen & Sorensen, Numer. Math. 31, 31 (1978)), and bisects the
-    bracket when a step leaves it.
-    """
-    gap = d[i + 1] - d[i]
-    side = np.zeros(i.size, dtype=int)  # origin pole d_i+side; pass 0 may set 1
-    tau = 0.5 * gap                     # start at the midpoint
-    lo, hi = np.zeros_like(gap), gap.copy()
-    lam, w = np.empty(i.size), np.empty(i.size)
-    act = np.arange(i.size)             # rows still iterating
-    done = np.zeros(i.size, dtype=bool)
-    for it in range(_MAX_ITER):
-        r = i[act]
-        g, dpsi, dphi = sums(r, side[act], tau[act])
-        f = ((d[r + side[act]] - detuning) + tau[act]) + g
-        if it == 0:                     # root right of the midpoint: origin d_i+1
-            flip = f < 0
-            side[flip] = 1
-            tau[flip] -= gap[flip]
-            lo[flip] -= gap[flip]
-            hi[flip] -= gap[flip]
-        # the linear term's slope joins the group of the far pole, which
-        # looks linear on the scale of the distance to the near one
-        right = side[act] == 1
-        dpsi += right
-        dphi += ~right
-        org, t = d[r + side[act]], tau[act]
-        lo[act] = np.where(f < 0, t, lo[act])      # t lies inside the bracket
-        hi[act] = np.where(f > 0, t, hi[act])
-        di = (d[r] - org) - t
-        dj = (d[r + 1] - org) - t
-        a = (di + dj) * f - di * dj * (dpsi + dphi)
-        b = di * dj * f
-        c = f - di * dpsi - dj * dphi
-        disc = np.sqrt(np.maximum(a * a - 4.0 * b * c, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            eta = np.where(a > 0, 2.0 * b / (a + disc), (a - disc) / (2.0 * c))
-        eta[(f == 0) | ~np.isfinite(eta)] = 0.0
-        lam[act] = org + t
-        w[act] = 1.0 / (dpsi + dphi)
-        checked = done[act]             # stepped once more after converging
-        done[act] = np.abs(eta) <= 4 * _EPS * (np.abs(t) + np.abs(org))
-        step = t + eta
-        keep = done[act] | ((step > lo[act]) & (step < hi[act]))
-        tau[act] = np.where(keep, step, 0.5 * (lo[act] + hi[act]))
-        act = act[~checked]
-        if act.size == 0:
-            return lam, w
-    raise RuntimeError(f"secular solver: {act.size} roots not converged "
-                       f"in {_MAX_ITER} iterations")
-
-
-def _direct_sums(d: np.ndarray, rho: float):
-    """``sums`` of _secular_roots by summing over every pole: O(n) per root."""
-    def sums(r, side, tau):
-        delta = (d - d[r + side, None]) - tau[:, None]     # d_k - lam
-        terms = rho / delta         # scalar rho: a per-pole array divides slower
-        terms[:, [0, -1]] = 0.0     # the residue-free end poles
-        g = terms.sum(axis=1)
-        terms /= delta                                      # rho/(d_k - lam)^2
-        left = np.arange(d.size) <= r[:, None]
-        return (g, np.where(left, terms, 0.0).sum(axis=1),
-                np.where(left, 0.0, terms).sum(axis=1))
-    return sums
-
-
-def _band_sums(a: float, m: int, rho: float):
-    """``sums`` of _secular_roots in closed form, O(1) per root, for the
-    interior roots 0 < r < m of the half-integer band d_k = -a s_k^2,
-    s_k = m - k + 1/2 (0 < k <= m).
-
-    With lam = -a y^2, root r lies between s = n - 1/2 and n + 1/2 (n = m - r),
-    at y = n - 1/2 + u = n + 1/2 - v.  The poles s < y give the consecutive
-    terms |y -+ s| = u + q, 0 <= q < 2n, and the poles s > y give s - y = v + q,
-    0 <= q < m - n, and y + s = u + q, 2n <= q < m + n, so with
-    1/(y^2 - s^2) = (1/(y - s) + 1/(y + s)) / 2y each group sum is a
-    difference of digamma (psi) and, squared, of trigamma (zeta(2, .)) values
-    at arguments >= 1.  u or v is formed from the offset tau to the origin
-    pole, so both keep full relative accuracy.
-    """
-    import scipy.special    # slow to import; only the band-edge oracle needs it
-    c = rho / a
-
-    def sums(r, side, tau):
-        n = m - r
-        sp = n + 0.5 - side                     # s of the origin pole
-        x = tau / a                             # sp^2 - y^2
-        y = np.sqrt(sp * sp - x)
-        off = x / (y + sp)                      # sp - y
-        u, v = (1 - side) - off, side + off
-        args = np.stack([1.0 + u, 1.0 + v, u + 2 * n, v + (m - n), u + (m + n)])
-        p1u, p1v, p2n, pmv, pmu = scipy.special.psi(args)
-        z1u, z1v, z2n, zmv, zmu = scipy.special.zeta(2.0, args)
-        # sum 1/(y - s) + 1/(y + s) and its square terms, poles s < y, s > y
-        pr = 1.0 / u + (p2n - p1u)
-        pl = (pmu - p2n) - (1.0 / v + (pmv - p1v))
-        qr = 1.0 / (u * u) + (z1u - z2n)
-        ql = 1.0 / (v * v) + (z1v - zmv) + (z2n - zmu)
-        s2 = (c / a) / (4.0 * y * y)
-        return (c / (2.0 * y)) * (pr + pl), s2 * (ql + pl / y), s2 * (qr + pr / y)
-    return sums
-
-
-def _bandedge_spectrum(g_uc: float, j: float, detuning: float, m: int):
-    """Eigenvalues E_i - omega0 (ascending) and emitter weights |<e|i>|^2 of
-    [[diag(omega_k), g/sqrt(m)], [g/sqrt(m), omega0 + detuning]].  The
-    m - 1 roots inside the band read the pole sums in closed form
-    (_band_sums), the two outer ones sum them directly."""
-    k = (np.arange(m) + 0.5) / m * math.pi      # half of the BZ; even band
-    d = -j * k[::-1] ** 2                       # omega_k - omega0, ascending
-    # Zero-residue end poles 2g beyond the band and the emitter close the
-    # outer intervals: there |sum_k rho / (d_k - lam)| <= m rho / 2g = g/2,
-    # so f is <= -1.5 g at the lower one and >= 1.5 g at the upper one.
-    g = abs(g_uc)
-    d = np.concatenate(([min(detuning, d[0]) - 2.0 * g], d,
-                        [max(detuning, d[-1]) + 2.0 * g]))
-    # +/- k pairs folded into symmetric modes: g/sqrt(2m) * sqrt(2)
-    rho = g_uc * g_uc / m
-    lam, w = np.empty(m + 1), np.empty(m + 1)
-    outer, inner = np.array([0, m]), np.arange(1, m)
-    lam[outer], w[outer] = _secular_roots(d, detuning, outer,
-                                          _direct_sums(d, rho))
-    lam[inner], w[inner] = _secular_roots(
-        d, detuning, inner, _band_sums(j * (math.pi / m) ** 2, m, rho))
-    return lam, w
-
-
 def bandedge_oracle(g_uc: float, j: float, omega0: float, detuning: float,
                     t_max: float, dt_output: float = 1e-10,
-                    n_modes: int = 1201, convergence_tol: float = 0.01) -> DynamicsTrace:
-    """Single-excitation dynamics against a discretized quadratic band
-    omega_k = omega0 - J k^2 (upper-bandedge John-Quang regime).
+                    n_modes: int = 1201) -> DynamicsTrace:
+    """Single-excitation dynamics of an emitter at omega0 + detuning coupled
+    to the continuum of the quadratic band omega_k = omega0 - J k^2,
+    0 < k < pi (upper-bandedge John-Quang regime), each mode as g_uc/sqrt(M)
+    in the limit M -> infinity.
 
-    The emitter sits at omega0 + detuning and couples as g_uc/sqrt(M) to every
-    mode.  The M + 1 eigenvalues of this arrowhead Hamiltonian are the roots
-    of its secular equation, one between each pair of adjacent modes and one
-    on each side of the band, and the emitter weight of each is 1/f'(E_i)
-    in closed form (_bandedge_spectrum).  The M - 1 roots inside the band
-    read the pole sums of f and f' as digamma and trigamma differences
-    (_band_sums), the two outer ones sum over the M poles, so a spectrum
-    costs O(M) work and memory, to about 1e-15 relative accuracy in E - omega0;
-    p_e(t) = |sum_i w_i exp(-i (E_i - omega0) t)|^2 is summed in blocks
-    without BLAS (_exp_sum_power), so it does not depend on the BLAS thread
-    count.  Raises if the M-mode and 2M-mode traces differ by more than
-    convergence_tol.
+    With energies measured from omega0 the emitter amplitude is the inverse
+    Laplace transform of its resolvent 1/(z - detuning - Sigma(z)), where
+
+        Sigma(z) = (g^2 / pi) int_0^pi dk / (z + J k^2)
+                 = (g^2 / pi J) a arctan(pi a),    a^2 = J / z,
+
+    is even in a, so numpy's principal branches leave it one cut, the band
+    [-J pi^2, 0] (resolvent method of Calajo et al., PRA 93, 033833 (2016)).
+    The bare pole 1/(z - detuning) is taken out and added back as
+    e^{-i detuning t}, and the remainder R = Sigma / ((z - detuning)(z -
+    detuning - Sigma)), O(g^2/z^3), is inverted on the line Im z = eta by the
+    damped trapezoid rule (Abate & Whitt, ORSA J. Comput. 7, 36 (1995)):
+
+        c(t) e^{i detuning t} = 1 + (i/T) e^{(eta + i detuning) t}
+                                    sum_m R(x_m + i eta) e^{-i x_m t}
+
+    with x_m = 2 pi m / T.  The grid follows from the inputs.  The period T is
+    K = 4 (len(t) - 1) output intervals, about 4 t_max, and eta T = 24, so
+    eta t_max is about 6 and the aliased periods weigh e^{-24}.  The time
+    step T/N is dt_output/s, with s the fewest that span |x| <= 20 J pi^2 +
+    |detuning| + 10 |g_uc|, so every s-th point lands on an output time t_k.
+    Only those are kept: the N = K s values of R are folded onto m mod K
+    and transformed by one K-point FFT.  Neither the FFT nor the elementwise
+    work calls BLAS, so p_e does not depend on the BLAS thread count.
+
+    omega0 is checked to be finite and n_modes to be an integer >= 1, but
+    neither selects anything.
     """
     _require(0 < j < math.inf, "j must be positive and finite")
-    n_modes = count(n_modes, "n_modes", 1)
-    _require(all(map(math.isfinite, (g_uc, omega0, detuning, convergence_tol))),
-             "g_uc, omega0, detuning and convergence_tol must be finite")
+    count(n_modes, "n_modes", 1)
+    _require(all(map(math.isfinite, (g_uc, omega0, detuning))),
+             "g_uc, omega0 and detuning must be finite")
     t = _time_grid(t_max, dt_output)
-
-    def run(m):
-        if g_uc * g_uc / m == 0.0:      # uncoupled: no root leaves the poles
-            return np.ones(t.shape)
-        lam, w = _bandedge_spectrum(g_uc, j, detuning, m)
-        return _exp_sum_power(w, lam, t)
-
-    p1 = run(n_modes)
-    p2 = run(2 * n_modes)
-    if np.max(np.abs(p1 - p2)) > convergence_tol:
-        raise ValidationError(
-            f"bandedge oracle not converged at {n_modes} modes "
-            f"(deviation {np.max(np.abs(p1 - p2)):.3g})")
-    return DynamicsTrace(t=t, p_e=p2)
+    k = 4 * max(1, t.size - 1)
+    period = k * dt_output
+    s = math.ceil((20 * j * math.pi**2 + abs(detuning) + 10 * abs(g_uc))
+                  * dt_output / math.pi)
+    eta = 24.0 / period
+    folded = np.zeros(k, dtype=complex)
+    for x in np.fft.fftfreq(k * s, dt_output / s).reshape(s, k):
+        z = 2 * math.pi * x + 1j * eta
+        a = np.sqrt(j / z)
+        sigma = (g_uc * g_uc / (math.pi * j)) * a * np.arctan(math.pi * a)
+        z -= detuning
+        folded += sigma / (z * (z - sigma))
+    c = 1.0 + ((1j / period) * np.exp((eta + 1j * detuning) * t)
+               * np.fft.fft(folded)[:t.size])
+    return DynamicsTrace(t=t, p_e=c.real ** 2 + c.imag ** 2)
 
 
 def _exp_sum_power(a: np.ndarray, lam: np.ndarray, t: np.ndarray) -> np.ndarray:

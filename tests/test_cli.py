@@ -247,18 +247,25 @@ EMITTER = {"omega_ge_hz": 4.745e9, "g_uc_hz": 3e7}
      "TaperProblem: unknown keys ['symmetric']"),
     (["dressed"], {"cell": CELL, "emitter": EMITTER, "model": "exact_band"},
      "config: unknown keys ['model']"),
+    (["dynamics", "--sweep"], {"spec": SPEC, "qubit": QUBIT,
+                               "protocol": PROTOCOL,
+                               "sweep_omega_interact_hz": [4.7e9, -1e9]},
+     "config.sweep_omega_interact_hz.1 must be positive and finite, "
+     "got -1000000000.0"),
 ])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, argv, cfg,
                                                  path):
-    """Bad types, missing nested keys, non-objects and unknown keys are
-    validation errors naming the key path, never a raw exception, a silent
-    conversion or an ignored key."""
+    """Bad types, missing nested keys, non-objects, out-of-range values and
+    unknown keys are validation errors naming the key path, never a raw
+    exception, a silent conversion or an ignored key, and are refused before
+    any output is written (a sweep is read whole before its first trace)."""
     cfg_path = _write(tmp_path, "cfg.json", cfg)
     assert main([*argv, "--config", cfg_path,
                  "--out", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["type"] == "validation"
     assert path in err["error"]
+    assert not list((tmp_path / "out").glob("*"))
 
 
 def test_seed_is_a_disorder_flag(tmp_path, capsys):

@@ -69,12 +69,13 @@ def test_self_energy_in_band_imaginary_part():
      "sheet must be 'first' or 'second'"),
     (dict(model="exact_band", sheet="second"), "exact_band"),
     (dict(model="exact_band", j=J), "exact_band"),
+    (dict(model="exact_band", edge="upper"), "exact_band"),
 ], ids=["sheet Second", "sheet 2", "exact_band sheet Second",
-        "exact_band sheet second", "exact_band j"])
+        "exact_band sheet second", "exact_band j", "exact_band edge"])
 def test_self_energy_inputs_select_something(kw, match):
     """A misspelt sheet is not read as the first, and the exact band, which
-    reads the cell's own band on the first sheet, refuses a j or the second
-    sheet rather than ignoring it."""
+    reads the cell's own band, both edges, on the first sheet, refuses a j,
+    an edge or the second sheet rather than ignoring it."""
     with pytest.raises(ValidationError, match=match):
         self_energy(W0 + 0.5 * J, 0.1 * J, CELL, **kw)
 
