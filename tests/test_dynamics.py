@@ -247,15 +247,21 @@ def _dense_bandedge(g_uc, j, detuning, t, m):
 
 
 @pytest.mark.parametrize("detuning", [0.0, 20 * J, -3 * J])
-def test_bandedge_oracle_matches_discretized_band(detuning):
+@pytest.mark.parametrize("n_modes", [1, 2, 21, 301])
+def test_bandedge_oracle_matches_dense_reference(detuning, n_modes):
     """The continuum oracle against the dense 1201-mode band over 1.2 us at
     g = 0.3 J: the gap is the band's discretization.  Measured 3.3e-7,
-    6.0e-8 and 3.1e-8 at detunings 0, 20 J and -3 J; the bound leaves 3x."""
+    6.0e-8 and 3.1e-8 at detunings 0, 20 J and -3 J; the bound leaves 3x.
+    n_modes is accepted but selects nothing: every value gives the same
+    trace."""
     g = 0.3 * J
     tr = bandedge_oracle(g, J, CELL.omega0, detuning, t_max=1.2e-6,
-                         dt_output=1e-9)
+                         dt_output=1e-9, n_modes=n_modes)
     ref = _dense_bandedge(g, J, detuning, tr.t, 1201)
     assert np.max(np.abs(tr.p_e - ref)) < 1e-6
+    default = bandedge_oracle(g, J, CELL.omega0, detuning, t_max=1.2e-6,
+                              dt_output=1e-9)
+    assert np.array_equal(tr.p_e, default.p_e)
 
 
 @pytest.mark.parametrize("g_over_j", [1e-4, 0.3, 30.0])
