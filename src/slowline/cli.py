@@ -2,8 +2,8 @@
 
 Configs are JSON with unit-suffixed keys (_f, _h, _hz, _s, _ohm); curves are
 written as CSV, structured results as JSON, and every run leaves a
-``manifest.json`` recording the resolved parameters, seeds, input digests and
-output files.
+``manifest.json`` recording the resolved parameters, seeds, worker counts,
+input digests and output files.
 """
 
 from __future__ import annotations
@@ -154,9 +154,11 @@ def _cmd_disorder(cfg: dict, out: str, args) -> list:
     kw = as_fields(read_object(
         cfg, "config", {"spec": ArraySpec.from_dict, **required},
         {"seed": integer, **optional}))
-    # the manifest records the seed the draws use: flag, else config, else 0
+    # the manifest records the seed the draws use (flag, else config, else 0)
+    # and the worker count
     args.seed = kw["seed"] = (args.seed if args.seed is not None
                               else kw.get("seed", 0))
+    args.workers = kw["workers"] = args.threads
     if args.mode == "extinction":
         res = disorder_mod.extinction_curve(**kw)
         res.to_csv(os.path.join(out, "extinction.csv"))
@@ -181,9 +183,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility; results do not "
-                            "depend on it")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes for disorder ensembles; "
+                            "results do not depend on it")
         p.set_defaults(func=func)
         return p
 
@@ -203,6 +205,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = datetime.now(timezone.utc).isoformat()
     try:
+        args.threads = count(args.threads, "--threads", 1)
         cfg = parse_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         outputs = args.func(cfg, args.out, args)
@@ -212,6 +215,7 @@ def main(argv=None) -> int:
             "parameters": cfg,
             "version": __version__,
             "seed": getattr(args, "seed", None),
+            "workers": getattr(args, "workers", None),
             "input_digests": {args.config: _digest(args.config)},
             "outputs": sorted(outputs),
             "started_utc": started,

@@ -293,6 +293,56 @@ def test_seed_is_a_disorder_flag(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, threads, cfg", [
+    (["disorder", "extinction"], "0",
+     {"spec": SPEC, "sigma_over_j": [0.1], "n_realizations": 2}),
+    (["band"], "-1", {"cell": CELL, "n_points": 11}),
+], ids=["disorder-0", "band-neg"])
+def test_nonpositive_threads_exits_2(tmp_path, capsys, argv, threads, cfg):
+    """Every command checks --threads: below 1 it exits 2 with one JSON line
+    naming the flag, before anything is written under --out."""
+    out = tmp_path / "out"
+    assert main([*argv, "--config", _write(tmp_path, "cfg.json", cfg),
+                 "--out", str(out), "--threads", threads]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["type"] == "validation"
+    assert "--threads" in err["error"]
+    assert not out.exists()
+
+
+def test_disorder_outputs_independent_of_threads(tmp_path, tapered_26):
+    """disorder writes byte-identical outputs at --threads 1 and 2, and its
+    manifest records the worker count; other manifests record null."""
+    from slowline.bands import tight_binding
+    j_hz = tight_binding(tapered_26.interior)["j_tb"] / TWO_PI
+    spec = tapered_26.to_dict()
+    runs = {"extinction": {"spec": spec, "sigma_over_j": [0.0, 0.05, 0.1],
+                           "n_realizations": 5},
+            "calibrate": {"spec": spec, "measured_delta_fsr_hz": 2.5e6,
+                          "sigma_grid_hz": [0.02 * j_hz, 0.2 * j_hz],
+                          "n_realizations": 6}}
+    for mode, cfg in runs.items():
+        cfg_path = _write(tmp_path, f"{mode}.json", cfg)
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"{mode}-{threads}"
+            assert main(["disorder", mode, "--config", cfg_path, "--out",
+                         str(out), "--seed", "4", "--threads",
+                         str(threads)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["workers"] == threads
+            outputs.append({name: (out / name).read_bytes()
+                            for name in manifest["outputs"]})
+        assert outputs[0] == outputs[1]
+    out = tmp_path / "band"
+    assert main(["band", "--config", _write(tmp_path, "band.json",
+                                            {"cell": CELL, "n_points": 11}),
+                 "--out", str(out), "--threads", "2"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["workers"] is None
+
+
 @pytest.mark.parametrize("flag, cfg_seed", [(["--seed", "-1"], None),
                                             ([], -3)],
                          ids=["flag", "config"])
@@ -369,13 +419,14 @@ def test_module_entry_point_reports_one_json_line(tmp_path):
 
 def test_cli_import_leaves_out_scipy_signal():
     """Importing the CLI does not load scipy.signal, scipy.stats,
-    scipy.optimize or scipy.integrate; only the peak finders, the optimizers
-    and the exact-band quadrature that need them import them."""
+    scipy.optimize, scipy.integrate or multiprocessing; only the peak
+    finders, the optimizers, the exact-band quadrature and the disorder
+    worker pool that need them import them."""
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(slowline.__file__).parents[1]))
     code = ("import sys, slowline.cli\n"
             "print(sorted(m for m in ('scipy.signal', 'scipy.stats',"
-            " 'scipy.optimize', 'scipy.integrate')"
+            " 'scipy.optimize', 'scipy.integrate', 'multiprocessing')"
             " if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=True)

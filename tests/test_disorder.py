@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -273,25 +275,95 @@ def test_calibration_rejects_measurement_outside_table(tapered_26, measured):
                         n_realizations=6, seed=5)
 
 
+def _ensemble_outputs(spec, workers=1):
+    """Every array a seeded extinction curve and calibration return."""
+    j = tight_binding(spec.interior)["j_tb"]
+    ext = extinction_curve(spec, [0.0, 0.05, 0.1], 5, seed=3, workers=workers)
+    cal = calibrate_sigma(15e6, spec, np.array([0.02, 0.3]) * j,
+                          n_realizations=7, seed=2, workers=workers)
+    return (ext.mean_extinction_db, ext.std_extinction_db, ext.stderr_db,
+            cal.mean_delta_fsr, cal.stderr_delta_fsr, cal.sigma_estimate)
+
+
 @pytest.mark.parametrize("stack_size", [1, 3])
 def test_results_independent_of_stack_size(tapered_26, monkeypatch,
                                            stack_size):
     """Seeded ensembles do not depend on how many realizations are cascaded
     together."""
     import slowline.disorder as disorder
-    j = tight_binding(tapered_26.interior)["j_tb"]
 
-    def run():
-        ext = extinction_curve(tapered_26, [0.0, 0.05, 0.1], 5, seed=3)
-        cal = calibrate_sigma(15e6, tapered_26, np.array([0.02, 0.3]) * j,
-                              n_realizations=7, seed=2)
-        return (ext.mean_extinction_db, ext.std_extinction_db, ext.stderr_db,
-                cal.mean_delta_fsr, cal.stderr_delta_fsr, cal.sigma_estimate)
-
-    default = run()
+    default = _ensemble_outputs(tapered_26)
     monkeypatch.setattr(disorder, "STACK_SIZE", stack_size)
-    for got, want in zip(run(), default):
+    for got, want in zip(_ensemble_outputs(tapered_26), default):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("stack_size", [1, None], ids=["stack_1",
+                                                        "stack_default"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_results_independent_of_worker_count(tapered_26, monkeypatch,
+                                             workers, stack_size):
+    """Seeded ensembles are bit-identical at any worker count and stack
+    size, and no worker outlives the call."""
+    import slowline.disorder as disorder
+
+    serial = _ensemble_outputs(tapered_26)
+    if stack_size is not None:
+        monkeypatch.setattr(disorder, "STACK_SIZE", stack_size)
+    for got, want in zip(_ensemble_outputs(tapered_26, workers), serial):
+        assert np.array_equal(got, want)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_error_matches_serial(tapered_26):
+    """A non-positive draw raises the same ValidationError at workers=2 as
+    in-process, and the workers are gone after the raise."""
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(ValidationError) as exc:
+            extinction_curve(tapered_26, [0.0, 0.1, 1e3], 4, seed=1,
+                             workers=workers)
+        messages.append(str(exc.value))
+        assert multiprocessing.active_children() == []
+    assert messages == ["non-positive disordered frequency"] * 2
+
+
+def test_workers_run_in_process_without_fork(tapered_26, monkeypatch, caplog):
+    """Where fork is not a start method the ensembles run in-process, with
+    one INFO record however many calls ask for workers."""
+    import slowline.disorder as disorder
+
+    serial = _ensemble_outputs(tapered_26)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    disorder._fork_context.cache_clear()
+    try:
+        with caplog.at_level("INFO", logger="slowline.disorder"):
+            for got, want in zip(_ensemble_outputs(tapered_26, 2), serial):
+                assert np.array_equal(got, want)
+    finally:
+        disorder._fork_context.cache_clear()
+    assert [r.getMessage() for r in caplog.records
+            if r.levelname == "INFO"] == [
+        "fork is unavailable; disorder ensembles run in-process"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers, match", [
+    (0, "workers must be >= 1, got 0"), (-1, "workers must be >= 1, got -1"),
+    (1.5, "workers: expected an integer"),
+    (True, "workers: expected an integer")])
+def test_worker_count_must_be_a_positive_integer(tapered_26, monkeypatch,
+                                                 workers, match):
+    """A worker count below 1, fractional or bool raises ValidationError
+    before any cascade, in both ensembles."""
+    _forbid_cascade(monkeypatch)
+    j = tight_binding(tapered_26.interior)["j_tb"]
+    with pytest.raises(ValidationError, match=match):
+        extinction_curve(tapered_26, [0.0, 0.05], 2, seed=1, workers=workers)
+    with pytest.raises(ValidationError, match=match):
+        calibrate_sigma(1e6, tapered_26, np.array([0.02, 0.3]) * j,
+                        n_realizations=2, workers=workers)
 
 
 def test_fsr_variance_rejects_stacked_response(tapered_26):
@@ -383,12 +455,33 @@ def test_realization_key_must_be_non_negative_integers(tapered_26, key):
 
 def test_calibration_warns_of_dropped_realizations(tapered_26, caplog):
     """One realization at sigma/J = 0.3 has too few resolvable ripples: it is
-    dropped with one warning whose arguments are (dropped, drawn)."""
+    dropped with one warning whose arguments are (dropped, drawn), in-process
+    and with workers alike."""
     j = tight_binding(tapered_26.interior)["j_tb"]
-    with caplog.at_level("WARNING", logger="slowline.disorder"):
-        calibrate_sigma(15e6, tapered_26, np.array([0.02, 0.3]) * j,
-                        n_realizations=7, seed=2)
-    assert [(r.name, r.getMessage()) for r in caplog.records] == [
-        ("slowline.disorder",
-         "dropped 1 of 7 realizations with unresolvable ripples")]
-    assert caplog.records[0].args[:2] == (1, 7)
+    for workers in (1, 2):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="slowline.disorder"):
+            calibrate_sigma(15e6, tapered_26, np.array([0.02, 0.3]) * j,
+                            n_realizations=7, seed=2, workers=workers)
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("slowline.disorder",
+             "dropped 1 of 7 realizations with unresolvable ripples")]
+        assert caplog.records[0].args[:2] == (1, 7)
+
+
+def test_dead_worker_raises_instead_of_hanging(tapered_26):
+    """A worker that dies mid-ensemble fails the call with BrokenProcessPool
+    and leaves no process behind."""
+    from concurrent.futures.process import BrokenProcessPool
+    import slowline.disorder as disorder
+    parent = os.getpid()
+
+    def stat(resp):
+        if os.getpid() != parent:
+            os._exit(1)
+        return 0.0
+
+    draws = [(0.0, (0, i)) for i in range(8)]
+    with pytest.raises(BrokenProcessPool):
+        disorder._table(tapered_26, draws, 1.0, stat, 2)
+    assert multiprocessing.active_children() == []
