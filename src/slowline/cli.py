@@ -3,7 +3,9 @@
 Configs are JSON with unit-suffixed keys (_f, _h, _hz, _s, _ohm); curves are
 written as CSV, structured results as JSON, and every run leaves a
 ``manifest.json`` recording the resolved parameters, seeds, worker counts,
-input digests and output files.
+input digests and output files.  ``--threads`` spreads disorder ensembles
+and the traces of a dynamics sweep over forked processes
+(``workers.fork_map``).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .params import (TWO_PI, ArraySpec, EmitterParams, QubitCircuitParams,
                      integer, list_of, one_of, positive, read_object, real,
                      write_csv, write_json)
 from .taper import TaperProblem, optimize
+from .workers import fork_map
 from . import disorder as disorder_mod
 
 
@@ -131,9 +134,14 @@ def _cmd_dynamics(cfg: dict, out: str, args) -> list:
         run(spec, qubit, protocol).to_csv(os.path.join(out, "trace.csv"))
         return ["trace.csv"]
     outputs = [f"trace_{i:03d}.csv" for i in range(len(sweep))]
-    for f_hz, name in zip(sweep, outputs):
-        p = dataclasses.replace(protocol, omega_interact=TWO_PI * f_hz)
-        run(spec, qubit, p).to_csv(os.path.join(out, name))
+
+    def trace(i):
+        p = dataclasses.replace(protocol, omega_interact=TWO_PI * sweep[i])
+        run(spec, qubit, p).to_csv(os.path.join(out, outputs[i]))
+
+    # each process writes its own traces; the index only once all succeed
+    args.workers = args.threads
+    fork_map(trace, len(sweep), args.threads)
     write_csv(os.path.join(out, "index.csv"), "omega_interact_hz,file",
               [sweep, outputs], ["%.12e", "%s"])
     return outputs + ["index.csv"]
@@ -184,8 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for disorder ensembles; "
-                            "results do not depend on it")
+                       help="worker processes for disorder ensembles and "
+                            "dynamics sweeps; results do not depend on it")
         p.set_defaults(func=func)
         return p
 

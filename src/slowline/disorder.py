@@ -7,12 +7,12 @@ its inductances redrawn.  The module computes the transmission
 extinction versus sigma/J, extracts normal-mode frequencies from passband
 ripple maxima, and calibrates the Delta_FSR -> sigma map used to infer the
 disorder of a measured device.  Both ensembles can spread their realizations
-over forked worker processes; the results are identical at any worker count.
+over forked worker processes (``workers.fork_map``); the results are
+identical at any worker count.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -23,6 +23,7 @@ from .abcd import TwoPortResponse, cascade_abcd
 from .bands import band_edges, tight_binding, window_grid
 from .params import (ArraySpec, Chain, ValidationError, _require, count,
                      write_csv)
+from .workers import fork_map
 
 logger = logging.getLogger(__name__)
 
@@ -129,28 +130,13 @@ def sample_disordered(spec: ArraySpec, sigma: float, rng_seed) -> Chain:
 EXTINCTION_BAND_FRACTION = 0.5
 
 
-_forked = {}    # {"job": ...} in a worker, set by its pool's initializer
-
-
-def _stack_stats(start: int, job=None) -> list:
-    """``stat`` of each realization in the stack of draws from ``start``;
-    ``job`` defaults to a forked worker's."""
-    chain, grid, draws, stat, size = job or _forked["job"]
-    l = np.stack([_realization(chain, sigma, key).l
-                  for sigma, key in draws[start:start + size]])
+def _stack_stats(chain: Chain, grid: np.ndarray, draws: list, stat) -> list:
+    """``stat`` of each (sigma, key) realization of ``chain`` in ``draws``,
+    cascaded together as one stacked ``Chain``."""
+    l = np.stack([_realization(chain, sigma, key).l for sigma, key in draws])
     resp = cascade_abcd(replace(chain, l=l), grid)
     return [stat(TwoPortResponse(resp.freq_grid, s21, s11))
             for s21, s11 in zip(resp.s21, resp.s11)]
-
-
-@functools.cache
-def _fork_context():
-    """The fork context, or None (logged once) where fork is unavailable."""
-    import multiprocessing
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    logger.info("fork is unavailable; disorder ensembles run in-process")
-    return None
 
 
 def _table(spec: ArraySpec, draws: list, fraction: float, stat,
@@ -159,28 +145,27 @@ def _table(spec: ArraySpec, draws: list, fraction: float, stat,
     ``draws``, in order, scanned on ``fraction`` of the band and cascaded
     STACK_SIZE at a time (a stack may straddle two sigmas).
 
-    ``min(workers, stacks)`` processes forked and joined within the call
-    run the stacks (in-process for one stack or without fork); they inherit
-    the job, so ``stat`` may be a closure.  Results and the first error come
-    in draw order, independent of ``workers``; a worker that dies raises
-    ``BrokenProcessPool``.
+    Every sigma = 0 draw is the clean chain, so it is cascaded once, ahead
+    of the disordered draws, and its stat reused.  The stacks are spread by
+    ``workers.fork_map`` over ``workers`` processes, so ``stat`` may be a
+    closure; results and the first error come in draw order, independent of
+    ``workers``.
     """
+    chain = spec.lower()
     grid = window_grid(spec.interior, fraction, SCAN_GRID_POINTS)
-    job = (spec.lower(), grid, draws, stat, STACK_SIZE)
-    starts = range(0, len(draws), STACK_SIZE)
-    width = min(workers, len(starts))
-    ctx = _fork_context() if width > 1 else None
-    if ctx is None:
-        return [v for start in starts for v in _stack_stats(start, job)]
-    # 4 chunks per worker, as Pool.map picks, ran 14% faster than 1 per stack
-    chunk = -(-len(starts) // (4 * width))
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(width, ctx, _forked.update, ({"job": job},))
-    try:
-        return [v for stack in pool.map(_stack_stats, starts, chunksize=chunk)
-                for v in stack]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    todo = [d for d in draws if d[0] != 0.0]
+    clean = len(todo) < len(draws)
+    if clean:
+        todo.insert(0, (0.0, None))
+
+    def stack(i):
+        return _stack_stats(chain, grid,
+                            todo[i * STACK_SIZE:(i + 1) * STACK_SIZE], stat)
+
+    stacks = fork_map(stack, -(-len(todo) // STACK_SIZE), workers)
+    stats = iter([v for part in stacks for v in part])
+    first = next(stats) if clean else None
+    return [first if sigma == 0.0 else next(stats) for sigma, _ in draws]
 
 
 def _mean_passband_db(resp: TwoPortResponse) -> float:

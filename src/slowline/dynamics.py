@@ -11,8 +11,10 @@ configurations, unlike explicit stepping).  The excited-state population
 p_e is the qubit node's quanta E_q / omega_q under the instantaneous model,
 relative to its initial value; for a quench omega_q is fixed and p_e is the
 node's energy fraction.
-The small-matrix work runs with one BLAS thread (``blas.single_thread``), so
-a trace does not depend on the BLAS thread count.
+The quantum reference steps its single-excitation amplitudes with one
+propagator, read in the same blocks as the classical samples.  The
+small-matrix work runs with one BLAS thread (``blas.single_thread``), so a
+trace does not depend on the BLAS thread count.
 
 Two independent oracles are provided: the ideal-mirror delay equation
 (dispersionless semi-infinite waveguide), summed over photon round trips,
@@ -40,7 +42,7 @@ from .statespace import (StateSpaceModel, _retuned_generator,
                          assemble_state_space)
 
 _SLICES = 64        # steps per modulation period; ramp steps <= tune_time / 64
-_CHUNK = 128        # read rows or time samples per block
+_CHUNK = 128        # time samples per block of reads
 _MAX_PERIODS = 8    # modulation periods in the longest super-period
 _ROUNDING = 1e-12   # relative: times this close are one time
 
@@ -204,6 +206,33 @@ def _schedule(protocol: Protocol, t_out: np.ndarray):
         yield (ws[s % len(ws)],), dt, (reads(s),), 1
 
 
+def _blocked_reads(first: np.ndarray, held: np.ndarray, x: np.ndarray,
+                   repeats: int, per_sample: int = 2, advance: bool = False):
+    """(y, x'): y stacks the reads first held^j x for j < repeats, and x' is
+    held^repeats x when ``advance``, else None.
+
+    The reads come in blocks of about _CHUNK samples of ``per_sample`` rows:
+    the rows first held^j, j < c, are stacked once, each block is one gemm
+    of them against the state, and the state jumps by held^c between
+    blocks."""
+    c = max(1, per_sample * _CHUNK // max(1, len(first)))   # repeats per block
+    block = [first]
+    for _ in range(min(repeats, c) - 1):
+        block.append(block[-1] @ held)
+    block = np.concatenate(block)
+    jump = np.linalg.matrix_power(held, c) if repeats > c else None
+    y = []
+    for s in range(0, repeats, c):
+        if s:
+            x = jump @ x
+        y.append(block[:min(c, repeats - s) * len(first)] @ x)
+    if not advance:
+        return np.concatenate(y), None
+    for _ in range(min(c, repeats - s)):
+        x = held @ x
+    return np.concatenate(y), x
+
+
 @single_thread()
 def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
                       protocol: Protocol) -> DynamicsTrace:
@@ -228,8 +257,8 @@ def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
     are the sum of squares of its (2, 2) block R x.  With P_i the propagator
     of an item's slice i, a sample at offset d in that slice gets the row
     R_i P_i(d) P_i-1 ... P_0, where P_i(d) is P_i when d is the slice's
-    length and an uncached expm(A_i d) otherwise.  The rows of whole repeats
-    of the item are stacked once and read about _CHUNK samples per gemm.
+    length and an uncached expm(A_i d) otherwise.  The rows of one repeat of
+    the item are read for all its repeats by _blocked_reads.
     """
     chain = spec.lower()
     model = a = None
@@ -274,21 +303,11 @@ def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
                                     for d in reads[i]] + [first @ prod])
         held = (prod if len(reads) == per
                 else np.linalg.matrix_power(prod, len(reads) // per))
-        c = max(1, 2 * _CHUNK // max(1, len(first)))    # repeats per block
-        block = [first]
-        for _ in range(min(repeats, c) - 1):
-            block.append(block[-1] @ held)
-        block = np.concatenate(block)
-        jump = np.linalg.matrix_power(held, c) if repeats > c else None
-        for s in range(0, repeats, c):
-            if s:
-                x = jump @ x
-            y = quanta(block[:min(c, repeats - s) * len(first)] @ x)
-            p[k:k + y.size] = y / n0
-            k += y.size
-        if k < p.size:                          # slices follow the item
-            for _ in range(min(c, repeats - s)):
-                x = held @ x
+        more = k + repeats * len(first) // 2 < p.size   # slices follow
+        y, x = _blocked_reads(first, held, x, repeats, advance=more)
+        y = quanta(y)
+        p[k:k + y.size] = y / n0
+        k += y.size
     p *= protocol.initial_excited_population
     return DynamicsTrace(t=t_out, p_e=p)
 
@@ -398,22 +417,6 @@ def bandedge_oracle(g_uc: float, j: float, omega0: float, detuning: float,
     return DynamicsTrace(t=t, p_e=c.real ** 2 + c.imag ** 2)
 
 
-def _exp_sum_power(a: np.ndarray, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """|sum_i a_i exp(-i lam_i t)|^2 on a grid t_k = k dt, _CHUNK samples per
-    block: the rows exp(-i lam k dt), k < _CHUNK, are built once and each
-    block sums them times a exp(-i lam t_s), t_s its first sample, with
-    einsum's own loop rather than BLAS, so p does not depend on the BLAS
-    thread count."""
-    rows = np.multiply.outer(t[:_CHUNK], -1j * lam)
-    np.exp(rows, out=rows)
-    p = np.empty(t.shape)
-    for s in range(0, t.size, _CHUNK):
-        c = np.einsum("kj,j->k", rows[:t.size - s],
-                      a * np.exp(-1j * lam * t[s]))
-        p[s:s + _CHUNK] = c.real ** 2 + c.imag ** 2
-    return p
-
-
 @single_thread()
 def simulate_emission_quantum(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
                               protocol: Protocol) -> DynamicsTrace:
@@ -435,26 +438,32 @@ def simulate_emission_quantum(spec: ArraySpec | Chain, qubit: QubitCircuitParams
     The qubit starts in a_q^dag|0>, with a_q the rotating-wave part of the
     qubit node's annihilation operator, and p_e = |<0|a_q|psi(t)>|^2; so
     p_e(0) = 1, and p_e <= 1 as H_eff's anti-Hermitian part is negative
-    semidefinite.  Only the circuit assembly is shared with the classical
-    propagation, which differs by the rotating wave and the fixed-frequency
-    (Markovian) port response, so the two form a genuine cross-check.
+    semidefinite.  The state steps by one propagator U = expm(-i H_eff
+    dt_output), H_eff taken in the frame rotating at omega_interact, and
+    p_e(t_k) = |r U^k r|^2 for the read-out row r of a_q is read through
+    _blocked_reads, as simulate_emission reads its samples.
+    Only the circuit assembly is shared with the classical propagation, which
+    differs by the rotating wave and the fixed-frequency (Markovian) port
+    response, so the two form a genuine cross-check.
     """
     _require(protocol.modulation is None and protocol.tune_time == 0,
              "simulate_emission_quantum runs quench protocols only")
-    evals, evecs, coeff, readout = _quantum_modes(spec, qubit,
-                                                  protocol.omega_interact)
+    h_eff, r = _quantum_h_eff(spec, qubit, protocol.omega_interact)
     t = _time_grid(protocol.t_max, protocol.dt_output)
-    p = _exp_sum_power((readout @ evecs * coeff)[0], evals, t)
+    u = scipy.linalg.expm((-1j * protocol.dt_output) * h_eff)
+    y, _ = _blocked_reads(r[None, :].astype(complex), u, r, t.size, 1)
+    p = y.real ** 2 + y.imag ** 2
     p *= protocol.initial_excited_population
     return DynamicsTrace(t=t, p_e=p)
 
 
-def _quantum_modes(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
+def _quantum_h_eff(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
                    w_ref: float):
-    """Eigenvalues lam and eigenvectors V of simulate_emission_quantum's H_eff
-    at bare qubit frequency w_ref, the coefficients c of the initial state
-    a_q^dag|0> in V, and the read-out row r of a_q, with
-    p_e(t) = |r V (c exp(-i lam t))|^2."""
+    """simulate_emission_quantum's H_eff at bare qubit frequency w_ref, in
+    the normal modes of the lossless network and the frame rotating at
+    w_ref (H_eff - w_ref, which keeps the propagator's phases small), and
+    the real unit row r of a_q, which is also the initial state
+    a_q^dag|0>: p_e(t) = |r expm(-i H_eff t) r|^2 in either frame."""
     model = assemble_state_space(spec, replace(qubit, omega_ge=w_ref))
     nodes = np.flatnonzero(model.linv.diagonal() > 0)
     cap = model.cap[np.ix_(nodes, nodes)]
@@ -476,16 +485,14 @@ def _quantum_modes(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
     w2, u = scipy.linalg.eigh(linv, cap)         # u^T C u = 1
     w = np.sqrt(w2)
     gamma = u.T @ g_red @ u                      # mode-resolved decay matrix
-    h_eff = np.diag(w).astype(complex) - 0.5j * gamma
-    evals, evecs = np.linalg.eig(h_eff)
+    h_eff = np.diag(w - w_ref).astype(complex) - 0.5j * gamma
 
     # rotating-wave part of a_q = sqrt(C_qq w_q/2) phi_q + i Q_q/sqrt(2 C_qq w_q)
     # in the mode operators b = sqrt(w/2) eta + i eta'/sqrt(2 w)
     q = int(np.searchsorted(nodes, model.qubit_node))
     cw = math.sqrt(cap[q, q] * linv[q, q])       # C_qq w_q
     r = u[q] * np.sqrt(cw / (4.0 * w)) + (cap[q] @ u) * np.sqrt(w / (4.0 * cw))
-    r /= np.linalg.norm(r)
-    return evals, evecs, np.linalg.solve(evecs, r), r[None, :]
+    return h_eff, r / np.linalg.norm(r)
 
 
 def lifetime_1e(trace: DynamicsTrace) -> float:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -343,6 +344,82 @@ def test_disorder_outputs_independent_of_threads(tmp_path, tapered_26):
     assert json.loads((out / "manifest.json").read_text())["workers"] is None
 
 
+def _sweep_config(tmp_path, midband, spec, method, n=5):
+    from slowline.devices import qubit_q1
+    f_mid = midband / TWO_PI
+    return _write(tmp_path, f"{method}.json", {
+        "spec": spec.to_dict(), "qubit": qubit_q1().to_dict(),
+        "method": method,
+        "protocol": {"omega_interact_hz": f_mid, "t_max_s": 4e-9,
+                     "dt_output_s": 1e-10},
+        "sweep_omega_interact_hz": [f_mid + k * 20e6 for k in range(n)]})
+
+
+@pytest.mark.parametrize("method", ["emission", "mirror", "quantum"])
+def test_dynamics_sweep_outputs_independent_of_threads(tmp_path, midband,
+                                                       method):
+    """dynamics --sweep writes byte-identical traces and index at --threads
+    1, 2 and 3, its manifest records the worker count, a single trace's
+    records null, and no worker outlives a run."""
+    from slowline.devices import qubit_device
+    spec = qubit_device(bend_c_series=None, termination_out=(
+        "open_mirror" if method == "mirror" else "matched"))
+    cfg = _sweep_config(tmp_path, midband, spec, method)
+    outputs = []
+    for threads in (1, 2, 3):
+        out = tmp_path / f"{method}-{threads}"
+        assert main(["dynamics", "--sweep", "--config", cfg, "--out",
+                     str(out), "--threads", str(threads)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["workers"] == threads
+        assert len(manifest["outputs"]) == 6
+        outputs.append({name: (out / name).read_bytes()
+                        for name in manifest["outputs"]})
+        assert multiprocessing.active_children() == []
+    assert outputs[0] == outputs[1] == outputs[2]
+    single = json.loads(pathlib.Path(cfg).read_text())
+    del single["sweep_omega_interact_hz"]
+    out = tmp_path / f"{method}-single"
+    assert main(["dynamics", "--config", _write(tmp_path, "single.json",
+                                                single),
+                 "--out", str(out), "--threads", "2"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["workers"] is None
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_dynamics_sweep_worker_error_exits_2(tmp_path, capsys, monkeypatch,
+                                             qubit_spec_nobend, midband,
+                                             threads):
+    """A trace that raises ValidationError exits 2 with one JSON line naming
+    the first failure in sweep order, traces 3 and 5 of 6 failing: at
+    --threads 3 both run in forked workers (shares 0-1, 2-3, 4-5).  Neither
+    index.csv nor manifest.json is written, and no worker outlives the
+    run."""
+    import slowline.cli as cli
+    from slowline.params import ValidationError
+    cfg = _sweep_config(tmp_path, midband, qubit_spec_nobend, "emission", 6)
+    run = cli._DYNAMICS_METHODS["emission"]
+
+    def failing(spec, qubit, protocol):
+        k = round((protocol.omega_interact - midband) / (TWO_PI * 20e6))
+        if k in (3, 5):
+            raise ValidationError(f"trace {k} failed")
+        return run(spec, qubit, protocol)
+
+    monkeypatch.setitem(cli._DYNAMICS_METHODS, "emission", failing)
+    out = tmp_path / "out"
+    assert main(["dynamics", "--sweep", "--config", cfg, "--out", str(out),
+                 "--threads", str(threads)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "trace 3 failed",
+                                    "type": "validation",
+                                    "subcommand": "dynamics"}
+    assert not (out / "index.csv").exists()
+    assert not (out / "manifest.json").exists()
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("flag, cfg_seed", [(["--seed", "-1"], None),
                                             ([], -3)],
                          ids=["flag", "config"])
@@ -419,14 +496,16 @@ def test_module_entry_point_reports_one_json_line(tmp_path):
 
 def test_cli_import_leaves_out_scipy_signal():
     """Importing the CLI does not load scipy.signal, scipy.stats,
-    scipy.optimize, scipy.integrate or multiprocessing; only the peak
-    finders, the optimizers, the exact-band quadrature and the disorder
-    worker pool that need them import them."""
+    scipy.optimize, scipy.integrate, multiprocessing or the process pool
+    of concurrent.futures; only the peak finders, the optimizers, the
+    exact-band quadrature and the forked workers that need them import
+    them."""
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(slowline.__file__).parents[1]))
     code = ("import sys, slowline.cli\n"
             "print(sorted(m for m in ('scipy.signal', 'scipy.stats',"
-            " 'scipy.optimize', 'scipy.integrate', 'multiprocessing')"
+            " 'scipy.optimize', 'scipy.integrate', 'multiprocessing',"
+            " 'concurrent.futures.process')"
             " if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=True)

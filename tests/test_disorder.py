@@ -1,3 +1,4 @@
+import json
 import math
 import multiprocessing
 import os
@@ -33,6 +34,32 @@ def test_sigma_zero_identity(tapered_26):
     d, clean = sample_disordered(tapered_26, 0.0, 1), tapered_26.lower()
     for name in ("c_shunt", "l", "couplers"):
         np.testing.assert_array_equal(getattr(d, name), getattr(clean, name))
+
+
+def test_clean_chain_cascaded_once_per_table(tapered_26, monkeypatch):
+    """Every sigma = 0 draw of an ensemble reuses one cascade of the clean
+    chain: extinction's 15 draws, 5 of them clean, cascade 11 chains in
+    stacks of 4, 4 and 3 (against 4 full stacks), and every mean equals the
+    one from each draw cascaded on its own."""
+    import slowline.disorder as disorder
+
+    stacks = []
+
+    def counted(chain, grid):
+        stacks.append(len(chain.l))
+        return cascade_abcd(chain, grid)
+
+    monkeypatch.setattr(disorder, "cascade_abcd", counted)
+    soj = [0.0, 0.05, 0.1]
+    ext = extinction_curve(tapered_26, soj, 5, seed=3)
+    assert stacks == [4, 4, 3]
+    j = tight_binding(tapered_26.interior)["j_tb"]
+    grid = window_grid(tapered_26.interior, EXTINCTION_BAND_FRACTION,
+                       SCAN_GRID_POINTS)
+    each = [[disorder._stack_stats(tapered_26.lower(), grid, [(s * j, (3, i))],
+                                   disorder._mean_passband_db)[0]
+             for s in soj] for i in range(5)]
+    assert np.array_equal(ext.mean_extinction_db, np.mean(each, axis=0))
 
 
 def test_negative_sigma_rejected(tapered_26, monkeypatch):
@@ -328,24 +355,44 @@ def test_worker_error_matches_serial(tapered_26):
     assert messages == ["non-positive disordered frequency"] * 2
 
 
-def test_workers_run_in_process_without_fork(tapered_26, monkeypatch, caplog):
-    """Where fork is not a start method the ensembles run in-process, with
-    one INFO record however many calls ask for workers."""
-    import slowline.disorder as disorder
+def test_workers_run_in_process_without_fork(tapered_26, qubit_spec_nobend,
+                                            q1, midband, tmp_path,
+                                            monkeypatch, caplog):
+    """Where fork is not a start method the ensembles and a dynamics sweep
+    run in-process, with one INFO record however many calls ask for
+    workers."""
+    import slowline.workers as workers
+    from slowline.cli import main
+
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "spec": qubit_spec_nobend.to_dict(), "qubit": q1.to_dict(),
+        "protocol": {"omega_interact_hz": midband / (2 * math.pi),
+                     "t_max_s": 2e-9, "dt_output_s": 1e-10},
+        "sweep_omega_interact_hz": [midband / (2 * math.pi) + k * 1e6
+                                    for k in range(3)]}))
+
+    def sweep(threads):
+        out = tmp_path / f"sweep-{threads}"
+        assert main(["dynamics", "--sweep", "--config", str(cfg), "--out",
+                     str(out), "--threads", str(threads)]) == 0
+        return {p.name: p.read_bytes() for p in out.glob("*.csv")}
 
     serial = _ensemble_outputs(tapered_26)
+    serial_sweep = sweep(1)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: ["spawn"])
-    disorder._fork_context.cache_clear()
+    workers._fork_context.cache_clear()
     try:
-        with caplog.at_level("INFO", logger="slowline.disorder"):
+        with caplog.at_level("INFO", logger="slowline.workers"):
             for got, want in zip(_ensemble_outputs(tapered_26, 2), serial):
                 assert np.array_equal(got, want)
+            assert sweep(2) == serial_sweep
     finally:
-        disorder._fork_context.cache_clear()
+        workers._fork_context.cache_clear()
     assert [r.getMessage() for r in caplog.records
             if r.levelname == "INFO"] == [
-        "fork is unavailable; disorder ensembles run in-process"]
+        "fork is unavailable; worker shares run in-process"]
     assert multiprocessing.active_children() == []
 
 
@@ -481,7 +528,7 @@ def test_dead_worker_raises_instead_of_hanging(tapered_26):
             os._exit(1)
         return 0.0
 
-    draws = [(0.0, (0, i)) for i in range(8)]
+    draws = [(1e6, (0, i)) for i in range(8)]
     with pytest.raises(BrokenProcessPool):
         disorder._table(tapered_26, draws, 1.0, stat, 2)
     assert multiprocessing.active_children() == []

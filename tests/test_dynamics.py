@@ -22,8 +22,8 @@ from slowline.disorder import (DisorderEnsembleResult, SigmaCalibration,
                                sample_disordered)
 from slowline.blas import single_thread
 from slowline.dynamics import (_CHUNK, _SLICES, DynamicsTrace, Modulation,
-                               Protocol, _exp_sum_power, _initial_state,
-                               _quantum_modes, _schedule, _time_grid,
+                               Protocol, _blocked_reads, _initial_state,
+                               _quantum_h_eff, _schedule, _time_grid,
                                bandedge_oracle, effective_rate,
                                ideal_mirror_oracle, lifetime_1e,
                                revival_onsets, simulate_emission,
@@ -314,27 +314,33 @@ def test_bandedge_oracle_bit_identical_across_blas_threads():
 
 
 def test_traces_bit_identical_across_blas_threads():
-    """simulate_emission pins BLAS to one thread, so a 10 us quench at
-    mid-band + 1.5 GHz (held blocks) and criterion 9's 250 ns index-0.4
-    trace (super-period blocks) do not depend on the OpenBLAS thread count
-    (without the pin they differed by 2.3e-12 and 2.2e-14)."""
+    """simulate_emission and simulate_emission_quantum pin BLAS to one
+    thread, so a 10 us quench at mid-band + 1.5 GHz (held blocks),
+    criterion 9's 250 ns index-0.4 trace (super-period blocks) and a 550 ns
+    quantum quench at mid-band do not depend on the OpenBLAS thread count
+    (without the pin they differed by 2.3e-12, 2.2e-14 and 6.1e-15)."""
     code = "\n".join([
         "import hashlib, math",
         "from slowline.bands import band_edges",
         "from slowline.devices import qubit_device, qubit_q1",
-        "from slowline.dynamics import Modulation, Protocol, simulate_emission",
+        "from slowline.dynamics import (Modulation, Protocol,",
+        "                               simulate_emission,",
+        "                               simulate_emission_quantum)",
         "spec = qubit_device(bend_c_series=None)",
         "mid = 0.5 * sum(band_edges(spec.interior))",
         "w = 2 * math.pi * 600e6",
-        "for prot in (Protocol(omega_interact=mid + 2 * math.pi * 1.5e9,",
-        "                      t_max=1e-5),",
-        "             Protocol(omega_interact=mid + w, t_max=2.5e-7,",
-        "                      dt_output=5e-10, modulation=Modulation(",
-        "                          omega_mod=w, epsilon=0.4 * w))):",
-        "    p = simulate_emission(spec, qubit_q1(), prot).p_e",
+        "for sim, prot in (",
+        "        (simulate_emission, Protocol(",
+        "            omega_interact=mid + 2 * math.pi * 1.5e9, t_max=1e-5)),",
+        "        (simulate_emission, Protocol(",
+        "            omega_interact=mid + w, t_max=2.5e-7, dt_output=5e-10,",
+        "            modulation=Modulation(omega_mod=w, epsilon=0.4 * w))),",
+        "        (simulate_emission_quantum, Protocol(",
+        "            omega_interact=mid, t_max=5.5e-7, dt_output=2.5e-10))):",
+        "    p = sim(spec, qubit_q1(), prot).p_e",
         "    print(hashlib.sha256(p.tobytes()).hexdigest())"])
     out = _stdout_at_blas_threads(code)
-    assert len(out[0].split()) == 2
+    assert len(out[0].split()) == 3
     assert out[0] == out[1]
 
 
@@ -421,14 +427,18 @@ def test_quantum_starts_excited_and_matches_mirror(q1, midband, detuning_hz):
 
 def test_quantum_readout_matches_per_sample_loop(qubit_spec_nobend, q1,
                                                 midband):
+    """The propagator-stepped quantum trace against the eigen-sum of H_eff,
+    |r V (c exp(-i lam t))|^2 with H_eff = V diag(lam) V^-1 and c = V^-1 r,
+    evaluated sample by sample.  Measured 1.6e-15; the bound is 1e-12."""
     prot = Protocol(omega_interact=midband, t_max=2e-7, dt_output=2e-10)
-    evals, evecs, coeff, readout = _quantum_modes(qubit_spec_nobend, q1,
-                                                  midband)
+    h_eff, r = _quantum_h_eff(qubit_spec_nobend, q1, midband)
+    evals, evecs = np.linalg.eig(h_eff)
+    coeff = np.linalg.solve(evecs, r)
     t = _time_grid(prot.t_max, prot.dt_output)
     loop = np.empty(t.shape)
     for i, ti in enumerate(t):
         z = evecs @ (coeff * np.exp(-1j * evals * ti))
-        loop[i] = np.sum(np.abs(readout @ z) ** 2)
+        loop[i] = abs(r @ z) ** 2
     pq = simulate_emission_quantum(qubit_spec_nobend, q1, prot).p_e
     assert np.max(np.abs(pq - loop)) < 1e-12
 
@@ -893,24 +903,32 @@ def test_trace_assembles_its_model_once(q1, midband, monkeypatch, kind,
 @pytest.mark.parametrize("kind", ["oracle", "quantum"])
 def test_blocked_spectral_reads_match_direct_sums(qubit_spec_nobend, q1,
                                                   midband, kind):
-    """_exp_sum_power, block rows exp(-i lam k dt) times a exp(-i lam t_s),
-    follows the direct sum |sum_i a_i exp(-i lam_i t)|^2 within 1e-13 over
-    whole blocks and a partial last one: the real spectrum of the 301-mode
-    discretized band edge over 1.2 us and the quantum model's decaying one
-    over 300 ns."""
+    """_blocked_reads, the reader both simulate_emission and
+    simulate_emission_quantum use, stepping a row a by a propagator U
+    against a state x, follows the direct sum |sum_i a_i exp(-i lam_i t)|^2
+    within 1e-13 over whole blocks and a partial last one: the real
+    spectrum of the 301-mode discretized band edge over 1.2 us (U the
+    diagonal exp(-i lam dt), x ones) and the quantum model's decaying one
+    over 300 ns (U = expm(-i H_eff dt), a and x its read-out row r, the
+    direct sum from H_eff's eigenvectors).  Measured 1.0e-14 and 1.9e-15."""
     if kind == "oracle":
         lam, a = _dense_spectrum(0.3 * J, J, 0.0, 301)
         t = _time_grid(1.2e-6, 1e-9)
+        row, x = a.astype(complex), np.ones(lam.size)
+        u = np.diag(np.exp(-1j * lam * (t[1] - t[0])))
     else:
-        lam, evecs, coeff, readout = _quantum_modes(qubit_spec_nobend, q1,
-                                                    midband)
-        a = (readout @ evecs * coeff)[0]
+        h_eff, row = _quantum_h_eff(qubit_spec_nobend, q1, midband)
+        lam, evecs = np.linalg.eig(h_eff)
+        a = (row @ evecs) * np.linalg.solve(evecs, row)
         t = _time_grid(3e-7, 1e-10)
-    assert t.size % _CHUNK
+        x, row = row, row.astype(complex)
+        u = scipy.linalg.expm(-1j * (t[1] - t[0]) * h_eff)
+    assert t.size > _CHUNK and t.size % _CHUNK
     direct = np.abs((a * np.exp(-1j * np.multiply.outer(t, lam)))
                     .sum(axis=1)) ** 2
-    np.testing.assert_allclose(_exp_sum_power(a, lam, t), direct,
-                               rtol=0, atol=1e-13)
+    with single_thread():
+        y, _ = _blocked_reads(row[None, :], u, x, t.size, 1)
+    np.testing.assert_allclose(np.abs(y) ** 2, direct, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("kind, value", [
