@@ -71,7 +71,7 @@ def _ldexp(x: np.ndarray, exp: np.ndarray) -> np.ndarray:
     return parts.view(complex)[..., 0]
 
 
-def _cascade(chain: Chain, freq_grid, cells=None, start=None):
+def _cascade(chain: Chain, freq_grid, cells=None):
     """Rows (a, b/i, c/i, d) of the chain's ABCD matrix over 2**exp, and exp,
     each of shape ``chain.l.shape[:-1] + freq_grid.shape``: one row per
     stacked realization when ``chain.l`` is 2-D.  The rows are real when the
@@ -84,19 +84,16 @@ def _cascade(chain: Chain, freq_grid, cells=None, start=None):
     product and sum is the one the complex update computes, so the entries
     are bit for bit the same.
 
-    ``cells`` (private; default all) is a run of cells to cascade, cell i
-    being coupler i then resonator i and the last coupler a cell of its
-    own.  ``start`` (private) is a (rows, exp) pair such as this function
-    returns; the loop starts from a copy of it instead of the identity, so
-    a cascade can continue past a product cached elsewhere (_join).
+    ``cells`` (private; default all) is a run of cells to cascade from the
+    identity, cell i being coupler i then resonator i and the last coupler
+    a cell of its own.
 
     Past _RESCALE_ABOVE every point is scaled to a peak in [0.5, 1) by a power
     of two, which is exact: no bit changes where the plain product is finite.
     The entries are searched only once a bound on them passes the threshold:
     an element multiplies the largest entry by at most 1 + max|zh| or
     1 + max|yh|, so no entry passes the threshold unseen, and a cascade
-    makes a few searches rather than one per element.  Start rows are
-    searched before the first element.
+    makes a few searches rather than one per element.
     """
     w = np.asarray(freq_grid, dtype=float)
     if not w.size or np.any(w <= 0):
@@ -104,15 +101,11 @@ def _cascade(chain: Chain, freq_grid, cells=None, start=None):
                               "and be positive")
     lossy = math.isfinite(chain.q_internal)
     g_loss = chain.g_loss
-    if start is None:
-        m = np.zeros((4, *chain.l.shape[:-1], w.size),
-                     dtype=complex if lossy else float)
-        m[0] = m[3] = 1.0
-        exp = np.zeros(m.shape[1:], dtype=int)
-        bound = 1.0     # no entry is larger in magnitude
-    else:
-        m, exp = start[0].copy(), start[1].copy()
-        bound = math.inf
+    m = np.zeros((4, *chain.l.shape[:-1], w.size),
+                 dtype=complex if lossy else float)
+    m[0] = m[3] = 1.0
+    exp = np.zeros(m.shape[1:], dtype=int)
+    bound = 1.0     # no entry is larger in magnitude
     a, bh, ch, d = m
     parts = m.view(float).reshape(*m.shape, -1)
     w_lo, w_hi = w.min(), w.max()
@@ -130,8 +123,6 @@ def _cascade(chain: Chain, freq_grid, cells=None, start=None):
         np.add(exp, e, out=exp)
         return 1.0
 
-    if bound > _RESCALE_ABOVE:
-        bound = rescale()
     for i in range(chain.couplers.size) if cells is None else cells:
         cap = chain.couplers[i]
         zh = -1.0 / (w * cap)
@@ -148,15 +139,6 @@ def _cascade(chain: Chain, freq_grid, cells=None, start=None):
         if bound > _RESCALE_ABOVE:
             bound = rescale()
     return m, exp
-
-
-def _join(left, right):
-    """The product left * right of two (rows, exp) pairs as _cascade returns
-    them, in the same (a, b/i, c/i, d) form."""
-    (a, bh, ch, d), (ra, rbh, rch, rd) = left[0], right[0]
-    rows = np.stack([a * ra - bh * rch, a * rbh + bh * rd,
-                     ch * ra + d * rch, d * rd - ch * rbh])
-    return rows, left[1] + right[1]
 
 
 def _abcd_rows(m: np.ndarray) -> np.ndarray:
@@ -180,6 +162,55 @@ def _s21(abcd, exp, z0: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = a + b / z0 + c * z0 + d
         return _ldexp(2.0 / denom, -exp), denom
+
+
+def _end_scorer(freq_grid, n: int):
+    """s21_db(chain): |S21| in dB on ``freq_grid`` of a lowered chain of one
+    realization and at least 2n resonators, ``cascade_abcd(chain,
+    freq_grid).s21_db`` up to rounding.
+
+    With the chain's product split as L M R (L its first n cells, R its last
+    n cells and last coupler), S21 = 2/D with D = (1, z0) L M R (1, 1/z0)^T.
+    The row p = (1, z0) L and the column q = R (1, 1/z0)^T walk their ends
+    together as x = (p0, q1) and v = (p1, q0), row 0 from the input port and
+    row 1 from the output port: a coupler z does v += x*z, a resonator y
+    does x += v*y.  M is cascaded by _cascade only when the middle's element
+    values differ from the last chain's.
+    """
+    w = np.asarray(freq_grid, dtype=float)
+    cells = np.arange(n)
+    last = {}
+
+    def s21_db(chain: Chain) -> np.ndarray:
+        size = chain.n_resonators
+        mid = slice(n, size - n)
+        values = (chain.c_shunt[mid].tobytes(), chain.l[mid].tobytes(),
+                  chain.couplers[mid].tobytes(), chain.q_internal)
+        if last.get("values") != values:
+            m, exp = _cascade(chain, w, cells=range(n, size - n))
+            last["middle"] = _abcd_rows(m), exp
+            last["values"] = values
+        (a, b, c, d), exp = last["middle"]
+        ends = np.array([cells, size - 1 - cells])[..., None]
+        z = np.zeros((2, n, w.size), dtype=complex)
+        z.imag = -1.0 / (w * chain.couplers[ends + [[[0]], [[1]]]])
+        y = np.empty_like(z)
+        y.real = chain.g_loss[ends]
+        y.imag = w * chain.c_shunt[ends] - 1.0 / (w * chain.l[ends])
+        z0 = chain.port_impedance
+        x = np.empty((2, w.size), dtype=complex)
+        v = np.empty_like(x)
+        x[0], x[1], v[0], v[1] = 1.0, 1.0 / z0, z0, 1.0
+        for i in range(n):
+            v += x * z[:, i]
+            x += v * y[:, i]
+        v[1] += x[1] * (1j * (-1.0 / (w * chain.couplers[size - n])))
+        (p0, q1), (p1, q0) = x, v
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s21 = np.ldexp(2.0 / np.abs(p0 * (a * q0 + b * q1)
+                                        + p1 * (c * q0 + d * q1)), -exp)
+        return _db(s21)
+    return s21_db
 
 
 def _response(rows, freq_grid, port_impedance: float) -> TwoPortResponse:

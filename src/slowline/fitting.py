@@ -9,17 +9,26 @@ two or more boundary cells the boundary-to-interior coupler is set to the
 interior cg, so perturbing the interior cg alone moves it too; a lone
 boundary cell keeps the template's coupler.  With no free parameters the
 template itself is scored.
+
+Each candidate is built whole and lowered; ``abcd._end_scorer`` gives its
+|S21| from its boundary cells and a middle cascaded again only when ``c0``,
+``cg`` or ``l0`` moved.  Non-finite residual points, and all points of an
+evaluation whose candidate raises ``ValidationError``, are set to 1e3; the
+fit logs both counts at INFO.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .abcd import TwoPortResponse, cascade_abcd
+from .abcd import TwoPortResponse, _end_scorer, cascade_abcd
 from .params import (ArraySpec, UnitCellParams, ValidationError,
                      boundary_cells)
+
+logger = logging.getLogger(__name__)
 
 # Supported free-parameter names.  Boundary cell i, counted from the port
 # inward, has coupler c{i}g toward the port and shunt capacitance c{i}; a
@@ -79,28 +88,44 @@ def fit_to_spectrum(measured: TwoPortResponse, template: ArraySpec,
             f"template has no boundary cells for parameters: {sorted(missing)}")
 
     target_db = measured.s21_db
+    tally = {"scored": 0, "raised": 0, "points": 0}
 
-    def misfit(spec):
-        r = cascade_abcd(spec, measured.freq_grid).s21_db - target_db
-        return np.where(np.isfinite(r), r, 1e3)
+    def misfit(s21_db):
+        r = s21_db - target_db
+        bad = ~np.isfinite(r)
+        tally["scored"] += 1
+        tally["points"] += int(np.count_nonzero(bad))
+        return np.where(bad, 1e3, r)
+
+    def log_tally():
+        logger.info("fit: %d of %d residual evaluations raised "
+                    "ValidationError; %d residual points were set to 1e3",
+                    tally["raised"], tally["scored"] + tally["raised"],
+                    tally["points"])
+
+    if not free:
+        r = misfit(cascade_abcd(template, measured.freq_grid).s21_db)
+        log_tally()
+        return FitReport(spec=template,
+                         residual_db_rms=float(np.sqrt(np.mean(r**2))),
+                         converged=True, n_evaluations=1)
+
+    s21_db = _end_scorer(measured.freq_grid, len(template.boundary_in))
 
     def residuals(x):
         vals = dict(base)
         vals.update({name: xi * base[name] for name, xi in zip(free, x)})
         try:
-            return misfit(_build_spec(template, vals))
+            return misfit(s21_db(_build_spec(template, vals).lower()))
         except ValidationError:
+            tally["raised"] += 1
+            tally["points"] += target_db.size
             return np.full(target_db.shape, 1e3)
-
-    if not free:
-        r = misfit(template)
-        return FitReport(spec=template,
-                         residual_db_rms=float(np.sqrt(np.mean(r**2))),
-                         converged=True, n_evaluations=1)
 
     x0 = np.ones(len(free))
     result = scipy.optimize.least_squares(residuals, x0, bounds=(0.2, 5.0),
                                           xtol=1e-12, ftol=1e-12)
+    log_tally()
     vals = dict(base)
     vals.update({name: xi * base[name] for name, xi in zip(free, result.x)})
     return FitReport(spec=_build_spec(template, vals),

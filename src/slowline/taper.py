@@ -9,15 +9,18 @@ and flattens the band.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .abcd import _abcd_rows, _cascade, _db, _join, _s21, cascade_abcd
+from .abcd import _end_scorer, cascade_abcd
 from .bands import window_grid
 from .params import (ArraySpec, JsonFields, ValidationError, _check_fields,
                      _require, at_least, boundary_cells, limited, nested, real)
+
+logger = logging.getLogger(__name__)
 
 # Fixed frequency grid size for the ripple objective; pinned to the analytic
 # band limits of the interior cell so the scoring window does not move with
@@ -104,28 +107,20 @@ def _ripple_objective(problem: TaperProblem):
     couplers)`` over the problem's band window, 1e3 when that raises or its
     transmission is non-finite there.
 
-    It scores as ``ripple`` does but cascades in three parts, L * M * R.
-    The middle M, every element between the n modified cells at each end, is
-    the same for every candidate: it is cascaded once, from the unmodified
-    array, on the ripple grid.  Each score cascades only the candidate's own
-    2n end cells (a bend among them included) and joins them to M, so it
-    differs from ``ripple`` by rounding alone.
+    Each candidate is built and lowered whole, and its |S21| comes from
+    ``abcd._end_scorer``: the 2n modified cells at the ends (a bend among
+    them included) are walked as two vectors against a middle that every
+    candidate shares, so the middle is cascaded once per objective.  The
+    score differs from ``ripple`` by rounding alone.
     """
-    base, n = problem.base, problem.n_modified
-    size = base.n_resonators
-    grid = window_grid(base.interior, problem.band_window, RIPPLE_GRID_POINTS)
-    unmodified = replace(base, interior_count=size, boundary_in=(),
-                         boundary_out=())
-    middle = _cascade(unmodified.lower(), grid, cells=range(n, size - n))
+    base = problem.base
+    s21_db = _end_scorer(window_grid(base.interior, problem.band_window,
+                                     RIPPLE_GRID_POINTS), problem.n_modified)
 
     def score(couplers) -> float:
         try:
-            chain = spec_with_couplers(base, couplers).lower()
-            left = _cascade(chain, grid, cells=range(n))
-            m, exp = _cascade(chain, grid, cells=range(size - n, size + 1),
-                              start=_join(left, middle))
-            s21, _ = _s21(_abcd_rows(m), exp, chain.port_impedance)
-            return _peak_to_peak(_db(s21))
+            return _peak_to_peak(
+                s21_db(spec_with_couplers(base, couplers).lower()))
         except ValidationError:
             return 1e3
     return score
@@ -137,8 +132,9 @@ def optimize(problem: TaperProblem) -> TaperReport:
     The search runs in log-coupling coordinates from two seeds: the
     unmodified array and the analytic geometric-taper guess; the better
     endpoint wins, ties broken by smaller deviation from its seed.  Each
-    evaluation is one _ripple_objective score, which cascades only the
+    evaluation is one _ripple_objective score, which walks only the
     candidate's modified cells against a middle cascaded once per call.
+    The number of candidates scored 1e3 is logged at INFO.
     """
     import scipy.optimize   # slow to import; only needed here
     base = problem.base
@@ -149,11 +145,12 @@ def optimize(problem: TaperProblem) -> TaperReport:
 
     score = _ripple_objective(problem)
     history = []
-    state = {"best": math.inf, "neval": 0}
+    state = {"best": math.inf, "neval": 0, "penalized": 0}
 
     def objective(logg):
         state["neval"] += 1
         r = score(np.exp(logg))
+        state["penalized"] += r == 1e3
         if r < state["best"]:
             state["best"] = r
             history.append((state["neval"], r))
@@ -172,6 +169,9 @@ def optimize(problem: TaperProblem) -> TaperReport:
         key = (res.fun, dev)
         if best is None or key < best[0]:
             best = (key, res)
+    logger.info("taper: %d of %d candidates scored 1e3 (rejected by the "
+                "spec checks or non-finite S21 in the band window)",
+                state["penalized"], state["neval"])
     res = best[1]
     spec = spec_with_couplers(base, np.exp(res.x))
     return TaperReport(spec=spec, ripple_db=float(res.fun),

@@ -176,3 +176,23 @@ def test_optimize_follows_full_cascade_search(monkeypatch, q_internal, bend,
     assert got.n_iterations == want.n_iterations
     assert [k for k, _ in got.history] == [k for k, _ in want.history]
     assert abs(got.ripple_db - want.ripple_db) <= 1e-12
+
+
+def test_optimize_logs_candidates_scored_1e3(monkeypatch, caplog):
+    """optimize logs at INFO how many of its candidates scored 1e3: on 50
+    cells with two modified, some simplex steps leave the spec checks'
+    range (a shunt capacitance below 0)."""
+    scores = []
+
+    def counted(problem):
+        score = _ripple_objective(problem)
+        return lambda couplers: scores.append(score(couplers)) or scores[-1]
+
+    monkeypatch.setattr(slowline.taper, "_ripple_objective", counted)
+    with caplog.at_level("INFO", logger="slowline.taper"):
+        optimize(TaperProblem(base=untapered_device(50), n_modified=2))
+    penalized = scores.count(1e3)
+    assert penalized > 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"taper: {penalized} of {len(scores)} candidates scored 1e3 (rejected "
+        "by the spec checks or non-finite S21 in the band window)"]
