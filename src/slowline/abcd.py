@@ -2,8 +2,9 @@
 
 The chain is cascaded element by element: series coupling capacitors
 alternating with shunt LC branches (internal loss folded in as a parallel
-conductance per resonator).  S-parameters are referenced to the real port
-impedance of the spec.
+conductance per resonator).  S-parameters, referenced to the real port
+impedance of the spec, need a matched output port: an open-mirror chain's
+response comes from the state space and the dynamics.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import (ArraySpec, Chain, UnitCellParams, ValidationError,
-                     count, write_csv)
+                     _require, count, write_csv)
 
 
 @dataclass(frozen=True)
@@ -153,44 +154,45 @@ def _db(s21: np.ndarray) -> np.ndarray:
     return 20.0 * np.log10(np.abs(s21))
 
 
-def _s21(abcd, exp, z0: float):
-    """S21 between resistive ports of impedance z0 from the complex
-    (a, b, c, d) of _abcd_rows and the exponent of _cascade, with the
-    denominator a + b/z0 + c z0 + d it divides by.  Grid points where the
-    conversion is singular yield NaN rather than raising."""
-    a, b, c, d = abcd
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = a + b / z0 + c * z0 + d
-        return _ldexp(2.0 / denom, -exp), denom
+def _two_port(chain: Chain) -> Chain:
+    """``chain``; ValidationError unless its output is a matched port."""
+    _require(chain.matched_out, "S-parameters need a matched output port, "
+             "not an open mirror (use the state space or the dynamics)")
+    return chain
 
 
-def _end_scorer(freq_grid, n: int):
+def _end_scorer(start: Chain, freq_grid, n: int):
     """s21_db(chain): |S21| in dB on ``freq_grid`` of a lowered chain of one
     realization and at least 2n resonators, ``cascade_abcd(chain,
-    freq_grid).s21_db`` up to rounding.
+    freq_grid).s21_db`` up to rounding.  ``start``, the chain a search starts
+    from, is checked once for a matched output, before any candidate: a
+    search scores a candidate that raises as 1e3.
 
     With the chain's product split as L M R (L its first n cells, R its last
     n cells and last coupler), S21 = 2/D with D = (1, z0) L M R (1, 1/z0)^T.
     The row p = (1, z0) L and the column q = R (1, 1/z0)^T walk their ends
     together as x = (p0, q1) and v = (p1, q0), row 0 from the input port and
     row 1 from the output port: a coupler z does v += x*z, a resonator y
-    does x += v*y.  M is cascaded by _cascade only when the middle's element
-    values differ from the last chain's.
+    does x += v*y.  M is cascaded by _cascade only when its element values
+    are neither of the last two it was cascaded for, so a two-point Jacobian
+    that moves the middle and back finds its base point's middle kept.
     """
+    _two_port(start)
     w = np.asarray(freq_grid, dtype=float)
     cells = np.arange(n)
-    last = {}
+    middles = {}    # element values -> (rows, exp), the last two cascaded
 
     def s21_db(chain: Chain) -> np.ndarray:
         size = chain.n_resonators
         mid = slice(n, size - n)
         values = (chain.c_shunt[mid].tobytes(), chain.l[mid].tobytes(),
                   chain.couplers[mid].tobytes(), chain.q_internal)
-        if last.get("values") != values:
+        if values not in middles:
             m, exp = _cascade(chain, w, cells=range(n, size - n))
-            last["middle"] = _abcd_rows(m), exp
-            last["values"] = values
-        (a, b, c, d), exp = last["middle"]
+            middles[values] = _abcd_rows(m), exp
+            if len(middles) > 2:
+                del middles[next(iter(middles))]
+        (a, b, c, d), exp = middles[values]
         ends = np.array([cells, size - 1 - cells])[..., None]
         z = np.zeros((2, n, w.size), dtype=complex)
         z.imag = -1.0 / (w * chain.couplers[ends + [[[0]], [[1]]]])
@@ -213,20 +215,6 @@ def _end_scorer(freq_grid, n: int):
     return s21_db
 
 
-def _response(rows, freq_grid, port_impedance: float) -> TwoPortResponse:
-    """S21/S11 between resistive ports of impedance ``port_impedance`` from
-    a (rows, exp) pair of _cascade; the rows are converted in place.  Grid
-    points where the conversion is singular yield NaN rather than raising."""
-    m, exp = rows
-    a, b, c, d = abcd = _abcd_rows(m)
-    z0 = port_impedance
-    s21, denom = _s21(abcd, exp, z0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s11 = (a + b / z0 - c * z0 - d) / denom
-    return TwoPortResponse(freq_grid=np.asarray(freq_grid, dtype=float),
-                           s21=s21, s11=s11)
-
-
 def chain_abcd(spec: ArraySpec | Chain, freq_grid: np.ndarray):
     """Total ABCD matrix of the chain (port to port), per grid point; entries
     beyond the float range are +-inf."""
@@ -240,12 +228,22 @@ def cascade_abcd(spec: ArraySpec | Chain,
     between its resistive ports.  A ``Chain`` stacking R realizations gives
     S21/S11 of shape (R, len(freq_grid)), row k that of realization k alone.
 
-    Grid points where the conversion is singular yield NaN rather than
-    raising.
+    Both are read straight off _cascade's rows (a, b/i, c/i, d): S21 = 2/D
+    and S11 = N/D, D and N = (a +- d) + i (b/i / z0 +- c/i z0), real up to
+    D and N for a lossless chain.  Grid points where the conversion is
+    singular yield NaN; an open-mirror chain raises ValidationError.
     """
-    chain = spec.lower()
-    return _response(_cascade(chain, freq_grid), freq_grid,
-                     chain.port_impedance)
+    chain = _two_port(spec.lower())
+    (a, bh, ch, d), exp = _cascade(chain, freq_grid)
+    z0 = chain.port_impedance
+    # times 1/z0, as numpy divides a complex b by a real z0: a lossless
+    # chain's S-parameters are those of its complex (a, b, c, d) bit for bit
+    bh, ch = bh * (1.0 / z0), ch * z0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = (a + d) + 1j * (bh + ch)
+        return TwoPortResponse(np.asarray(freq_grid, dtype=float),
+                               _ldexp(2.0 / denom, -exp),
+                               ((a - d) + 1j * (bh - ch)) / denom)
 
 
 def unit_cell_abcd(cell: UnitCellParams, freq_grid: np.ndarray):

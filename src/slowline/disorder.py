@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .abcd import TwoPortResponse, cascade_abcd
+from .abcd import TwoPortResponse, _two_port, cascade_abcd
 from .bands import band_edges, tight_binding, window_grid
 from .params import (ArraySpec, Chain, ValidationError, _require, count,
                      write_csv)
@@ -151,7 +151,7 @@ def _table(spec: ArraySpec, draws: list, fraction: float, stat,
     closure; results and the first error come in draw order, independent of
     ``workers``.
     """
-    chain = spec.lower()
+    chain = _two_port(spec.lower())
     grid = window_grid(spec.interior, fraction, SCAN_GRID_POINTS)
     todo = [d for d in draws if d[0] != 0.0]
     clean = len(todo) < len(draws)

@@ -12,9 +12,9 @@ template itself is scored.
 
 Each candidate is built whole and lowered; ``abcd._end_scorer`` gives its
 |S21| from its boundary cells and a middle cascaded again only when ``c0``,
-``cg`` or ``l0`` moved.  Non-finite residual points, and all points of an
-evaluation whose candidate raises ``ValidationError``, are set to 1e3; the
-fit logs both counts at INFO.
+``cg`` or ``l0`` left the last two middles (an open-mirror template raises
+first).  Non-finite residual points, and all points of an evaluation whose
+candidate raises ``ValidationError``, are set to 1e3; both counts are logged.
 """
 
 from __future__ import annotations
@@ -110,13 +110,16 @@ def fit_to_spectrum(measured: TwoPortResponse, template: ArraySpec,
                          residual_db_rms=float(np.sqrt(np.mean(r**2))),
                          converged=True, n_evaluations=1)
 
-    s21_db = _end_scorer(measured.freq_grid, len(template.boundary_in))
+    s21_db = _end_scorer(template.lower(), measured.freq_grid,
+                         len(template.boundary_in))
+
+    def candidate(x) -> ArraySpec:
+        return _build_spec(template, {**base, **{
+            name: xi * base[name] for name, xi in zip(free, x)}})
 
     def residuals(x):
-        vals = dict(base)
-        vals.update({name: xi * base[name] for name, xi in zip(free, x)})
         try:
-            return misfit(s21_db(_build_spec(template, vals).lower()))
+            return misfit(s21_db(candidate(x).lower()))
         except ValidationError:
             tally["raised"] += 1
             tally["points"] += target_db.size
@@ -126,9 +129,7 @@ def fit_to_spectrum(measured: TwoPortResponse, template: ArraySpec,
     result = scipy.optimize.least_squares(residuals, x0, bounds=(0.2, 5.0),
                                           xtol=1e-12, ftol=1e-12)
     log_tally()
-    vals = dict(base)
-    vals.update({name: xi * base[name] for name, xi in zip(free, result.x)})
-    return FitReport(spec=_build_spec(template, vals),
+    return FitReport(spec=candidate(result.x),
                      residual_db_rms=float(np.sqrt(np.mean(result.fun**2))),
                      converged=bool(result.success),
                      n_evaluations=int(result.nfev))

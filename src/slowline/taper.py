@@ -110,12 +110,12 @@ def _ripple_objective(problem: TaperProblem):
     Each candidate is built and lowered whole, and its |S21| comes from
     ``abcd._end_scorer``: the 2n modified cells at the ends (a bend among
     them included) are walked as two vectors against a middle that every
-    candidate shares, so the middle is cascaded once per objective.  The
-    score differs from ``ripple`` by rounding alone.
+    candidate shares, cascaded once per objective (an open-mirror base
+    raises first).  The score differs from ``ripple`` by rounding alone.
     """
     base = problem.base
-    s21_db = _end_scorer(window_grid(base.interior, problem.band_window,
-                                     RIPPLE_GRID_POINTS), problem.n_modified)
+    grid = window_grid(base.interior, problem.band_window, RIPPLE_GRID_POINTS)
+    s21_db = _end_scorer(base.lower(), grid, problem.n_modified)
 
     def score(couplers) -> float:
         try:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slowline.abcd
 import slowline.devices
 import slowline.fitting
 from slowline.abcd import (TwoPortResponse, _abcd_rows, _cascade,
@@ -14,12 +15,13 @@ from slowline.abcd import (TwoPortResponse, _abcd_rows, _cascade,
 from slowline.bands import (band_edges, dispersion, dispersion_curve,
                             tight_binding)
 from slowline.devices import qubit_device, untapered_device
-from slowline.disorder import sample_disordered
+from slowline.disorder import extinction_curve, sample_disordered
 from slowline.dynamics import _initial_state, total_energy
 from slowline.fitting import _build_spec, _get_params, fit_to_spectrum
 from slowline.params import (ArraySpec, Bend, BoundaryCellParams, Chain,
                              UnitCellParams, ValidationError)
 from slowline.statespace import assemble_state_space
+from slowline.taper import TaperProblem, optimize, ripple
 
 
 @settings(max_examples=30, deadline=None)
@@ -271,7 +273,7 @@ def test_end_vectors_match_whole_cascade(make_spec):
         _, exp = _cascade(chain, grid, cells=range(n, size - n))
         assert (exp[normal].max() > 0) == (size == 1000)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            got = 10.0 ** (_end_scorer(grid, n)(chain) / 20.0)
+            got = 10.0 ** (_end_scorer(chain, grid, n)(chain) / 20.0)
         assert np.max(np.abs(got[normal] / whole[normal] - 1.0)) < 1e-11
 
 
@@ -302,6 +304,41 @@ def test_stacked_rows_equal_single_cascades(make_spec):
         one = cascade_abcd(r, grid)
         assert np.array_equal(stacked.s21[k], one.s21)
         assert np.array_equal(stacked.s11[k], one.s11)
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda: untapered_device(50),
+    qubit_device,                                   # lossy, with its bend
+    lambda: untapered_device(1000, q_internal=1e4),  # takes the rescale
+    lambda: untapered_device(1000),
+], ids=["untapered_50", "qubit_device", "lossy_1000", "lossless_1000"])
+def test_s_parameters_match_complex_abcd_formula(make_spec):
+    """S21 and S11, read off the cascade rows, are the textbook conversion
+    of the complex (a, b, c, d): 2/(a + b/z0 + c z0 + d) and
+    (a + b/z0 - c z0 - d)/(a + b/z0 + c z0 + d), on a stack of four
+    realizations.  Lossless they agree bit for bit; lossy the sums are
+    grouped otherwise, and the measured worst cases are 6.7e-16 relative
+    (S21, where |S21| is a normal float) and 6.5e-16 absolute (S11), bounded
+    here by 1e-14."""
+    spec = make_spec()
+    grid = default_grid(spec.interior)
+    chain = _stacked(_realizations(spec, 4))
+    got = cascade_abcd(chain, grid)
+    m, exp = _cascade(chain, grid)
+    a, b, c, d = _abcd_rows(m)
+    z0 = chain.port_impedance
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = a + b / z0 + c * z0 + d
+        s21 = slowline.abcd._ldexp(2.0 / denom, -exp)
+        s11 = (a + b / z0 - c * z0 - d) / denom
+    normal = np.abs(s21) >= np.finfo(float).tiny
+    assert normal.any()
+    if math.isinf(chain.q_internal):
+        assert np.array_equal(got.s21[normal], s21[normal])
+        assert np.array_equal(got.s11, s11)
+    rel = np.abs(got.s21[normal] / s21[normal] - 1.0)
+    assert np.max(rel) < 1e-14
+    assert np.max(np.abs(got.s11 - s11)) < 1e-14
 
 
 def test_stacked_lossy_chain_passive(qubit_spec):
@@ -522,7 +559,7 @@ def test_fit_scores_match_full_cascade(template):
     spec = _FIT_TEMPLATES[template]()
     grid = default_grid(spec.interior, 401)
     base = _get_params(spec)
-    s21_db = _end_scorer(grid, len(spec.boundary_in))
+    s21_db = _end_scorer(spec.lower(), grid, len(spec.boundary_in))
     rng = np.random.default_rng(34)
     for names in (("cg", "c1g", "c2g"), ("c1g", "c2g"), ("c0", "l0")):
         names = [name for name in names if name in base]
@@ -536,19 +573,65 @@ def test_fit_scores_match_full_cascade(template):
             assert np.max(np.abs(got - want)) < 3e-11
 
 
-def test_fit_score_recascades_a_changed_middle(test_spec):
+def test_fit_score_recascades_a_changed_middle(test_spec, monkeypatch):
     """Chain B differs from chain A only in its interior cg.  Scored after A
     by the same scorer, B scores bit for bit as a fresh scorer scores it, so
-    the middle cached for A was cascaded again for B."""
+    the middle cached for A was cascaded again for B.  A scored again after
+    B takes A's middle, kept beside B's: two middle cascades for the three
+    scores, and A's second score is its first bit for bit."""
     grid = default_grid(test_spec.interior, 401)
     base = _get_params(test_spec)
     a = _build_spec(test_spec, base).lower()
     b = _build_spec(test_spec, {**base, "cg": 1.01 * base["cg"]}).lower()
-    s21_db = _end_scorer(grid, 2)
+    fresh = _end_scorer(b, grid, 2)(b)
+    calls = []
+    cascade = slowline.abcd._cascade
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cascade(*args, **kwargs)
+
+    monkeypatch.setattr(slowline.abcd, "_cascade", counted)
+    s21_db = _end_scorer(a, grid, 2)
     first = s21_db(a)
     got = s21_db(b)
     assert not np.array_equal(first, got)
-    assert np.array_equal(got, _end_scorer(grid, 2)(b))
+    assert np.array_equal(got, fresh)
+    assert np.array_equal(s21_db(a), first)
+    assert len(calls) == 2
+
+
+_S_PARAMETER_CALLS = {
+    "cascade_abcd": lambda spec, measured: cascade_abcd(
+        spec, measured.freq_grid),
+    "ripple": lambda spec, measured: ripple(spec),
+    "optimize_0": lambda spec, measured: optimize(
+        TaperProblem(spec, n_modified=0)),
+    "optimize_2": lambda spec, measured: optimize(
+        TaperProblem(spec, n_modified=2)),
+    "fit": lambda spec, measured: fit_to_spectrum(measured, spec),
+    "fit_free": lambda spec, measured: fit_to_spectrum(
+        measured, spec, free_params=("cg", "c1g")),
+    "extinction_curve": lambda spec, measured: extinction_curve(
+        spec, [0.0, 0.1], 2, 0),
+}
+
+
+@pytest.mark.parametrize("call", list(_S_PARAMETER_CALLS))
+def test_open_mirror_has_no_s_parameters(call, monkeypatch):
+    """S-parameters are defined between two ports: every S21 reader refuses
+    a spec whose output is an open mirror, before any cascade, so neither a
+    taper search nor a fit scores its candidates as 1e3 and stops there."""
+    matched = qubit_device()
+    measured = cascade_abcd(matched, default_grid(matched.interior, 51))
+    spec = dataclasses.replace(matched, termination_out="open_mirror")
+
+    def cascade(*args, **kwargs):
+        raise AssertionError("cascaded an open-mirror chain")
+
+    monkeypatch.setattr(slowline.abcd, "_cascade", cascade)
+    with pytest.raises(ValidationError, match="matched output port"):
+        _S_PARAMETER_CALLS[call](spec, measured)
 
 
 def test_fit_logs_what_it_scores_1e3(test_spec, monkeypatch, caplog):

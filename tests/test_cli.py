@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import slowline
+import slowline.devices
 from slowline.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -63,6 +64,22 @@ def test_taper_opt_command(tmp_path, untapered_26):
     conv = (out / "convergence.csv").read_text().splitlines()
     assert conv[0] == "iter,ripple_db"
     assert len(conv) > 2
+
+
+@pytest.mark.parametrize("command, key", [("s21", "spec"),
+                                          ("taper-opt", "base")])
+def test_open_mirror_s_parameters_refused(tmp_path, capsys, command, key):
+    """s21 and taper-opt read S21, which an open-mirror spec does not have:
+    both exit 2 with a validation error and write no output."""
+    spec = dict(slowline.devices.qubit_device().to_dict(),
+                termination_out="open_mirror")
+    cfg = _write(tmp_path, "cfg.json", {key: spec})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "validation"
+    assert "matched output port" in err["error"]
+    assert list(out.iterdir()) == []
 
 
 def test_dressed_command(tmp_path):

@@ -12,13 +12,39 @@ from slowline.dynamics import Modulation, Protocol
 _SPANS = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
 
 
+def _spans():
+    """``perfbench/spans.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("spans", _SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_installed_tracer_restores_every_binding():
+    """Entering the benchmark's tracer wraps every binding it names, and
+    leaving it puts each original object back.  Reading a binding that was
+    renamed or dropped (a module's ``cascade_abcd`` import,
+    ``taper.spec_with_couplers``, ...) raises here."""
+    spans = _spans()
+
+    def bindings():
+        return [spans._get(holder, key)
+                for holder, key, _, _ in spans.boundaries()]
+
+    before = bindings()
+    with spans.installed(spans.Tracer()):
+        during = bindings()
+    after = bindings()
+    assert len(before) == len(during) == len(after)
+    assert not any(d is b for d, b in zip(during, before))
+    assert all(a is b for a, b in zip(after, before))
+
+
 def test_dynamics_spans_fire(qubit_spec_nobend, q1, midband):
     """A 5 ns index-0.4 modulation and a 1 ns quench, run under the
     benchmark's tracer, record the propagator, state-space and trace spans
     the per-layer metrics are read from."""
-    spec = importlib.util.spec_from_file_location("spans", _SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _spans()
     tracer = spans.Tracer()
     w = 2 * math.pi * 600e6
     with spans.installed(tracer):
