@@ -4,7 +4,7 @@ The chain is cascaded element by element: series coupling capacitors
 alternating with shunt LC branches (internal loss folded in as a parallel
 conductance per resonator).  S-parameters, referenced to the real port
 impedance of the spec, need a matched output port: an open-mirror chain's
-response comes from the state space and the dynamics.
+response comes from the dynamics.
 """
 
 from __future__ import annotations
@@ -154,10 +154,14 @@ def _db(s21: np.ndarray) -> np.ndarray:
     return 20.0 * np.log10(np.abs(s21))
 
 
+# The refusal of every S-parameter reader, here and in the state space.
+_TWO_PORT_ONLY = ("S-parameters need a matched output port, not an open "
+                  "mirror (simulate the dynamics instead)")
+
+
 def _two_port(chain: Chain) -> Chain:
     """``chain``; ValidationError unless its output is a matched port."""
-    _require(chain.matched_out, "S-parameters need a matched output port, "
-             "not an open mirror (use the state space or the dynamics)")
+    _require(chain.matched_out, _TWO_PORT_ONLY)
     return chain
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from .abcd import TwoPortResponse, _two_port, cascade_abcd
 from .bands import band_edges, tight_binding, window_grid
-from .params import (ArraySpec, Chain, ValidationError, _require, count,
-                     write_csv)
+from .params import (ArraySpec, Chain, ValidationError, _find_peaks, _require,
+                     count, write_csv)
 from .workers import fork_map
 
 logger = logging.getLogger(__name__)
@@ -216,21 +216,26 @@ def extinction_curve(spec: ArraySpec, sigma_over_j, n_realizations: int,
 def fsr_variance(response, band=None) -> FsrReport:
     """Normal-mode statistics from the ripple maxima of a transmission scan.
 
-    Peaks with >= 0.005 dB prominence are refined by quadratic interpolation;
-    the spacing statistic uses only peaks in the central half of the band.
+    Peaks of |S21| in dB with >= 0.005 dB prominence are refined by
+    quadratic interpolation; the spacing statistic uses only peaks in the
+    central half of the band.  A peak is a run of equal samples whose
+    neighbouring runs are both lower, placed at the run's midpoint; a NaN
+    sample is a barrier that is never a peak or a peak's neighbour.  Its
+    prominence is as SciPy's ``peak_prominences`` defines it: its height
+    over the higher of the lowest samples on each side before a higher
+    sample, a NaN or the end of the scan.
     ``band`` is the (lower, upper) passband edge pair; when omitted the span
     between the outermost extracted peaks stands in for it.
     """
     _require(np.ndim(response.s21) == 1,
              "fsr_variance takes one response, not a stack")
-    import scipy.signal     # slow to import (scipy.stats); only needed here
     db = response.s21_db
     freq = response.freq_grid
-    idx, _ = scipy.signal.find_peaks(db, prominence=PEAK_PROMINENCE_DB)
+    idx = _find_peaks(db, PEAK_PROMINENCE_DB)
     if idx.size < 4:
         raise ValidationError("fewer than 4 ripple peaks found")
     # quadratic refinement through the three samples around each maximum
-    # (find_peaks never reports the first or last sample)
+    # (a peak is never the first or last sample)
     y0, y1, y2 = db[idx - 1], db[idx], db[idx + 1]
     denom = y0 - 2.0 * y1 + y2
     shift = np.divide(0.5 * (y0 - y2), denom, out=np.zeros(idx.size),

@@ -35,9 +35,9 @@ import scipy.linalg
 
 from .blas import single_thread
 from .params import (ArraySpec, Chain, JsonFields, QubitCircuitParams,
-                     ValidationError, _check_fields, _require, count, hz,
-                     limited, nested, non_negative, nullable, positive, real,
-                     real_array, write_csv)
+                     ValidationError, _check_fields, _find_peaks, _require,
+                     count, hz, limited, nested, non_negative, nullable,
+                     positive, real, real_array, write_csv)
 from .statespace import (StateSpaceModel, _retuned_generator,
                          assemble_state_space)
 
@@ -526,20 +526,28 @@ def revival_onsets(trace: DynamicsTrace, n_revivals: int = 1,
     """Onset times of population revivals (echoes) after the initial decay.
 
     The initial decay is taken as finished once p_e falls below
-    settle_level * p_e(0).  Each subsequent local maximum (with the given
-    prominence) is a revival; its onset is where p_e rises above the preceding
-    floor by rise_fraction of the revival height.
+    settle_level * p_e(0).  Each subsequent peak with at least the given
+    prominence is a revival; its onset is where p_e rises above the
+    preceding floor by rise_fraction of the revival height.  A peak is a run
+    of equal samples whose neighbouring runs are both lower, placed at the
+    run's midpoint; a NaN sample is a barrier that is never a peak or a
+    peak's neighbour.  Its prominence is as SciPy's ``peak_prominences``
+    defines it: its height over the higher of the lowest samples on each
+    side before a higher sample, a NaN or the end of the trace.
+    ``prominence`` must be finite and >= 0, ``settle_level`` and
+    ``rise_fraction`` must lie in (0, 1].
     """
-    import scipy.signal     # slow to import (scipy.stats); only needed here
     n_revivals = count(n_revivals, "n_revivals", 1)
+    _require(0 <= prominence < math.inf,
+             "prominence must be finite and non-negative")
+    _require(0 < settle_level <= 1, "settle_level must lie in (0, 1]")
     _require(0 < rise_fraction <= 1, "rise_fraction must lie in (0, 1]")
     p = trace.p_e
     below = np.where(p < settle_level * p[0])[0]
     if below.size == 0:
         raise ValidationError("population never settles below the threshold")
     start = below[0]
-    peaks, _ = scipy.signal.find_peaks(p[start:], prominence=prominence)
-    peaks += start
+    peaks = _find_peaks(p[start:], prominence) + start
     onsets = []
     prev = start
     for pk in peaks[:n_revivals]:

@@ -61,6 +61,74 @@ def write_json(path, obj) -> None:
     os.replace(tmp, path)
 
 
+def _walls(h, at) -> np.ndarray:
+    """For each index i in ``at``, the nearest j < i whose ``h[j]`` is not
+    <= ``h[i]`` (a NaN or a higher value), else -1.
+
+    Pointer jumping: w[i] starts at i - 1 and, while h[w[i]] <= h[i], moves
+    to w[w[i]], for every i at once; every entry it skips is <= h[i].  A
+    round costs O(len(h)), and the rounds stop once ``at`` is resolved.
+    """
+    w = np.arange(-1, h.size - 1)
+    while True:
+        j = w[at]
+        if not ((j >= 0) & (h[j] <= h[at])).any():
+            return j
+        i = np.flatnonzero(w >= 0)
+        i = i[h[w[i]] <= h[i]]
+        w[i] = w[w[i]]
+
+
+def _find_peaks(x, prominence: float) -> np.ndarray:
+    """Indices of the peaks of the 1-D ``x`` with at least ``prominence``,
+    bit for bit those SciPy's ``find_peaks(x, prominence=prominence)``
+    returns.
+
+    A peak is a run of equal samples whose neighbouring runs are both lower,
+    placed at the run's midpoint (the left one of two); a NaN is a run of
+    its own, lower and higher than nothing, so it is never a peak or a
+    peak's neighbour.  Its prominence is its height over the higher of its
+    two bases, the lowest samples on each side before a higher sample, a NaN
+    or the end of ``x``.  Peaks and NaNs are the barriers: between two
+    consecutive barriers the samples fall and then rise, so a base is the
+    lowest valley minimum up to the nearest barrier that is a NaN or higher
+    (its wall).
+    """
+    x = np.asarray(x, dtype=float)
+    ne = x[1:] != x[:-1]
+    if ne.all():        # no ties: every sample is a run of its own
+        peaks = np.flatnonzero((x[:-2] < x[1:-1]) & (x[1:-1] > x[2:])) + 1
+    else:               # run k + 1 ends at ends[k + 1], after ends[k]
+        ends = np.flatnonzero(ne)
+        a, b = x[ends], x[1:][ends]
+        top = np.flatnonzero((a[:-1] < b[:-1]) & (a[1:] > b[1:]))
+        peaks = (ends[top] + ends[top + 1] + 1) // 2
+    if peaks.size == 0:
+        return peaks
+    bars = np.sort(np.concatenate((peaks, np.flatnonzero(np.isnan(x)))))
+    # valley[s]: the lowest sample from barrier s - 1 (or the start) up to
+    # barrier s (or the end), NaNs left out
+    valley = np.fmin.reduceat(x, np.concatenate(([0], bars)))
+    pos = np.searchsorted(bars, peaks)
+    height = x[peaks]
+    # the two adjacent valleys bound the prominence from below
+    keep = height - np.maximum(valley[pos], valley[pos + 1]) >= prominence
+    todo = np.flatnonzero(~keep)
+    if todo.size:
+        # both walls from one _walls call: the right ones on the reversed
+        # barriers, behind a NaN that stands for the end
+        m, p = bars.size, pos[todo]
+        hb = x[bars]
+        w = _walls(np.concatenate((hb, [np.nan], hb[::-1])),
+                   np.concatenate((p, 2 * m - p)))
+        # the valleys from wall to peak and from peak to wall
+        base = np.minimum.reduceat(np.append(valley, np.inf), np.column_stack(
+            (w[:p.size] + 1, p + 1, p + 1, 2 * m + 1 - w[p.size:])).ravel())
+        keep[todo] = (height[todo] - np.maximum(base[0::4], base[2::4])
+                      >= prominence)
+    return peaks[keep]
+
+
 # --------------------------------------------------------------------------
 # JSON reading.  A converter returns the value read or raises
 # ValidationError; ``read_object`` re-raises that naming the key path, which

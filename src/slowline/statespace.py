@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
+from .abcd import _TWO_PORT_ONLY
 from .blas import single_thread
 from .params import (ArraySpec, Chain, QubitCircuitParams, ValidationError,
                      _require)
@@ -64,7 +65,11 @@ class StateSpaceModel:
 
         Solves the driven linear system at each frequency, giving S21 in
         the grid's shape; equals the ABCD-derived S21 for a matched array.
+        Raises ValidationError, as ``cascade_abcd`` does, when the output
+        node has no port resistor (an open mirror).
         """
+        _require(self.g[self.output_node, self.output_node] > 0,
+                 _TWO_PORT_ONLY)
         w = np.asarray(freq_grid, dtype=float)
         n = self.n_nodes
         a = self.a_matrix()

@@ -104,6 +104,18 @@ def _assert_state_space_matches_abcd(chain, cell):
     assert np.max(np.abs(s_ss - s_abcd)) < 1e-6
 
 
+def test_steady_state_s21_refuses_open_mirror():
+    """The state space's S21 refuses an open mirror, whose output node has
+    no port resistor, as cascade_abcd does: -2 V at that node is not S21
+    there, and on this grid its magnitude reaches 1.29, more than any
+    passive one-port gives."""
+    spec = qubit_device(q_internal=math.inf, bend_c_series=None,
+                        termination_out="open_mirror")
+    model = assemble_state_space(spec, None)
+    with pytest.raises(ValidationError, match="matched output port"):
+        model.steady_state_s21(default_grid(spec.interior, 5))
+
+
 def test_steady_state_s21_keeps_the_grid_shape(test_spec):
     """A one-point grid gives shape (1,), a 2-D grid its own shape and a
     float frequency a scalar, each bit-equal to those points of a 1-D

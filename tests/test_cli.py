@@ -514,15 +514,43 @@ def test_module_entry_point_reports_one_json_line(tmp_path):
 def test_cli_import_leaves_out_scipy_signal():
     """Importing the CLI does not load scipy.signal, scipy.stats,
     scipy.optimize, scipy.integrate, multiprocessing or the process pool
-    of concurrent.futures; only the peak finders, the optimizers, the
-    exact-band quadrature and the forked workers that need them import
-    them."""
+    of concurrent.futures; only the optimizers, the exact-band quadrature
+    and the forked workers that need them import them, and no code path
+    imports scipy.signal or scipy.stats."""
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(slowline.__file__).parents[1]))
     code = ("import sys, slowline.cli\n"
             "print(sorted(m for m in ('scipy.signal', 'scipy.stats',"
             " 'scipy.optimize', 'scipy.integrate', 'multiprocessing',"
             " 'concurrent.futures.process')"
+            " if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_peak_readers_leave_out_scipy_signal(tmp_path, tapered_26):
+    """`slowline disorder calibrate` and revival_onsets find their peaks
+    without loading scipy.signal or scipy.stats."""
+    from slowline.bands import tight_binding
+    j_hz = tight_binding(tapered_26.interior)["j_tb"] / TWO_PI
+    cfg = _write(tmp_path, "cfg.json",
+                 {"spec": tapered_26.to_dict(),
+                  "measured_delta_fsr_hz": 2.5e6,
+                  "sigma_grid_hz": [0.02 * j_hz, 0.2 * j_hz],
+                  "n_realizations": 2})
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(slowline.__file__).parents[1]))
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from slowline.cli import main\n"
+            "from slowline.dynamics import DynamicsTrace, revival_onsets\n"
+            f"assert main(['disorder', 'calibrate', '--config', {cfg!r},"
+            f" '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "t = np.linspace(0, 4e-7, 4001)\n"
+            "p = np.exp(-1e8 * t) + 0.05 * np.exp(-((t - 2.5e-7) / 2e-8) ** 2)\n"
+            "assert len(revival_onsets(DynamicsTrace(t=t, p_e=p))) == 1\n"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats')"
             " if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=True)

@@ -15,7 +15,7 @@ from slowline.disorder import (EXTINCTION_BAND_FRACTION, PEAK_PROMINENCE_DB,
                                extinction_curve, fsr_variance,
                                sample_disordered)
 from slowline.params import (ArraySpec, BoundaryCellParams, UnitCellParams,
-                             ValidationError)
+                             ValidationError, _find_peaks)
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -273,6 +273,22 @@ def test_fsr_refinement_matches_per_peak_loop(tapered_26):
         freqs, delta = _fsr_per_peak(resp, band)
         assert report.mode_freqs.tobytes() == freqs.tobytes()
         assert report.delta_fsr == delta
+
+
+def test_fsr_peaks_match_scipy_on_disordered_scans(tapered_50):
+    """fsr_variance's peak finder picks scipy.signal.find_peaks' peaks bit
+    for bit on disordered tapered_50 scans at sigma/J up to 0.3, at the
+    calibration's 0.005 dB and at 0, 0.5 and 5 dB."""
+    import scipy.signal
+    j = tight_binding(tapered_50.interior)["j_tb"]
+    grid = window_grid(tapered_50.interior, 1.0, SCAN_GRID_POINTS)
+    for i, soj in enumerate((0.0, 0.02, 0.1, 0.3) * 3):
+        db = cascade_abcd(sample_disordered(tapered_50, soj * j, (11, i)),
+                          grid).s21_db
+        for p in (PEAK_PROMINENCE_DB, 0.0, 0.5, 5.0):
+            assert np.array_equal(
+                _find_peaks(db, p),
+                scipy.signal.find_peaks(db, prominence=p)[0])
 
 
 def test_fsr_too_few_peaks_raises(untapered_26):

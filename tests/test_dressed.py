@@ -197,16 +197,25 @@ _ECHO = DynamicsTrace(t=_T, p_e=np.exp(-1e8 * _T)
     (lambda: revival_onsets(_ECHO, rise_fraction=0.0), "rise_fraction"),
     (lambda: revival_onsets(_ECHO, n_revivals=2.5),
      "n_revivals: expected an integer, got 2.5"),
+    (lambda: revival_onsets(_ECHO, prominence=math.nan), "prominence"),
+    (lambda: revival_onsets(_ECHO, prominence=math.inf), "prominence"),
+    (lambda: revival_onsets(_ECHO, prominence=-1e-3), "prominence"),
+    (lambda: revival_onsets(_ECHO, settle_level=2.0), "settle_level"),
+    (lambda: revival_onsets(_ECHO, settle_level=0.0), "settle_level"),
     (lambda: bound_profile(W0 + J, CELL, 2.5, j=J),
      "n_cells: expected an integer, got 2.5"),
     (lambda: single_excitation_hamiltonian(CELL, _emitter(0.3), "201"),
      "m_cells: expected an integer"),
 ], ids=["rise_fraction 1.5", "rise_fraction 0", "n_revivals 2.5",
+        "prominence nan", "prominence inf", "prominence -1e-3",
+        "settle_level 2", "settle_level 0",
         "bound_profile 2.5 cells", "hamiltonian '201' cells"])
 def test_analysis_inputs_validated(call, match):
-    """Counts are read as integers and rise_fraction lies in (0, 1]: each
-    bad input raises ValidationError naming it, not an IndexError or
-    TypeError, and 2.5 cells are not rounded up to 3."""
+    """Counts are read as integers, rise_fraction and settle_level lie in
+    (0, 1] and a revival's prominence is finite and >= 0: each bad input
+    raises ValidationError naming it, not an IndexError or TypeError (nor,
+    for a NaN or infinite prominence, an empty list), and 2.5 cells are not
+    rounded up to 3."""
     with pytest.raises(ValidationError, match=match):
         call()
 

@@ -396,6 +396,23 @@ def test_mirror_requires_open_termination(qubit_spec_nobend, q1, midband,
         simulate_mirror(spec, q1, Protocol(omega_interact=midband, t_max=1e-9))
 
 
+def test_revival_peaks_match_scipy_on_mirror_trace(q1, midband):
+    """revival_onsets' peak finder picks scipy.signal.find_peaks' peaks bit
+    for bit on criterion 8's open-mirror trace, whole and past its settle
+    point, at criteria 6 and 8's prominence, the default and 0."""
+    from slowline.params import _find_peaks
+    mirror = qubit_device(bend_c_series=None, termination_out="open_mirror")
+    p = simulate_mirror(mirror, q1, Protocol(omega_interact=midband,
+                                             t_max=550e-9,
+                                             dt_output=2.5e-10)).p_e
+    settled = p[np.flatnonzero(p < 0.02 * p[0])[0]:]
+    for x in (p, settled):
+        for prominence in (5e-3, 1e-6, 0.0):
+            assert np.array_equal(
+                _find_peaks(x, prominence),
+                scipy.signal.find_peaks(x, prominence=prominence)[0])
+
+
 def test_modulated_requires_modulation(qubit_spec_nobend, q1, midband):
     with pytest.raises(ValidationError, match="modulation"):
         simulate_modulated(qubit_spec_nobend, q1,

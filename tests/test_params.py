@@ -5,11 +5,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowline.dynamics import DynamicsTrace, Modulation, Protocol
 from slowline.params import (ArraySpec, Bend, BoundaryCellParams, Chain,
                              EmitterParams, JsonFields, QubitCircuitParams,
-                             UnitCellParams, ValidationError, boundary_cells)
+                             UnitCellParams, ValidationError, _find_peaks,
+                             boundary_cells)
 from slowline.taper import TaperProblem
 
 
@@ -511,3 +514,44 @@ def test_out_of_range_fields_are_rejected(where, bad):
     with pytest.raises(ValidationError,
                        match=rf"^{kind}\.{key}(\.3)?( must be |: expected )"):
         type(obj).from_dict({**d, key: value})
+
+
+# Runs of samples: few levels, so ties and plateaus are common, with NaN
+# and +-inf among them.
+_SIGNAL = st.lists(
+    st.tuples(st.one_of(st.integers(0, 4).map(float), st.floats(-10, 10),
+                        st.sampled_from([math.nan, math.inf, -math.inf])),
+              st.integers(1, 4)),
+    max_size=400).map(lambda runs: np.repeat(
+        np.array([v for v, _ in runs], dtype=float),
+        np.array([k for _, k in runs], dtype=int))[:400])
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_SIGNAL)
+def test_find_peaks_matches_scipy(x):
+    """The peak finder returns scipy.signal.find_peaks(x, prominence=p)[0]
+    bit for bit, dtype included, on plateaus, ties, NaN and +-inf of
+    lengths 0 to 400, and on the same samples with ties collapsed, without
+    a RuntimeWarning."""
+    import scipy.signal
+    untied = np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))    # no ties
+    for y in (x, untied):
+        for p in (0.0, 0.005, 0.5, 5.0):
+            want = scipy.signal.find_peaks(y, prominence=p)[0]
+            got = _find_peaks(y, p)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def test_find_peaks_matches_scipy_on_long_walks():
+    """On a random walk and a noisy ramp, whose peaks mostly need their
+    walls found many barriers away, the peak finder still returns scipy's
+    peaks."""
+    import scipy.signal
+    rng = np.random.default_rng(7)
+    for x in (np.cumsum(rng.normal(size=5000)),
+              np.linspace(0.0, 1.0, 5000) + 0.01 * rng.normal(size=5000)):
+        for p in (0.0, 0.05, 1.0, 10.0):
+            assert np.array_equal(_find_peaks(x, p),
+                                  scipy.signal.find_peaks(x, prominence=p)[0])
