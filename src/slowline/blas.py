@@ -7,7 +7,8 @@ dynamics the threads only add cost.  ``single_thread`` pins every copy it
 finds to one thread and restores their counts when the outermost use ends.
 The copies are found on first use, through the thread-control symbols of the
 scipy-openblas builds; where there are none it logs that once and changes
-nothing.
+nothing.  First use imports scipy.linalg to reach scipy's copy, so both
+copies are pinned even in a process that has not yet loaded scipy.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bands import band_edges, coupling_spectrum, dispersion, group_velocity, tight_binding
 from .params import EmitterParams, UnitCellParams, ValidationError, count
@@ -209,7 +209,11 @@ def single_excitation_hamiltonian(cell: UnitCellParams, emitter: EmitterParams,
                            max_range)
     hopping = np.zeros(m_cells)
     hopping[:cs.v.size] = cs.v                  # V(n) by distance n
-    h = scipy.linalg.block_diag(scipy.linalg.toeplitz(hopping), emitter.omega_ge)
+    v = np.concatenate((hopping[::-1], hopping[1:]))    # V(|n|), |n| < M
+    h = np.zeros((m_cells + 1, m_cells + 1))
+    # Toeplitz block h[i, j] = V(|i - j|): row i is v[M - 1 - i:][:M]
+    h[:m_cells, :m_cells] = sliding_window_view(v, m_cells)[::-1]
+    h[m_cells, m_cells] = emitter.omega_ge
     center = (m_cells - 1) // 2
     h[m_cells, center] = h[center, m_cells] = emitter.g_uc
     for offset, g in emitter.extra_couplings.items():

@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .blas import single_thread
 from .params import (ArraySpec, Chain, JsonFields, QubitCircuitParams,
@@ -260,6 +259,7 @@ def simulate_emission(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
     length and an uncached expm(A_i d) otherwise.  The rows of one repeat of
     the item are read for all its repeats by _blocked_reads.
     """
+    import scipy.linalg     # slow to import; only needed here
     chain = spec.lower()
     model = a = None
 
@@ -448,6 +448,7 @@ def simulate_emission_quantum(spec: ArraySpec | Chain, qubit: QubitCircuitParams
     """
     _require(protocol.modulation is None and protocol.tune_time == 0,
              "simulate_emission_quantum runs quench protocols only")
+    import scipy.linalg     # slow to import; only needed here
     h_eff, r = _quantum_h_eff(spec, qubit, protocol.omega_interact)
     t = _time_grid(protocol.t_max, protocol.dt_output)
     u = scipy.linalg.expm((-1j * protocol.dt_output) * h_eff)
@@ -464,6 +465,7 @@ def _quantum_h_eff(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
     w_ref (H_eff - w_ref, which keeps the propagator's phases small), and
     the real unit row r of a_q, which is also the initial state
     a_q^dag|0>: p_e(t) = |r expm(-i H_eff t) r|^2 in either frame."""
+    import scipy.linalg     # slow to import; only needed here
     model = assemble_state_space(spec, replace(qubit, omega_ge=w_ref))
     nodes = np.flatnonzero(model.linv.diagonal() > 0)
     cap = model.cap[np.ix_(nodes, nodes)]

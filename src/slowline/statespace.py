@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .abcd import _TWO_PORT_ONLY
 from .blas import single_thread
@@ -55,6 +54,7 @@ class StateSpaceModel:
 
         Zero modes from pure-capacitive (port) nodes are dropped.
         """
+        import scipy.linalg     # slow to import; only needed here
         w2 = scipy.linalg.eigh(self.linv, self.cap, eigvals_only=True)
         w2 = w2[w2 > 1e-6 * np.max(w2)]
         return np.sqrt(w2)

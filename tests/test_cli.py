@@ -512,18 +512,53 @@ def test_module_entry_point_reports_one_json_line(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_signal():
-    """Importing the CLI does not load scipy.signal, scipy.stats,
-    scipy.optimize, scipy.integrate, multiprocessing or the process pool
-    of concurrent.futures; only the optimizers, the exact-band quadrature
-    and the forked workers that need them import them, and no code path
-    imports scipy.signal or scipy.stats."""
+    """Importing the CLI does not load scipy.linalg, scipy.signal,
+    scipy.stats, scipy.optimize, scipy.integrate, multiprocessing or the
+    process pool of concurrent.futures; only the dense linear algebra of the
+    dynamics, the optimizers, the exact-band quadrature and the forked
+    workers that need them import them, and no code path imports
+    scipy.signal or scipy.stats."""
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(slowline.__file__).parents[1]))
     code = ("import sys, slowline.cli\n"
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats',"
-            " 'scipy.optimize', 'scipy.integrate', 'multiprocessing',"
-            " 'concurrent.futures.process')"
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.signal',"
+            " 'scipy.stats', 'scipy.optimize', 'scipy.integrate',"
+            " 'multiprocessing', 'concurrent.futures.process')"
             " if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_numpy_only_commands_load_no_scipy(tmp_path, tapered_26):
+    """band, s21, dressed and both disorder modes, run in one fresh process,
+    load no scipy module."""
+    from slowline.bands import tight_binding
+    j_hz = tight_binding(tapered_26.interior)["j_tb"] / TWO_PI
+    spec = tapered_26.to_dict()
+    runs = [
+        (["band"], {"cell": CELL, "n_points": 101}),
+        (["s21"], {"spec": spec, "n_points": 64}),
+        (["dressed"], {"cell": CELL,
+                       "emitter": {"omega_ge_hz": 4.745e9, "g_uc_hz": 3e7}}),
+        (["disorder", "extinction"], {"spec": spec,
+                                      "sigma_over_j": [0.0, 0.1],
+                                      "n_realizations": 2}),
+        (["disorder", "calibrate"], {"spec": spec,
+                                     "measured_delta_fsr_hz": 2.5e6,
+                                     "sigma_grid_hz": [0.02 * j_hz,
+                                                       0.2 * j_hz],
+                                     "n_realizations": 2}),
+    ]
+    argvs = [[*argv, "--config", _write(tmp_path, f"cfg{i}.json", cfg),
+              "--out", str(tmp_path / f"out{i}")]
+             for i, (argv, cfg) in enumerate(runs)]
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(slowline.__file__).parents[1]))
+    code = ("import sys\n"
+            "from slowline.cli import main\n"
+            f"assert [main(a) for a in {argvs!r}] == [0] * {len(argvs)}\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"

@@ -187,6 +187,30 @@ def test_extra_couplings_offset():
                                 extra_couplings={100: J}), m_cells=51)
 
 
+@pytest.mark.parametrize("m_cells", [22, 23, 50, 51])
+@pytest.mark.parametrize("extra", [{}, {-1: 0.04 * J, 2: -0.01 * J}],
+                         ids=["bare", "extra"])
+def test_single_excitation_hamiltonian_matches_scipy_construction(m_cells,
+                                                                  extra):
+    """The numpy Toeplitz block and emitter row and column equal, bit for
+    bit, the matrix built by scipy.linalg.block_diag(toeplitz(...))."""
+    import scipy.linalg
+    from slowline.bands import coupling_spectrum
+    em = EmitterParams(omega_ge=W0, g_uc=0.3 * J, extra_couplings=extra)
+    hopping = np.zeros(m_cells)
+    v = coupling_spectrum(CELL, m_cells if m_cells % 2 else m_cells + 1,
+                          10).v
+    hopping[:v.size] = v
+    want = scipy.linalg.block_diag(scipy.linalg.toeplitz(hopping),
+                                   em.omega_ge)
+    center = (m_cells - 1) // 2
+    for offset, g in {0: em.g_uc, **em.extra_couplings}.items():
+        want[m_cells, center + offset] = want[center + offset, m_cells] = g
+    h = single_excitation_hamiltonian(CELL, em, m_cells=m_cells)
+    assert h.dtype == want.dtype and h.shape == want.shape
+    assert h.tobytes() == want.tobytes()
+
+
 _T = np.linspace(0, 4e-7, 4001)
 _ECHO = DynamicsTrace(t=_T, p_e=np.exp(-1e8 * _T)
                       + 0.05 * np.exp(-((_T - 2.5e-7) / 2e-8) ** 2))

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -342,6 +343,37 @@ def test_traces_bit_identical_across_blas_threads():
     out = _stdout_at_blas_threads(code)
     assert len(out[0].split()) == 3
     assert out[0] == out[1]
+
+
+def test_blas_pin_holds_when_scipy_linalg_loads_late(qubit_spec_nobend, q1,
+                                                     midband):
+    """Importing the CLI leaves out scipy.linalg, so the first single_thread
+    call, in simulate_emission, loads it: blas._controls still finds as many
+    OpenBLAS copies as in a process that imported scipy.linalg first, and a
+    1 us quench at mid-band + 1.5 GHz equals the in-process trace bit for
+    bit at 1 and at 2 OpenBLAS threads."""
+    omega = midband + 2 * math.pi * 1.5e9
+    code = "\n".join([
+        "import hashlib, sys",
+        "import slowline.cli",
+        "assert 'scipy.linalg' not in sys.modules",
+        "from slowline import blas",
+        "from slowline.devices import qubit_device, qubit_q1",
+        "from slowline.dynamics import Protocol, simulate_emission",
+        "p = simulate_emission(qubit_device(bend_c_series=None), qubit_q1(),",
+        f"                      Protocol(omega_interact={omega!r}, t_max=1e-6)).p_e",
+        "print(len(blas._controls()), hashlib.sha256(p.tobytes()).hexdigest())"])
+    late = _stdout_at_blas_threads(code)
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(slowline.__file__).parents[1]))
+    first = subprocess.run(
+        [sys.executable, "-c", "import scipy.linalg\n"
+         "from slowline import blas\nprint(len(blas._controls()))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    p = simulate_emission(qubit_spec_nobend, q1,
+                          Protocol(omega_interact=omega, t_max=1e-6)).p_e
+    want = f"{first.stdout.strip()} {hashlib.sha256(p.tobytes()).hexdigest()}"
+    assert [out.strip() for out in late] == [want, want]
 
 
 # --------------------------------------------------------------- estimators
