@@ -65,18 +65,23 @@ def _walls(h, at) -> np.ndarray:
     """For each index i in ``at``, the nearest j < i whose ``h[j]`` is not
     <= ``h[i]`` (a NaN or a higher value), else -1.
 
-    Pointer jumping: w[i] starts at i - 1 and, while h[w[i]] <= h[i], moves
-    to w[w[i]], for every i at once; every entry it skips is <= h[i].  A
-    round costs O(len(h)), and the rounds stop once ``at`` is resolved.
+    Binary lifting over a sparse table: level k holds the maxima of h over
+    the blocks h[j:j + 2**k] (np.maximum carries a NaN, so a block holding
+    one is never <= anything).  The left end c of every query starts at i
+    and, for k from the top level down, moves to c - 2**k where that block
+    is <= h[i]: ceil(log2(len(h))) rounds for all of ``at`` at once (the
+    blocks below len(h) add up to at least i), in O(len(h) log len(h))
+    memory.
     """
-    w = np.arange(-1, h.size - 1)
-    while True:
-        j = w[at]
-        if not ((j >= 0) & (h[j] <= h[at])).any():
-            return j
-        i = np.flatnonzero(w >= 0)
-        i = i[h[w[i]] <= h[i]]
-        w[i] = w[w[i]]
+    levels = [h]
+    while 2 ** len(levels) < h.size:
+        top, half = levels[-1], 2 ** (len(levels) - 1)
+        levels.append(np.maximum(top[:-half], top[half:]))
+    c = np.array(at)
+    for k in reversed(range(len(levels))):
+        s = c - 2 ** k
+        c = np.where((s >= 0) & (levels[k][np.maximum(s, 0)] <= h[at]), s, c)
+    return c - 1
 
 
 def _find_peaks(x, prominence: float) -> np.ndarray:

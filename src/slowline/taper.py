@@ -126,8 +126,65 @@ def _ripple_objective(problem: TaperProblem):
     return score
 
 
+def _nelder_mead(f, x0, max_iterations: int):
+    """Minimize ``f`` from ``x0`` by the simplex search of Nelder & Mead,
+    Comput. J. 7, 308 (1965): returns (x, f(x), iterations, converged).
+
+    Step for step SciPy 1.17's ``minimize(f, x0, method="Nelder-Mead",
+    options={"maxiter": max_iterations, "xatol": 1e-6, "fatol": 1e-4})``:
+    the same points, evaluated in the same order, and the same result.
+    Vertex k of the start is x0 with coordinate k scaled by 1.05 (0.00025
+    where it is 0); the worst vertex is reflected, expanded, contracted
+    outside or inside (coefficients 1, 2, 1/2) or the simplex shrinks
+    halfway to its best vertex; the simplex is re-sorted by ``np.argsort``
+    after each iteration, whose tie order decides between equal scores.
+    """
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    order = np.argsort(fsim)        # SciPy sorts the start twice
+    sim, fsim = sim[order], fsim[order]
+    iterations = 1
+    while True:
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+        if iterations >= max_iterations or (
+                np.max(np.abs(sim[1:] - sim[0])) <= 1e-6
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-4):
+            return sim[0], fsim.min(), iterations, iterations < max_iterations
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:      # contract outside, toward xr
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:                   # contract inside
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:                   # shrink toward the best vertex
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fsim[1:] = [f(x) for x in sim[1:]]
+        iterations += 1
+
+
 def optimize(problem: TaperProblem) -> TaperReport:
     """Derivative-free (Nelder-Mead) minimization of the windowed ripple.
+
+    The search is ``_nelder_mead``: SciPy's Nelder-Mead reproduced step
+    for step in numpy, so tapering loads no scipy.
 
     The search runs in log-coupling coordinates from two seeds: the
     unmodified array and the analytic geometric-taper guess; the better
@@ -136,7 +193,6 @@ def optimize(problem: TaperProblem) -> TaperReport:
     candidate's modified cells against a middle cascaded once per call.
     The number of candidates scored 1e3 is logged at INFO.
     """
-    import scipy.optimize   # slow to import; only needed here
     base = problem.base
     if problem.n_modified == 0:
         r = ripple(base, problem.band_window)
@@ -161,20 +217,14 @@ def optimize(problem: TaperProblem) -> TaperReport:
              np.full(n, base.interior.cg)]
     best = None
     for seed in seeds:
-        res = scipy.optimize.minimize(
-            objective, np.log(seed), method="Nelder-Mead",
-            options={"maxiter": problem.max_iterations,
-                     "xatol": 1e-6, "fatol": 1e-4})
-        dev = float(np.linalg.norm(res.x - np.log(seed)))
-        key = (res.fun, dev)
+        res = _nelder_mead(objective, np.log(seed), problem.max_iterations)
+        key = (res[1], float(np.linalg.norm(res[0] - np.log(seed))))
         if best is None or key < best[0]:
             best = (key, res)
     logger.info("taper: %d of %d candidates scored 1e3 (rejected by the "
                 "spec checks or non-finite S21 in the band window)",
                 state["penalized"], state["neval"])
-    res = best[1]
-    spec = spec_with_couplers(base, np.exp(res.x))
-    return TaperReport(spec=spec, ripple_db=float(res.fun),
-                       n_iterations=int(res.nit),
-                       converged=bool(res.success),
-                       history=tuple(history))
+    x, fun, nit, converged = best[1]
+    return TaperReport(spec=spec_with_couplers(base, np.exp(x)),
+                       ripple_db=float(fun), n_iterations=nit,
+                       converged=converged, history=tuple(history))

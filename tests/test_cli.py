@@ -515,9 +515,9 @@ def test_cli_import_leaves_out_scipy_signal():
     """Importing the CLI does not load scipy.linalg, scipy.signal,
     scipy.stats, scipy.optimize, scipy.integrate, multiprocessing or the
     process pool of concurrent.futures; only the dense linear algebra of the
-    dynamics, the optimizers, the exact-band quadrature and the forked
-    workers that need them import them, and no code path imports
-    scipy.signal or scipy.stats."""
+    dynamics, the circuit fit (the one user of scipy.optimize), the
+    exact-band quadrature and the forked workers that need them import them,
+    and no code path imports scipy.signal or scipy.stats."""
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(slowline.__file__).parents[1]))
     code = ("import sys, slowline.cli\n"
@@ -530,9 +530,10 @@ def test_cli_import_leaves_out_scipy_signal():
     assert proc.stdout.strip() == "[]"
 
 
-def test_numpy_only_commands_load_no_scipy(tmp_path, tapered_26):
-    """band, s21, dressed and both disorder modes, run in one fresh process,
-    load no scipy module."""
+def test_numpy_only_commands_load_no_scipy(tmp_path, tapered_26,
+                                          untapered_26):
+    """band, s21, dressed, both disorder modes and taper-opt, run in one
+    fresh process, load no scipy module."""
     from slowline.bands import tight_binding
     j_hz = tight_binding(tapered_26.interior)["j_tb"] / TWO_PI
     spec = tapered_26.to_dict()
@@ -549,6 +550,7 @@ def test_numpy_only_commands_load_no_scipy(tmp_path, tapered_26):
                                      "sigma_grid_hz": [0.02 * j_hz,
                                                        0.2 * j_hz],
                                      "n_realizations": 2}),
+        (["taper-opt"], {"base": untapered_26.to_dict(), "n_modified": 2}),
     ]
     argvs = [[*argv, "--config", _write(tmp_path, f"cfg{i}.json", cfg),
               "--out", str(tmp_path / f"out{i}")]

@@ -12,7 +12,7 @@ from slowline.dynamics import DynamicsTrace, Modulation, Protocol
 from slowline.params import (ArraySpec, Bend, BoundaryCellParams, Chain,
                              EmitterParams, JsonFields, QubitCircuitParams,
                              UnitCellParams, ValidationError, _find_peaks,
-                             boundary_cells)
+                             _walls, boundary_cells)
 from slowline.taper import TaperProblem
 
 
@@ -544,14 +544,48 @@ def test_find_peaks_matches_scipy(x):
             assert np.array_equal(got, want)
 
 
+def _sawtooth_peaks(ramp):
+    """Peaks whose heights run through ``ramp`` 256 times, each over
+    valleys 0.005 below its lower neighbour."""
+    top = np.tile(0.01 * ramp, 256)
+    x = np.empty(2 * top.size + 1)
+    x[1::2] = top
+    x[2:-1:2] = np.minimum(top[:-1], top[1:]) - 0.005
+    x[[0, -1]] = top[[0, -1]] - 0.005
+    return x
+
+
 def test_find_peaks_matches_scipy_on_long_walks():
-    """On a random walk and a noisy ramp, whose peaks mostly need their
-    walls found many barriers away, the peak finder still returns scipy's
-    peaks."""
+    """On random walks of 5000 and 1e5 samples, a noisy ramp, and peaks
+    whose heights form a sawtooth of 256-step ramps, rising and falling,
+    most walls lie many barriers away, and the peak finder still returns
+    scipy's peaks."""
     import scipy.signal
     rng = np.random.default_rng(7)
     for x in (np.cumsum(rng.normal(size=5000)),
-              np.linspace(0.0, 1.0, 5000) + 0.01 * rng.normal(size=5000)):
+              np.linspace(0.0, 1.0, 5000) + 0.01 * rng.normal(size=5000),
+              np.cumsum(rng.normal(size=100_000)),
+              _sawtooth_peaks(np.arange(256.0)),
+              _sawtooth_peaks(np.arange(256.0)[::-1])):
         for p in (0.0, 0.05, 1.0, 10.0):
             assert np.array_equal(_find_peaks(x, p),
                                   scipy.signal.find_peaks(x, prominence=p)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.lists(st.one_of(st.integers(0, 4).map(float),
+                            st.sampled_from([math.nan, math.inf, -math.inf])),
+                  max_size=300))
+def test_walls_match_brute_force(h):
+    """_walls gives, for every index, the nearest earlier height that is a
+    NaN or higher, as a scan leftward does, on heights with ties, NaN and
+    +-inf of lengths 0 to 300."""
+    h = np.array(h, dtype=float)
+    want = []
+    for i in range(h.size):
+        j = i - 1
+        while j >= 0 and h[j] <= h[i]:
+            j -= 1
+        want.append(j)
+    at = np.arange(h.size)[::-1]
+    assert np.array_equal(_walls(h, at), np.array(want[::-1], dtype=int))

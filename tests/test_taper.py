@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import slowline.taper
 from slowline.devices import untapered_device
 from slowline.params import Bend, ValidationError
-from slowline.taper import (TaperProblem, _ripple_objective, optimize, ripple,
+from slowline.taper import (TaperProblem, _analytic_guess, _nelder_mead,
+                            _ripple_objective, optimize, ripple,
                             spec_with_couplers)
 
 
@@ -196,3 +198,100 @@ def test_optimize_logs_candidates_scored_1e3(monkeypatch, caplog):
     assert [r.getMessage() for r in caplog.records] == [
         f"taper: {penalized} of {len(scores)} candidates scored 1e3 (rejected "
         "by the spec checks or non-finite S21 in the band window)"]
+
+
+def _search_points(search, f, x0, max_iterations):
+    """The points ``search`` calls ``f`` at, in order, and its result."""
+    points = []
+
+    def recorded(x):
+        points.append(np.array(x, dtype=float))
+        return f(x)
+    result = search(recorded, np.array(x0, dtype=float), max_iterations)
+    return np.array(points), result
+
+
+def _scipy_nelder_mead(f, x0, max_iterations):
+    res = scipy.optimize.minimize(f, x0, method="Nelder-Mead",
+                                  options={"maxiter": max_iterations,
+                                           "xatol": 1e-6, "fatol": 1e-4})
+    return res.x, res.fun, res.nit, res.success
+
+
+def _assert_search_is_scipys(f, x0, max_iterations):
+    """_nelder_mead calls ``f`` at the points SciPy's Nelder-Mead calls it
+    at, bit for bit and in order, and returns its x, fun, nit and success;
+    returns the points and whether the search converged."""
+    got_points, got = _search_points(_nelder_mead, f, x0, max_iterations)
+    want_points, want = _search_points(_scipy_nelder_mead, f, x0,
+                                       max_iterations)
+    assert got_points.shape == want_points.shape
+    assert got_points.tobytes() == want_points.tobytes()
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1] == want[1]
+    assert got[2] == want[2]
+    assert got[3] == want[3]
+    return got_points, got[3]
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                        + (1.0 - x[:-1]) ** 2))
+
+
+def _plateau(x):
+    """A bowl scored 1e3 outside the unit ball, where vertices tie."""
+    return 1e3 if x @ x > 1.0 else float(np.sum((x - 0.3) ** 2))
+
+
+def _staircase(x):
+    """Rosenbrock's function floored to a multiple of 10: its steps tie
+    every kind of candidate with the vertex or candidate it is compared
+    with, and shrink the simplex."""
+    return 10.0 * math.floor(_rosenbrock(x) / 10.0)
+
+
+@pytest.mark.parametrize("f, x0, max_iterations, converges", [
+    pytest.param(_rosenbrock, [-1.2, 1.0], 400, True, id="rosenbrock 2-D"),
+    pytest.param(_rosenbrock, [1.3, 0.7, 0.8], 400, True, id="rosenbrock 3-D"),
+    pytest.param(_rosenbrock, [1.3, 0.7, 0.8, 1.9], 800, True,
+                 id="rosenbrock 4-D"),
+    pytest.param(lambda x: float((x[0] - 3.0) ** 2), [1.0], 400, True,
+                 id="quadratic 1-D"),
+    pytest.param(lambda x: float(300.0 * np.sum(np.abs(x - 1.0 / 3.0))),
+                 [1.0, 2.0], 400, True, id="steep V"),
+    pytest.param(_plateau, [0.57, 0.57, 0.57], 400, True, id="1e3 plateau"),
+    pytest.param(_staircase, [1.3, 0.7, 0.8, 1.9], 400, True, id="staircase"),
+    pytest.param(_rosenbrock, [0.0, 1.0, 0.0], 400, True,
+                 id="zero coordinate"),
+    pytest.param(_rosenbrock, [-1.2, 1.0, 1.5], 25, False,
+                 id="reaches maxiter"),
+])
+def test_nelder_mead_is_scipys(f, x0, max_iterations, converges):
+    """The in-house simplex search is SciPy's Nelder-Mead at the options
+    optimize uses, step for step: on Rosenbrock's function in 2 to 4
+    dimensions, a 1-D quadratic, a V steep enough that the scores meet
+    fatol after the points meet xatol, a plateau where several vertices
+    score 1e3 (from the start, whose vertices 1 to 3 leave the unit ball), a
+    staircase whose equal scores reach every tie-break and the shrink, an
+    x0 with zero coordinates (vertices at 0.00025) and a run cut at
+    maxiter."""
+    points, converged = _assert_search_is_scipys(f, x0, max_iterations)
+    assert converged == converges
+    if f is _plateau:
+        assert [_plateau(x) for x in points[1:4]] == [1e3] * 3
+
+
+def test_nelder_mead_is_scipys_on_the_taper_objective():
+    """On the 50-cell, two-cell taper in log couplers, from both of
+    optimize's seeds, the search takes SciPy's path, candidates scored 1e3
+    among them."""
+    problem = TaperProblem(base=untapered_device(50), n_modified=2)
+    score = _ripple_objective(problem)
+    penalized = 0
+    for seed in (_analytic_guess(problem.base, 2),
+                 np.full(2, problem.base.interior.cg)):
+        points, _ = _assert_search_is_scipys(
+            lambda x: score(np.exp(x)), np.log(seed), problem.max_iterations)
+        penalized += sum(score(np.exp(x)) == 1e3 for x in points)
+    assert penalized > 0
