@@ -218,12 +218,8 @@ def fsr_variance(response, band=None) -> FsrReport:
 
     Peaks of |S21| in dB with >= 0.005 dB prominence are refined by
     quadratic interpolation; the spacing statistic uses only peaks in the
-    central half of the band.  A peak is a run of equal samples whose
-    neighbouring runs are both lower, placed at the run's midpoint; a NaN
-    sample is a barrier that is never a peak or a peak's neighbour.  Its
-    prominence is as SciPy's ``peak_prominences`` defines it: its height
-    over the higher of the lowest samples on each side before a higher
-    sample, a NaN or the end of the scan.
+    central half of the band.  Peaks and prominences are as SciPy's
+    ``find_peaks(x, prominence=...)`` defines them.
     ``band`` is the (lower, upper) passband edge pair; when omitted the span
     between the outermost extracted peaks stands in for it.
     """

@@ -119,7 +119,7 @@ def _initial_state(model: StateSpaceModel) -> np.ndarray:
         raise ValidationError("model has no qubit node to excite")
     n, q = model.n_nodes, model.qubit_node
     x0 = np.zeros(2 * n, dtype=complex)
-    x0[q] = 1j / math.sqrt(model.linv[q, q] / model.cap[q, q])    # flux
+    x0[q] = 1j / math.sqrt(model.linv[q] / model.cap[q, q])       # flux
     x0[n:] = model.cap[:, q]        # charges at unit voltage on the qubit
     return x0
 
@@ -127,9 +127,9 @@ def _initial_state(model: StateSpaceModel) -> np.ndarray:
 def total_energy(model: StateSpaceModel, x: np.ndarray) -> float:
     """Total stored energy of a (possibly complex-envelope) state."""
     n = model.n_nodes
-    v = np.linalg.solve(model.cap, x[n:])
-    return 0.5 * float((v.conj() @ model.cap @ v).real
-                       + (x[:n].conj() @ model.linv @ x[:n]).real)
+    v = np.linalg.solve(model.cap, x[n:])         # C v = Q
+    return 0.5 * float((v.conj() @ x[n:]).real
+                       + model.linv @ np.abs(x[:n]) ** 2)
 
 
 def _time_grid(t_max: float, dt: float) -> np.ndarray:
@@ -467,14 +467,13 @@ def _quantum_h_eff(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
     a_q^dag|0>: p_e(t) = |r expm(-i H_eff t) r|^2 in either frame."""
     import scipy.linalg     # slow to import; only needed here
     model = assemble_state_space(spec, replace(qubit, omega_ge=w_ref))
-    nodes = np.flatnonzero(model.linv.diagonal() > 0)
+    nodes = np.flatnonzero(model.linv > 0)
     cap = model.cap[np.ix_(nodes, nodes)]
-    linv = model.linv[np.ix_(nodes, nodes)]
-    g_red = np.diag(model.g[nodes, nodes]).astype(float)
+    linv, g_red = model.linv[nodes], model.g[nodes]
     diag = np.diag_indices(nodes.size)
     for port in (model.input_node, model.output_node):
         c = -model.cap[nodes, port]     # zero on nodes not coupled to the port
-        if model.g[port, port] == 0.0:  # floating (mirror) port: Z0 -> inf
+        if model.g[port] == 0.0:        # floating (mirror) port: Z0 -> inf
             cap[diag] -= c
             continue
         x = w_ref * model.port_impedance * c
@@ -482,17 +481,17 @@ def _quantum_h_eff(spec: ArraySpec | Chain, qubit: QubitCircuitParams,
         # replace it by the effective shunt c/(1+x^2) of the eliminated
         # series-C + Z0 branch
         cap[diag] -= c * x * x / (1.0 + x * x)
-        g_red[diag] += w_ref**2 * c**2 * model.port_impedance / (1.0 + x * x)
+        g_red += w_ref**2 * c**2 * model.port_impedance / (1.0 + x * x)
 
-    w2, u = scipy.linalg.eigh(linv, cap)         # u^T C u = 1
+    w2, u = scipy.linalg.eigh(np.diag(linv), cap)    # u^T C u = 1
     w = np.sqrt(w2)
-    gamma = u.T @ g_red @ u                      # mode-resolved decay matrix
+    gamma = (u.T * g_red) @ u                    # mode-resolved decay matrix
     h_eff = np.diag(w - w_ref).astype(complex) - 0.5j * gamma
 
     # rotating-wave part of a_q = sqrt(C_qq w_q/2) phi_q + i Q_q/sqrt(2 C_qq w_q)
     # in the mode operators b = sqrt(w/2) eta + i eta'/sqrt(2 w)
     q = int(np.searchsorted(nodes, model.qubit_node))
-    cw = math.sqrt(cap[q, q] * linv[q, q])       # C_qq w_q
+    cw = math.sqrt(cap[q, q] * linv[q])          # C_qq w_q
     r = u[q] * np.sqrt(cw / (4.0 * w)) + (cap[q] @ u) * np.sqrt(w / (4.0 * cw))
     return h_eff, r / np.linalg.norm(r)
 
@@ -530,12 +529,8 @@ def revival_onsets(trace: DynamicsTrace, n_revivals: int = 1,
     The initial decay is taken as finished once p_e falls below
     settle_level * p_e(0).  Each subsequent peak with at least the given
     prominence is a revival; its onset is where p_e rises above the
-    preceding floor by rise_fraction of the revival height.  A peak is a run
-    of equal samples whose neighbouring runs are both lower, placed at the
-    run's midpoint; a NaN sample is a barrier that is never a peak or a
-    peak's neighbour.  Its prominence is as SciPy's ``peak_prominences``
-    defines it: its height over the higher of the lowest samples on each
-    side before a higher sample, a NaN or the end of the trace.
+    preceding floor by rise_fraction of the revival height.  Peaks and
+    prominences are as SciPy's ``find_peaks(x, prominence=...)`` defines them.
     ``prominence`` must be finite and >= 0, ``settle_level`` and
     ``rise_fraction`` must lie in (0, 1].
     """

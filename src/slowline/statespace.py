@@ -4,9 +4,9 @@ State vector is x = [node fluxes; node charges]; dynamics x' = A x with
 
     A = [[0, C^-1], [-Linv, -G C^-1]]
 
-where C is the Maxwell capacitance matrix, Linv the diagonal inverse
-inductance matrix and G the node conductance matrix (port resistors plus
-internal loss).  The model's linear algebra runs with one BLAS thread
+where C is the Maxwell capacitance matrix and Linv and G are diagonal:
+each node's inverse inductance and conductance to ground (port resistors
+plus internal loss).  The model's linear algebra runs with one BLAS thread
 (``blas.single_thread``).
 """
 
@@ -27,8 +27,8 @@ from .params import (ArraySpec, Chain, QubitCircuitParams, ValidationError,
 @dataclass(frozen=True)
 class StateSpaceModel:
     cap: np.ndarray        # (n, n) Maxwell capacitance matrix, F
-    linv: np.ndarray       # (n, n) inverse inductances, 1/H
-    g: np.ndarray          # (n, n) conductances, S
+    linv: np.ndarray       # (n,) inverse inductance to ground, 1/H
+    g: np.ndarray          # (n,) conductance to ground, S
     input_node: int
     output_node: int
     qubit_node: Optional[int] = None
@@ -44,44 +44,43 @@ class StateSpaceModel:
         cinv = np.linalg.inv(self.cap)
         a = np.zeros((2 * n, 2 * n))
         a[:n, n:] = cinv
-        a[n:, :n] = -self.linv
-        a[n:, n:] = -self.g @ cinv
+        np.fill_diagonal(a[n:, :n], -self.linv)
+        a[n:, n:] = -self.g[:, None] * cinv
         return a
 
     @single_thread()
     def lossless_eigenfrequencies(self) -> np.ndarray:
         """Angular eigenfrequencies of the undamped network, ascending.
 
-        Zero modes from pure-capacitive (port) nodes are dropped.
+        The zero modes, one per node without an inductor (the ports), are
+        dropped.
         """
         import scipy.linalg     # slow to import; only needed here
-        w2 = scipy.linalg.eigh(self.linv, self.cap, eigvals_only=True)
-        w2 = w2[w2 > 1e-6 * np.max(w2)]
-        return np.sqrt(w2)
+        w2 = scipy.linalg.eigh(np.diag(self.linv), self.cap, eigvals_only=True)
+        return np.sqrt(w2[np.count_nonzero(self.linv == 0):])
 
     @single_thread()
     def steady_state_s21(self, freq_grid) -> np.ndarray:
         """Transmission under harmonic drive at the input port.
 
-        Solves the driven linear system at each frequency, giving S21 in
-        the grid's shape; equals the ABCD-derived S21 for a matched array.
-        Raises ValidationError, as ``cascade_abcd`` does, when the output
-        node has no port resistor (an open mirror).
+        Solves the nodal admittance equations (jwC + G + L^-1/(jw)) V = I at
+        each frequency, with the Norton current 1/Z0 of a unit source at the
+        input, giving S21 = 2 V_out in the grid's shape; equals the
+        ABCD-derived S21 for a matched array.  Raises ValidationError, as
+        ``cascade_abcd`` does, when the output node has no port resistor (an
+        open mirror) or a grid point is not above DC.
         """
-        _require(self.g[self.output_node, self.output_node] > 0,
-                 _TWO_PORT_ONLY)
+        _require(self.g[self.output_node] > 0, _TWO_PORT_ONLY)
         w = np.asarray(freq_grid, dtype=float)
-        n = self.n_nodes
-        a = self.a_matrix()
-        cinv = a[:n, n:]
+        _require(np.all(w > 0), "frequency grid must avoid DC and be positive")
         out = np.empty(w.shape, dtype=complex)
-        b = np.zeros(2 * n, dtype=complex)
-        b[n + self.input_node] = 1.0 / self.port_impedance  # Norton source, V_s = 1
-        eye = np.eye(2 * n)
-        for i, wi in enumerate(w.flat):
-            x = np.linalg.solve(1j * wi * eye - a, -b)
-            v = cinv @ x[n:]
-            out.flat[i] = -2.0 * v[self.output_node]
+        i_in = np.zeros(self.n_nodes)
+        i_in[self.input_node] = 1.0 / self.port_impedance
+        diag = np.diag_indices(self.n_nodes)
+        for k, wk in enumerate(w.flat):
+            y = 1j * wk * self.cap
+            y[diag] += self.g + self.linv / (1j * wk)
+            out.flat[k] = 2.0 * np.linalg.solve(y, i_in)[self.output_node]
         return out if out.ndim else out[()]
 
 
@@ -100,8 +99,7 @@ def _retuned_generator(model: StateSpaceModel, a: np.ndarray,
     """``model.a_matrix()`` for the qubit at bare frequency ``omega``, from
     the generator ``a`` of ``model`` (assembled with ``qubit`` at any
     frequency): a copy of ``a`` with only the qubit's row of the lower
-    blocks rewritten, -L^-1_qq and -G_qq * C^-1[q, :].  G is diagonal, so
-    every entry equals the one a_matrix computes."""
+    blocks rewritten, -L^-1_qq and -G_qq * C^-1[q, :]."""
     n, q = model.n_nodes, model.qubit_node
     linv, g = _qubit_terms(qubit, omega)
     out = a.copy()
@@ -136,19 +134,19 @@ def assemble_state_space(spec: ArraySpec | Chain,
     q_node = r + 2 if qubit is not None else None
 
     cap = np.zeros((n, n))
-    linv = np.zeros((n, n))
-    g = np.zeros((n, n))
+    linv = np.zeros(n)
+    g = np.zeros(n)
 
     res = np.arange(1, r + 1)
     cap[res, res] = chain.c_shunt
-    linv[res, res] = 1.0 / chain.l
-    g[res, res] = chain.g_loss
+    linv[res] = 1.0 / chain.l
+    g[res] = chain.g_loss
     for i, c in enumerate(chain.couplers):
         _add_cap(cap, i, i + 1, c)
 
-    g[in_node, in_node] += 1.0 / chain.port_impedance
+    g[in_node] += 1.0 / chain.port_impedance
     if chain.matched_out:
-        g[out_node, out_node] += 1.0 / chain.port_impedance
+        g[out_node] += 1.0 / chain.port_impedance
 
     if qubit is not None:
         if all(c == 0.0 for c in qubit.couplings.values()):
@@ -159,8 +157,7 @@ def assemble_state_space(spec: ArraySpec | Chain,
                     f"qubit coupling index {idx} outside resonator range 1..{r}")
             _add_cap(cap, q_node, idx, c)
         cap[q_node, q_node] += qubit.c_sigma
-        linv[q_node, q_node], g[q_node, q_node] = _qubit_terms(qubit,
-                                                              qubit.omega_ge)
+        linv[q_node], g[q_node] = _qubit_terms(qubit, qubit.omega_ge)
 
     diag = np.diag(cap)
     if np.any(diag <= 0):

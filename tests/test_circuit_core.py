@@ -106,7 +106,7 @@ def _assert_state_space_matches_abcd(chain, cell):
 
 def test_steady_state_s21_refuses_open_mirror():
     """The state space's S21 refuses an open mirror, whose output node has
-    no port resistor, as cascade_abcd does: -2 V at that node is not S21
+    no port resistor, as cascade_abcd does: 2 V at that node is not S21
     there, and on this grid its magnitude reaches 1.29, more than any
     passive one-port gives."""
     spec = qubit_device(q_internal=math.inf, bend_c_series=None,
@@ -152,6 +152,17 @@ def test_bloch_analysis_keeps_the_grid_shape(test_spec):
 def test_empty_grid_rejected(test_spec, call):
     with pytest.raises(ValidationError, match="grid must be non-empty"):
         call(test_spec, np.array([]))
+
+
+@pytest.mark.parametrize("call", [
+    cascade_abcd,
+    lambda spec, w: assemble_state_space(spec, None).steady_state_s21(w),
+], ids=["cascade_abcd", "steady_state_s21"])
+def test_dc_rejected(test_spec, call):
+    """S21 at DC is refused, not a singular solve or a NaN from the
+    nodal form's 1/(jw)."""
+    with pytest.raises(ValidationError, match="avoid DC and be positive"):
+        call(test_spec, np.array([0.0, 2e10]))
 
 
 @pytest.mark.parametrize("n_points", [0, -2])

@@ -20,8 +20,11 @@ CELL = {"c0_f": 353.2e-15, "cg_f": 5.05e-15, "l0_h": 3.151e-9}
 
 
 def _write(tmp_path, name, payload):
+    """Write ``payload`` as JSON, or a str verbatim (text that may not be
+    JSON)."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str)
+                    else json.dumps(payload))
     return str(path)
 
 
@@ -270,13 +273,21 @@ EMITTER = {"omega_ge_hz": 4.745e9, "g_uc_hz": 3e7}
                                "sweep_omega_interact_hz": [4.7e9, -1e9]},
      "config.sweep_omega_interact_hz.1 must be positive and finite, "
      "got -1000000000.0"),
+    (["band"], '{"cell": ', "config is not valid JSON"),
+    (["s21"], {"spec": SPEC, "f_min_hz": 4.5e9},
+     "give both f_min_hz and f_max_hz or neither"),
+    (["dynamics", "--sweep"], {"spec": SPEC, "qubit": QUBIT,
+                               "protocol": PROTOCOL},
+     "--sweep requires config key 'sweep_omega_interact_hz'"),
 ])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, argv, cfg,
                                                  path):
-    """Bad types, missing nested keys, non-objects, out-of-range values and
-    unknown keys are validation errors naming the key path, never a raw
-    exception, a silent conversion or an ignored key, and are refused before
-    any output is written (a sweep is read whole before its first trace)."""
+    """Text that is not JSON, bad types, missing nested keys, non-objects,
+    out-of-range values, keys without their partner (f_min_hz without
+    f_max_hz, --sweep without sweep_omega_interact_hz) and unknown keys are
+    validation errors naming the key path, never a raw exception, a silent
+    conversion or an ignored key, and are refused before any output is
+    written (a sweep is read whole before its first trace)."""
     cfg_path = _write(tmp_path, "cfg.json", cfg)
     assert main([*argv, "--config", cfg_path,
                  "--out", str(tmp_path / "out")]) == 2

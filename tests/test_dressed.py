@@ -1,16 +1,21 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from slowline.abcd import TwoPortResponse, cascade_abcd, default_grid
 from slowline.bands import band_edges, group_velocity, tight_binding
+from slowline.devices import qubit_device, qubit_q1, untapered_device
 from slowline.dressed import (SingularPointError, bound_profile,
                               diagonalize_single_excitation, qubit_weight,
                               self_energy, single_excitation_hamiltonian,
                               solve_dressed_states)
-from slowline.dynamics import DynamicsTrace, revival_onsets
+from slowline.dynamics import DynamicsTrace, effective_rate, revival_onsets
+from slowline.fitting import fit_to_spectrum
 from slowline.params import EmitterParams, UnitCellParams, ValidationError
+from slowline.statespace import assemble_state_space
 
 CELL = UnitCellParams(c0=353.2e-15, cg=5.05e-15, l0=3.151e-9)
 J = tight_binding(CELL)["j_tb"]
@@ -70,12 +75,14 @@ def test_self_energy_in_band_imaginary_part():
     (dict(model="exact_band", sheet="second"), "exact_band"),
     (dict(model="exact_band", j=J), "exact_band"),
     (dict(model="exact_band", edge="upper"), "exact_band"),
+    (dict(model="foo"), "unknown self-energy model: 'foo'"),
 ], ids=["sheet Second", "sheet 2", "exact_band sheet Second",
-        "exact_band sheet second", "exact_band j", "exact_band edge"])
+        "exact_band sheet second", "exact_band j", "exact_band edge",
+        "model foo"])
 def test_self_energy_inputs_select_something(kw, match):
-    """A misspelt sheet is not read as the first, and the exact band, which
-    reads the cell's own band, both edges, on the first sheet, refuses a j,
-    an edge or the second sheet rather than ignoring it."""
+    """A misspelt sheet or model is not read as the default, and the exact
+    band, which reads the cell's own band, both edges, on the first sheet,
+    refuses a j, an edge or the second sheet rather than ignoring it."""
     with pytest.raises(ValidationError, match=match):
         self_energy(W0 + 0.5 * J, 0.1 * J, CELL, **kw)
 
@@ -211,6 +218,7 @@ def test_single_excitation_hamiltonian_matches_scipy_construction(m_cells,
     assert h.tobytes() == want.tobytes()
 
 
+_U26 = untapered_device(26)
 _T = np.linspace(0, 4e-7, 4001)
 _ECHO = DynamicsTrace(t=_T, p_e=np.exp(-1e8 * _T)
                       + 0.05 * np.exp(-((_T - 2.5e-7) / 2e-8) ** 2))
@@ -230,16 +238,38 @@ _ECHO = DynamicsTrace(t=_T, p_e=np.exp(-1e8 * _T)
      "n_cells: expected an integer, got 2.5"),
     (lambda: single_excitation_hamiltonian(CELL, _emitter(0.3), "201"),
      "m_cells: expected an integer"),
+    (lambda: revival_onsets(DynamicsTrace(t=_T, p_e=np.ones_like(_T))),
+     "never settles"),
+    (lambda: effective_rate(_ECHO, window=(0.0, _T[1])),
+     "fewer than 3 samples"),
+    (lambda: DynamicsTrace(t=_T, p_e=_T[:-1]), "matching shapes"),
+    (lambda: self_energy(band_edges(CELL)[0], 0.1 * J, CELL,
+                         model="exact_band"), "exactly at the bandedge"),
+    (lambda: TwoPortResponse(freq_grid=_T[::-1], s21=_T, s11=_T),
+     "strictly increasing"),
+    (lambda: assemble_state_space(qubit_device(), dataclasses.replace(
+        qubit_q1(), couplings={60: 1e-15})),
+     "index 60 outside resonator range 1..52"),
+    (lambda: fit_to_spectrum(
+        cascade_abcd(_U26, default_grid(_U26.interior, 11)), _U26, ("c1g",)),
+     r"no boundary cells for parameters: \['c1g'\]"),
 ], ids=["rise_fraction 1.5", "rise_fraction 0", "n_revivals 2.5",
         "prominence nan", "prominence inf", "prominence -1e-3",
         "settle_level 2", "settle_level 0",
-        "bound_profile 2.5 cells", "hamiltonian '201' cells"])
+        "bound_profile 2.5 cells", "hamiltonian '201' cells",
+        "flat trace", "2-sample window", "mismatched trace",
+        "exact_band at band edge", "decreasing grid",
+        "qubit on resonator 60 of 52", "fit c1g without boundary cells"])
 def test_analysis_inputs_validated(call, match):
     """Counts are read as integers, rise_fraction and settle_level lie in
     (0, 1] and a revival's prominence is finite and >= 0: each bad input
     raises ValidationError naming it, not an IndexError or TypeError (nor,
     for a NaN or infinite prominence, an empty list), and 2.5 cells are not
-    rounded up to 3."""
+    rounded up to 3.  A trace that never settles, a fit window of fewer
+    than 3 samples, a trace whose t and p_e differ in shape, a real band
+    edge on the exact band (SingularPointError), a decreasing grid, a
+    qubit coupled past the last resonator and a fit parameter the template
+    lacks are refused the same way."""
     with pytest.raises(ValidationError, match=match):
         call()
 

@@ -515,6 +515,14 @@ def test_slow_ramp_reads_every_sample(qubit_spec_nobend, q1, midband):
                                           tune_time=64e-9)
 
 
+def _quanta(m, x):
+    """Qubit-node quanta of the state x under model m, v = C^-1 q by solve."""
+    n, q = m.n_nodes, m.qubit_node
+    v = np.linalg.solve(m.cap, x[n:])
+    return (0.5 * (m.cap[q, q] * abs(v[q]) ** 2 + m.linv[q] * abs(x[q]) ** 2)
+            / math.sqrt(m.linv[q] / m.cap[q, q]))
+
+
 @single_thread()
 def _ramp_reference(spec, qubit, protocol, h_max=1e-11):
     """Literal ramp stepping: a fresh expm per sub-step of at most h_max at
@@ -530,23 +538,16 @@ def _ramp_reference(spec, qubit, protocol, h_max=1e-11):
         return assemble_state_space(spec,
                                     dataclasses.replace(qubit, omega_ge=w))
 
-    def quanta(m, x):
-        n, q = m.n_nodes, m.qubit_node
-        v = np.linalg.solve(m.cap, x[n:])
-        return (0.5 * (m.cap[q, q] * abs(v[q]) ** 2
-                       + m.linv[q, q] * abs(x[q]) ** 2)
-                / math.sqrt(m.linv[q, q] / m.cap[q, q]))
-
     t = _time_grid(protocol.t_max, protocol.dt_output)
     x = _initial_state(model(0.0))
-    p = [quanta(model(0.0), x)]
+    p = [_quanta(model(0.0), x)]
     for a, b in itertools.pairwise(np.union1d(t, [tune])):
         m = math.ceil((b - a) / h_max) if a < tune else 1
         for j in range(m):
             x = scipy.linalg.expm(model(a + (j + 0.5) * (b - a) / m).a_matrix()
                                   * ((b - a) / m)) @ x
         if b in t:
-            p.append(quanta(model(b), x))
+            p.append(_quanta(model(b), x))
     return np.array(p[:t.size]) / p[0]
 
 
@@ -605,23 +606,16 @@ def _literal_reference(spec, qubit, protocol):
     def prop(w, h):
         return scipy.linalg.expm(model(w)[1] * h)
 
-    def quanta(m, x):
-        n, q = m.n_nodes, m.qubit_node
-        v = np.linalg.solve(m.cap, x[n:])
-        return (0.5 * (m.cap[q, q] * abs(v[q]) ** 2
-                       + m.linv[q, q] * abs(x[q]) ** 2)
-                / math.sqrt(m.linv[q, q] / m.cap[q, q]))
-
     m = model(slices[0][2])[0]
     x = _initial_state(m)
-    p, k = [quanta(m, x)], 1
+    p, k = [_quanta(m, x)], 1
     for start, h, w in slices:
         m, a = model(w)
         while k < t.size and t[k] - start <= h + 1e-12 * t[k]:
             delta = t[k] - start
             side = (prop(w, h) if delta >= h - 1e-12 * t[k]
                     else scipy.linalg.expm(a * delta))
-            p.append(quanta(m, side @ x))
+            p.append(_quanta(m, side @ x))
             k += 1
         x = prop(w, h) @ x
     return np.array(p) / p[0]
