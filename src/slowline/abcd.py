@@ -21,7 +21,8 @@ from .params import (ArraySpec, Chain, UnitCellParams, ValidationError,
 @dataclass(frozen=True)
 class TwoPortResponse:
     """Transmission/reflection amplitudes on a strictly increasing grid of
-    angular frequencies."""
+    angular frequencies: s21 and s11 share one shape, ending in the grid's
+    length ((R, N) for R stacked realizations)."""
 
     freq_grid: np.ndarray    # rad/s
     s21: np.ndarray          # complex
@@ -30,6 +31,11 @@ class TwoPortResponse:
     def __post_init__(self):
         if np.any(np.diff(self.freq_grid) <= 0):
             raise ValidationError("frequency grid must be strictly increasing")
+        shape, n = np.shape(self.s21), np.size(self.freq_grid)
+        if shape != np.shape(self.s11) or shape[-1:] != (n,):
+            raise ValidationError(
+                f"s21 {shape} and s11 {np.shape(self.s11)} must share a shape "
+                f"ending in the grid's {n} points")
 
     @property
     def s21_db(self) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from slowline.bands import (band_edges, dispersion, dispersion_curve,
 from slowline.devices import qubit_device, untapered_device
 from slowline.disorder import extinction_curve, sample_disordered
 from slowline.dynamics import _initial_state, total_energy
-from slowline.fitting import _build_spec, _get_params, fit_to_spectrum
+from slowline.fitting import _build_spec, _get_params, _trf, fit_to_spectrum
 from slowline.params import (ArraySpec, Bend, BoundaryCellParams, Chain,
                              UnitCellParams, ValidationError)
 from slowline.statespace import assemble_state_space
@@ -687,3 +688,137 @@ def test_fit_logs_what_it_scores_1e3(test_spec, monkeypatch, caplog):
     assert caplog.records[0].getMessage() == (
         "fit: 0 of 1 residual evaluations raised ValidationError; 5 residual "
         "points were set to 1e3")
+
+
+def _solve_recorded(solve, fun, x0, lb, ub):
+    """The points ``solve`` evaluates ``fun`` at, in order, and its
+    (x, fun(x), nfev, converged)."""
+    points = []
+
+    def recorded(x):
+        points.append(np.array(x, dtype=float))
+        return fun(x)
+    result = solve(recorded, np.array(x0, dtype=float), lb, ub)
+    return np.array(points), result
+
+
+def _scipy_trf(fun, x0, lb, ub):
+    res = scipy.optimize.least_squares(fun, x0, bounds=(lb, ub),
+                                       xtol=1e-12, ftol=1e-12)
+    return res.x, res.fun, res.nfev, res.success
+
+
+def _assert_trf_is_scipys(fun, x0, lb=0.2, ub=5.0):
+    """_trf evaluates ``fun`` at the points SciPy's least_squares evaluates
+    it at, bit for bit and in order, and returns its x, fun, nfev and
+    success; returns the points and that result."""
+    got_points, got = _solve_recorded(_trf, fun, x0, lb, ub)
+    want_points, want = _solve_recorded(_scipy_trf, fun, x0, lb, ub)
+    assert got_points.shape == want_points.shape
+    assert got_points.tobytes() == want_points.tobytes()
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]
+    assert got[3] == want[3]
+    return got_points, got
+
+
+def _rosenbrock(a, k=10.0):
+    """Rosenbrock's residuals with the minimum at (a, a²)."""
+    return lambda x: np.array([k * (x[1] - x[0] ** 2), a - x[0]])
+
+
+_LINEAR = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
+_STIFF = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+def _stiff(x):
+    """1e5·Sx − b, least squares at x = (1, 1) with residuals ±1e-3."""
+    return 1e5 * (_STIFF @ x) - (1e5 * (_STIFF @ np.ones(2))
+                                 + 1e-3 * np.array([1.0, 1.0, -1.0]))
+
+
+@pytest.mark.parametrize("fun, x0, nfev, converged", [
+    pytest.param(_rosenbrock(1.0), [2.0, 2.0], 17, True,
+                 id="rosenbrock inside"),
+    pytest.param(_rosenbrock(3.0), [1.0, 1.0], 18, True,
+                 id="rosenbrock past the upper bound"),
+    pytest.param(_rosenbrock(0.1), [1.0, 1.0], 14, True,
+                 id="rosenbrock past the lower bound"),
+    pytest.param(lambda x: _LINEAR @ x - np.array([10.0, -3.0, 7.0]),
+                 [1.0, 1.0], 10, True, id="linear past a bound"),
+    pytest.param(lambda x: np.array([x[0] ** 2 - 2.0, x[0] - 1.5,
+                                     0.0 * x[1]]),
+                 [1.0, 3.0], 20, True, id="rank deficient"),
+    pytest.param(lambda x: np.array([x.sum() - 2.0]), [1.0, 1.0, 1.0], 6,
+                 True, id="fewer residuals than variables"),
+    pytest.param(lambda x: np.zeros(4), [1.0, 1.0], 1, True, id="all zero"),
+    pytest.param(_stiff, [1.0, 1.0], 2, True, id="exact start"),
+    pytest.param(_rosenbrock(1.0, k=1e3), [0.21, 4.9], 200, False,
+                 id="runs out of evaluations"),
+])
+def test_trf_is_scipys(fun, x0, nfev, converged):
+    """The in-house trust-region reflective solver is SciPy's least_squares
+    at the options fit_to_spectrum uses, step for step, on problems that
+    reach each of its branches: Rosenbrock's residuals with the minimum
+    inside the box (Gauss-Newton steps) and past either bound (steps landing
+    on a bound and moved inside, forward differences turned back at the
+    upper bound, reflected and cut-short steps); a linear problem whose
+    minimum lies past a bound; a Jacobian with a zero column and one with
+    fewer rows than columns (never of full rank, so no Gauss-Newton step,
+    and the scaled steepest descent chosen); residuals that are zero; a
+    start at the least-squares solution of a stiff linear problem, whose
+    step is too small to move x, so the point evaluated last is read again
+    and not evaluated; and a run cut at 100·n evaluations."""
+    points, (_, _, got_nfev, got_converged) = _assert_trf_is_scipys(fun, x0)
+    assert (got_nfev, got_converged) == (nfev, converged)
+    if fun is _stiff:   # x0 and the Jacobian's two; the zero step counts
+        assert len(points) == 3     # in nfev but is not evaluated
+
+
+@pytest.mark.parametrize("factors, raises", [
+    pytest.param((0.99028137, 0.99273216, 0.99911909), False,
+                 id="seeded fit"),
+    pytest.param((0.971, 1.018, 1.004), False, id="fit_wide"),
+    pytest.param((0.99028137, 0.99273216, 0.99911909), True,
+                 id="a candidate raises"),
+])
+def test_trf_is_scipys_on_the_circuit_fit(test_spec, monkeypatch, caplog,
+                                          factors, raises):
+    """On the test device's couplers ("cg", "c1g", "c2g") scaled by the
+    benchmark's seed-1 fit factors and by its fixed wide factors, and with
+    every candidate whose c2g is below 0.96 of the template's raising
+    ValidationError (scored 1e3 throughout), the fit takes SciPy's path and
+    its report is SciPy's result."""
+    names = ("cg", "c1g", "c2g")
+    base = _get_params(test_spec)
+    truth = _build_spec(test_spec, {**base, **{
+        name: f * base[name] for name, f in zip(names, factors)}})
+    measured = cascade_abcd(truth, default_grid(test_spec.interior, 801))
+    if raises:
+        build = slowline.fitting._build_spec
+
+        def strict_build(template, vals):
+            if vals["c2g"] < 0.96 * base["c2g"]:
+                raise ValidationError("c2g too small")
+            return build(template, vals)
+        monkeypatch.setattr(slowline.fitting, "_build_spec", strict_build)
+    problems = []       # the residuals, start and box the fit hands _trf
+
+    def spy(*problem):
+        problems.append(problem)
+        return _trf(*problem)
+
+    monkeypatch.setattr(slowline.fitting, "_trf", spy)
+    with caplog.at_level("INFO", logger="slowline.fitting"):
+        report = fit_to_spectrum(measured, test_spec, names)
+    assert (caplog.records[0].args[0] > 0) == raises
+    ((fun, x0, lb, ub),) = problems
+    _, (x, r, nfev, converged) = _assert_trf_is_scipys(fun, x0, lb, ub)
+    assert report.spec == _build_spec(test_spec, {**base, **{
+        name: xi * base[name] for name, xi in zip(names, x)}})
+    assert report.residual_db_rms == float(np.sqrt(np.mean(r**2)))
+    assert (report.n_evaluations, report.converged) == (nfev, converged)
+    if factors == (0.971, 1.018, 1.004):
+        assert (nfev, converged) == (79, True)
+        assert report.residual_db_rms == pytest.approx(2.058, abs=5e-4)

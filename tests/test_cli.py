@@ -526,9 +526,9 @@ def test_cli_import_leaves_out_scipy_signal():
     """Importing the CLI does not load scipy.linalg, scipy.signal,
     scipy.stats, scipy.optimize, scipy.integrate, multiprocessing or the
     process pool of concurrent.futures; only the dense linear algebra of the
-    dynamics, the circuit fit (the one user of scipy.optimize), the
-    exact-band quadrature and the forked workers that need them import them,
-    and no code path imports scipy.signal or scipy.stats."""
+    dynamics and of the circuit fit, the exact-band quadrature and the
+    forked workers that need them import them, and no code path imports
+    scipy.signal, scipy.stats or scipy.optimize."""
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(slowline.__file__).parents[1]))
     code = ("import sys, slowline.cli\n"
@@ -539,6 +539,29 @@ def test_cli_import_leaves_out_scipy_signal():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_fit_leaves_out_scipy_optimize():
+    """A fit with free parameters, run in a fresh process, does not load
+    scipy.optimize: its trust-region solver is the package's own."""
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(slowline.__file__).parents[1]))
+    code = ("import dataclasses, sys\n"
+            "from slowline.abcd import cascade_abcd, default_grid\n"
+            "from slowline.devices import test_device\n"
+            "from slowline.fitting import fit_to_spectrum\n"
+            "spec = test_device()\n"
+            "truth = dataclasses.replace(spec, interior=dataclasses.replace("
+            "spec.interior, cg=1.01 * spec.interior.cg))\n"
+            "measured = cascade_abcd(truth,"
+            " default_grid(spec.interior, 101))\n"
+            "report = fit_to_spectrum(measured, spec,"
+            " free_params=('cg', 'c1g', 'c2g'))\n"
+            "assert report.n_evaluations > 1\n"
+            "print('scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_numpy_only_commands_load_no_scipy(tmp_path, tapered_26,

@@ -247,6 +247,14 @@ _ECHO = DynamicsTrace(t=_T, p_e=np.exp(-1e8 * _T)
                          model="exact_band"), "exactly at the bandedge"),
     (lambda: TwoPortResponse(freq_grid=_T[::-1], s21=_T, s11=_T),
      "strictly increasing"),
+    (lambda: TwoPortResponse(freq_grid=_T, s21=_T[:50], s11=_T[:50]),
+     r"s21 \(50,\) and s11 \(50,\) must share a shape ending in the "
+     "grid's 4001 points"),
+    (lambda: TwoPortResponse(freq_grid=_T, s21=_T, s11=_T[:-1]),
+     r"s21 \(4001,\) and s11 \(4000,\)"),
+    (lambda: TwoPortResponse(freq_grid=_T, s21=np.stack([_T, _T]),
+                             s11=np.stack([_T, _T])[:, :50]),
+     r"s21 \(2, 4001\) and s11 \(2, 50\)"),
     (lambda: assemble_state_space(qubit_device(), dataclasses.replace(
         qubit_q1(), couplings={60: 1e-15})),
      "index 60 outside resonator range 1..52"),
@@ -259,6 +267,8 @@ _ECHO = DynamicsTrace(t=_T, p_e=np.exp(-1e8 * _T)
         "bound_profile 2.5 cells", "hamiltonian '201' cells",
         "flat trace", "2-sample window", "mismatched trace",
         "exact_band at band edge", "decreasing grid",
+        "response shorter than its grid", "s11 shorter than s21",
+        "stacked s11 shorter than s21",
         "qubit on resonator 60 of 52", "fit c1g without boundary cells"])
 def test_analysis_inputs_validated(call, match):
     """Counts are read as integers, rise_fraction and settle_level lie in
@@ -268,8 +278,10 @@ def test_analysis_inputs_validated(call, match):
     rounded up to 3.  A trace that never settles, a fit window of fewer
     than 3 samples, a trace whose t and p_e differ in shape, a real band
     edge on the exact band (SingularPointError), a decreasing grid, a
-    qubit coupled past the last resonator and a fit parameter the template
-    lacks are refused the same way."""
+    response whose s21 and s11 differ in shape or do not end in the grid's
+    length (not left to numpy errors in the fit or group_delay), a qubit
+    coupled past the last resonator and a fit parameter the template lacks
+    are refused the same way."""
     with pytest.raises(ValidationError, match=match):
         call()
 
