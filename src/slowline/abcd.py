@@ -172,11 +172,13 @@ def _two_port(chain: Chain) -> Chain:
 
 
 def _end_scorer(start: Chain, freq_grid, n: int):
-    """s21_db(chain): |S21| in dB on ``freq_grid`` of a lowered chain of one
-    realization and at least 2n resonators, ``cascade_abcd(chain,
-    freq_grid).s21_db`` up to rounding.  ``start``, the chain a search starts
-    from, is checked once for a matched output, before any candidate: a
-    search scores a candidate that raises as 1e3.
+    """score(chain) -> (s21_db, denom) on ``freq_grid`` for a lowered chain
+    of one realization and at least 2n resonators.  s21_db is
+    ``cascade_abcd(chain, freq_grid).s21_db`` up to rounding, and S21 is
+    2/denom times 2**-exp (exp >= 0, the middle's rescaling), so
+    arg S21 = -arg denom.  ``start``, the chain a search starts from, is
+    checked once for a matched output, before any candidate: a search scores
+    a candidate that raises as 1e3.
 
     With the chain's product split as L M R (L its first n cells, R its last
     n cells and last coupler), S21 = 2/D with D = (1, z0) L M R (1, 1/z0)^T.
@@ -192,7 +194,7 @@ def _end_scorer(start: Chain, freq_grid, n: int):
     cells = np.arange(n)
     middles = {}    # element values -> (rows, exp), the last two cascaded
 
-    def s21_db(chain: Chain) -> np.ndarray:
+    def score(chain: Chain):
         size = chain.n_resonators
         mid = slice(n, size - n)
         values = (chain.c_shunt[mid].tobytes(), chain.l[mid].tobytes(),
@@ -218,11 +220,11 @@ def _end_scorer(start: Chain, freq_grid, n: int):
             x += v * y[:, i]
         v[1] += x[1] * (1j * (-1.0 / (w * chain.couplers[size - n])))
         (p0, q1), (p1, q0) = x, v
+        denom = p0 * (a * q0 + b * q1) + p1 * (c * q0 + d * q1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            s21 = np.ldexp(2.0 / np.abs(p0 * (a * q0 + b * q1)
-                                        + p1 * (c * q0 + d * q1)), -exp)
-        return _db(s21)
-    return s21_db
+            s21 = np.ldexp(2.0 / np.abs(denom), -exp)
+        return _db(s21), denom
+    return score
 
 
 def chain_abcd(spec: ArraySpec | Chain, freq_grid: np.ndarray):

@@ -115,12 +115,12 @@ def _ripple_objective(problem: TaperProblem):
     """
     base = problem.base
     grid = window_grid(base.interior, problem.band_window, RIPPLE_GRID_POINTS)
-    s21_db = _end_scorer(base.lower(), grid, problem.n_modified)
+    scorer = _end_scorer(base.lower(), grid, problem.n_modified)
 
     def score(couplers) -> float:
         try:
             return _peak_to_peak(
-                s21_db(spec_with_couplers(base, couplers).lower()))
+                scorer(spec_with_couplers(base, couplers).lower())[0])
         except ValidationError:
             return 1e3
     return score

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +17,7 @@ from slowline.bands import (band_edges, dispersion, dispersion_curve,
 from slowline.devices import qubit_device, untapered_device
 from slowline.disorder import extinction_curve, sample_disordered
 from slowline.dynamics import _initial_state, total_energy
-from slowline.fitting import _build_spec, _get_params, _trf, fit_to_spectrum
+from slowline.fitting import _build_spec, _get_params, fit_to_spectrum
 from slowline.params import (ArraySpec, Bend, BoundaryCellParams, Chain,
                              UnitCellParams, ValidationError)
 from slowline.statespace import assemble_state_space
@@ -297,7 +296,7 @@ def test_end_vectors_match_whole_cascade(make_spec):
         _, exp = _cascade(chain, grid, cells=range(n, size - n))
         assert (exp[normal].max() > 0) == (size == 1000)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            got = 10.0 ** (_end_scorer(chain, grid, n)(chain) / 20.0)
+            got = 10.0 ** (_end_scorer(chain, grid, n)(chain)[0] / 20.0)
         assert np.max(np.abs(got[normal] / whole[normal] - 1.0)) < 1e-11
 
 
@@ -575,15 +574,17 @@ _FIT_TEMPLATES = {
 
 @pytest.mark.parametrize("template", list(_FIT_TEMPLATES))
 def test_fit_scores_match_full_cascade(template):
-    """The fit's |S21| dB, its ends walked against a cached middle, is the
-    full cascade's for 20 draws each (factors 0.8 to 1.25) of the template's
-    share of ("cg", "c1g", "c2g"), ("c1g", "c2g") and ("c0", "l0"), scored in
-    turn by one scorer, so the middle is reused and re-cascaded.  Measured
-    worst case 3.1e-12 dB (the bend); the bound is 3e-11 dB."""
+    """The fit's |S21| dB and phase, its ends walked against a cached middle,
+    are the full cascade's for 20 draws each (factors 0.8 to 1.25) of the
+    template's share of ("cg", "c1g", "c2g"), ("c1g", "c2g") and ("c0",
+    "l0"), scored in turn by one scorer, so the middle is reused and
+    re-cascaded.  Measured worst cases 3.1e-12 dB (the bend) and, for
+    arg S21 = -arg denom, 3.6e-13 rad (two boundary cells); the bounds are
+    3e-11 dB and 4e-12 rad."""
     spec = _FIT_TEMPLATES[template]()
     grid = default_grid(spec.interior, 401)
     base = _get_params(spec)
-    s21_db = _end_scorer(spec.lower(), grid, len(spec.boundary_in))
+    score = _end_scorer(spec.lower(), grid, len(spec.boundary_in))
     rng = np.random.default_rng(34)
     for names in (("cg", "c1g", "c2g"), ("c1g", "c2g"), ("c0", "l0")):
         names = [name for name in names if name in base]
@@ -591,10 +592,11 @@ def test_fit_scores_match_full_cascade(template):
             vals = dict(base)
             vals.update({k: f * base[k] for k, f in zip(names, factors)})
             candidate = _build_spec(spec, vals)
-            want = cascade_abcd(candidate, grid).s21_db
-            assert np.all(np.isfinite(want))
-            got = s21_db(candidate.lower())
-            assert np.max(np.abs(got - want)) < 3e-11
+            want = cascade_abcd(candidate, grid)
+            assert np.all(np.isfinite(want.s21_db))
+            got, denom = score(candidate.lower())
+            assert np.max(np.abs(got - want.s21_db)) < 3e-11
+            assert np.max(np.abs(np.angle(want.s21 * denom))) < 4e-12
 
 
 def test_fit_score_recascades_a_changed_middle(test_spec, monkeypatch):
@@ -616,12 +618,12 @@ def test_fit_score_recascades_a_changed_middle(test_spec, monkeypatch):
         return cascade(*args, **kwargs)
 
     monkeypatch.setattr(slowline.abcd, "_cascade", counted)
-    s21_db = _end_scorer(a, grid, 2)
-    first = s21_db(a)
-    got = s21_db(b)
+    score = _end_scorer(a, grid, 2)
+    first = score(a)
+    got = score(b)
     assert not np.array_equal(first, got)
     assert np.array_equal(got, fresh)
-    assert np.array_equal(s21_db(a), first)
+    assert np.array_equal(score(a), first)
     assert len(calls) == 2
 
 
@@ -690,45 +692,24 @@ def test_fit_logs_what_it_scores_1e3(test_spec, monkeypatch, caplog):
         "points were set to 1e3")
 
 
-def _solve_recorded(solve, fun, x0, lb, ub):
-    """The points ``solve`` evaluates ``fun`` at, in order, and its
-    (x, fun(x), nfev, converged)."""
-    points = []
-
-    def recorded(x):
-        points.append(np.array(x, dtype=float))
-        return fun(x)
-    result = solve(recorded, np.array(x0, dtype=float), lb, ub)
-    return np.array(points), result
-
-
-def _scipy_trf(fun, x0, lb, ub):
-    res = scipy.optimize.least_squares(fun, x0, bounds=(lb, ub),
-                                       xtol=1e-12, ftol=1e-12)
-    return res.x, res.fun, res.nfev, res.success
-
-
-def _assert_trf_is_scipys(fun, x0, lb=0.2, ub=5.0):
-    """_trf evaluates ``fun`` at the points SciPy's least_squares evaluates
-    it at, bit for bit and in order, and returns its x, fun, nfev and
-    success; returns the points and that result."""
-    got_points, got = _solve_recorded(_trf, fun, x0, lb, ub)
-    want_points, want = _solve_recorded(_scipy_trf, fun, x0, lb, ub)
-    assert got_points.shape == want_points.shape
-    assert got_points.tobytes() == want_points.tobytes()
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
-    assert got[2] == want[2]
-    assert got[3] == want[3]
-    return got_points, got
-
-
 def _rosenbrock(a, k=10.0):
     """Rosenbrock's residuals with the minimum at (a, a²)."""
     return lambda x: np.array([k * (x[1] - x[0] ** 2), a - x[0]])
 
 
+def _largest_real_root(*coeffs):
+    roots = np.roots(coeffs)
+    return roots[np.isreal(roots)].real.max()
+
+
+def _rosenbrock_on_bound(a, b, k=10.0):
+    """The least squares point of _rosenbrock(a, k) on the line x[1] = b:
+    the largest root of d/dx0 ½‖r‖² = 2k²x0³ − (2k²b − 1)x0 − a."""
+    return [_largest_real_root(2 * k * k, 0.0, 1.0 - 2 * k * k * b, -a), b]
+
+
 _LINEAR = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
+_LINEAR_B = np.array([10.0, -3.0, 7.0])
 _STIFF = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
@@ -738,87 +719,116 @@ def _stiff(x):
                                  + 1e-3 * np.array([1.0, 1.0, -1.0]))
 
 
-@pytest.mark.parametrize("fun, x0, nfev, converged", [
-    pytest.param(_rosenbrock(1.0), [2.0, 2.0], 17, True,
+@pytest.mark.parametrize("fun, x0, want, converged, tail", [
+    pytest.param(_rosenbrock(1.0), [2.0, 2.0], [1.0, 1.0], True, 0,
                  id="rosenbrock inside"),
-    pytest.param(_rosenbrock(3.0), [1.0, 1.0], 18, True,
-                 id="rosenbrock past the upper bound"),
-    pytest.param(_rosenbrock(0.1), [1.0, 1.0], 14, True,
-                 id="rosenbrock past the lower bound"),
-    pytest.param(lambda x: _LINEAR @ x - np.array([10.0, -3.0, 7.0]),
-                 [1.0, 1.0], 10, True, id="linear past a bound"),
+    pytest.param(_rosenbrock(3.0), [1.0, 1.0], _rosenbrock_on_bound(3.0, 5.0),
+                 True, 0, id="rosenbrock past the upper bound"),
+    pytest.param(_rosenbrock(0.1), [1.0, 1.0], _rosenbrock_on_bound(0.1, 0.2),
+                 True, 0, id="rosenbrock past the lower bound"),
+    pytest.param(lambda x: _LINEAR @ x - _LINEAR_B, [1.0, 1.0],
+                 [_LINEAR[:, 0] @ (_LINEAR_B - 5.0 * _LINEAR[:, 1])
+                  / (_LINEAR[:, 0] @ _LINEAR[:, 0]), 5.0], True, 0,
+                 id="linear past a bound"),
     pytest.param(lambda x: np.array([x[0] ** 2 - 2.0, x[0] - 1.5,
                                      0.0 * x[1]]),
-                 [1.0, 3.0], 20, True, id="rank deficient"),
-    pytest.param(lambda x: np.array([x.sum() - 2.0]), [1.0, 1.0, 1.0], 6,
-                 True, id="fewer residuals than variables"),
-    pytest.param(lambda x: np.zeros(4), [1.0, 1.0], 1, True, id="all zero"),
-    pytest.param(_stiff, [1.0, 1.0], 2, True, id="exact start"),
-    pytest.param(_rosenbrock(1.0, k=1e3), [0.21, 4.9], 200, False,
+                 [1.0, 3.0], [_largest_real_root(4.0, 0.0, -6.0, -3.0), 3.0],
+                 True, 0, id="rank deficient"),
+    pytest.param(lambda x: np.array([x.sum() - 2.0]), [1.0, 1.0, 1.0],
+                 [2.0 / 3.0] * 3, True, 3,
+                 id="fewer residuals than variables"),
+    pytest.param(lambda x: np.zeros(4), [1.0, 1.0], [1.0, 1.0], True, 0,
+                 id="all zero"),
+    pytest.param(_stiff, [1.0, 1.0], [1.0, 1.0], True, 2, id="exact start"),
+    pytest.param(_rosenbrock(1.0, k=1e3), [0.21, 4.9], None, False, None,
                  id="runs out of evaluations"),
 ])
-def test_trf_is_scipys(fun, x0, nfev, converged):
-    """The in-house trust-region reflective solver is SciPy's least_squares
-    at the options fit_to_spectrum uses, step for step, on problems that
-    reach each of its branches: Rosenbrock's residuals with the minimum
-    inside the box (Gauss-Newton steps) and past either bound (steps landing
-    on a bound and moved inside, forward differences turned back at the
-    upper bound, reflected and cut-short steps); a linear problem whose
-    minimum lies past a bound; a Jacobian with a zero column and one with
-    fewer rows than columns (never of full rank, so no Gauss-Newton step,
-    and the scaled steepest descent chosen); residuals that are zero; a
-    start at the least-squares solution of a stiff linear problem, whose
-    step is too small to move x, so the point evaluated last is read again
-    and not evaluated; and a run cut at 100·n evaluations."""
-    points, (_, _, got_nfev, got_converged) = _assert_trf_is_scipys(fun, x0)
-    assert (got_nfev, got_converged) == (nfev, converged)
-    if fun is _stiff:   # x0 and the Jacobian's two; the zero step counts
-        assert len(points) == 3     # in nfev but is not evaluated
+def test_lm_reaches_the_known_minimum(fun, x0, want, converged, tail):
+    """The fit's Levenberg–Marquardt solver, with the box [0.2, 5] and 100
+    evaluations per variable, reaches each problem's known least squares
+    point within 1e-10 in every coordinate (measured worst case 1.6e-11,
+    rank deficient): Rosenbrock's residuals with the minimum inside the box
+    and past either bound, where it ends on the bound; a linear problem
+    whose minimum lies past a bound; a Jacobian with a zero column and one
+    with fewer rows than columns, the minimum-norm step from (1, 1, 1)
+    ending at (2/3, 2/3, 2/3); residuals that are zero, read once; and a
+    start at the least squares point of a stiff linear problem.  Every point
+    it evaluates lies in the box, and nfev counts them all.  ``tail`` is the
+    number of evaluations after the last one at the returned x: none when a
+    step converges, x's Jacobian when the step it gives is too small to
+    take, never a Jacobian that no step reads.  A narrow valley started in
+    a corner runs out of evaluations and reports so."""
+    points = []
+
+    def recorded(x):
+        points.append(np.array(x, dtype=float))
+        return fun(x)
+
+    budget = 100 * len(x0)
+    x, r, nfev, got_converged = slowline.fitting._lm(
+        recorded, np.array(x0, dtype=float), 0.2, 5.0, budget)
+    points = np.array(points)
+    assert got_converged is converged
+    assert nfev == len(points) <= budget
+    assert np.all((points >= 0.2) & (points <= 5.0))
+    assert np.array_equal(r, fun(x))
+    if want is not None:
+        assert np.max(np.abs(x - want)) < 1e-10
+        last = max(i for i, p in enumerate(points) if np.array_equal(p, x))
+        assert len(points) - 1 - last == tail
 
 
-@pytest.mark.parametrize("factors, raises", [
-    pytest.param((0.99028137, 0.99273216, 0.99911909), False,
-                 id="seeded fit"),
-    pytest.param((0.971, 1.018, 1.004), False, id="fit_wide"),
-    pytest.param((0.99028137, 0.99273216, 0.99911909), True,
-                 id="a candidate raises"),
+_COUPLERS = ("cg", "c1g", "c2g")
+
+
+def _seeded_factors(spread):
+    """The coupler factors perfbench's design_loop draws at seeds 1–30, its
+    streams (seed, 3), with ``spread`` in place of its 1% FIT_SPREAD."""
+    return [tuple(np.random.default_rng(np.random.SeedSequence((seed, 3)))
+                  .uniform(1.0 - spread, 1.0 + spread, 3))
+            for seed in range(1, 31)]
+
+
+@pytest.mark.parametrize("factor_sets, raises", [
+    pytest.param(_seeded_factors(0.01), False, id="seeded fit"),
+    pytest.param(_seeded_factors(0.05), False, id="seeded 5%"),
+    pytest.param([(0.971, 1.018, 1.004)], False, id="fit_wide"),
+    pytest.param(_seeded_factors(0.01)[:1], True, id="a candidate raises"),
 ])
-def test_trf_is_scipys_on_the_circuit_fit(test_spec, monkeypatch, caplog,
-                                          factors, raises):
-    """On the test device's couplers ("cg", "c1g", "c2g") scaled by the
-    benchmark's seed-1 fit factors and by its fixed wide factors, and with
-    every candidate whose c2g is below 0.96 of the template's raising
-    ValidationError (scored 1e3 throughout), the fit takes SciPy's path and
-    its report is SciPy's result."""
-    names = ("cg", "c1g", "c2g")
+def test_fit_recovers_the_couplers(test_spec, monkeypatch, caplog,
+                                   factor_sets, raises):
+    """The two-stage fit of the test device's couplers ("cg", "c1g",
+    "c2g") recovers each truth scaled by the factors perfbench's design_loop
+    draws within ±1% at seeds 1–30, the same streams within ±5%, and its
+    fixed wide factors, where a dB-only fit stops 2.058 dB off: each ends
+    below 1e-6 dB rms with every coupler within 1e-6 of the truth (measured
+    worst cases 2.2e-10 dB and 1.7e-12).  With every candidate whose c2g is
+    below 0.97 of the template's raising ValidationError, scored 1e3, the
+    seed-1 fit still does.  ``n_evaluations`` is the total the INFO log
+    reports, both stages and the Jacobians included."""
     base = _get_params(test_spec)
-    truth = _build_spec(test_spec, {**base, **{
-        name: f * base[name] for name, f in zip(names, factors)}})
-    measured = cascade_abcd(truth, default_grid(test_spec.interior, 801))
+    grid = default_grid(test_spec.interior, 801)
     if raises:
         build = slowline.fitting._build_spec
 
         def strict_build(template, vals):
-            if vals["c2g"] < 0.96 * base["c2g"]:
+            if vals["c2g"] < 0.97 * base["c2g"]:
                 raise ValidationError("c2g too small")
             return build(template, vals)
         monkeypatch.setattr(slowline.fitting, "_build_spec", strict_build)
-    problems = []       # the residuals, start and box the fit hands _trf
-
-    def spy(*problem):
-        problems.append(problem)
-        return _trf(*problem)
-
-    monkeypatch.setattr(slowline.fitting, "_trf", spy)
-    with caplog.at_level("INFO", logger="slowline.fitting"):
-        report = fit_to_spectrum(measured, test_spec, names)
-    assert (caplog.records[0].args[0] > 0) == raises
-    ((fun, x0, lb, ub),) = problems
-    _, (x, r, nfev, converged) = _assert_trf_is_scipys(fun, x0, lb, ub)
-    assert report.spec == _build_spec(test_spec, {**base, **{
-        name: xi * base[name] for name, xi in zip(names, x)}})
-    assert report.residual_db_rms == float(np.sqrt(np.mean(r**2)))
-    assert (report.n_evaluations, report.converged) == (nfev, converged)
-    if factors == (0.971, 1.018, 1.004):
-        assert (nfev, converged) == (79, True)
-        assert report.residual_db_rms == pytest.approx(2.058, abs=5e-4)
+    for factors in factor_sets:
+        truth = _build_spec(test_spec, {**base, **{
+            name: f * base[name] for name, f in zip(_COUPLERS, factors)}})
+        caplog.clear()
+        with caplog.at_level("INFO", logger="slowline.fitting"):
+            report = fit_to_spectrum(cascade_abcd(truth, grid), test_spec,
+                                     _COUPLERS)
+        (record,) = caplog.records
+        raised, evaluations, _ = record.args
+        assert (raised > 0) == raises
+        assert report.n_evaluations == evaluations
+        assert report.converged
+        assert report.residual_db_rms < 1e-6, factors
+        got, want = _get_params(report.spec), _get_params(truth)
+        for name in _COUPLERS:
+            assert abs(got[name] / want[name] - 1) < 1e-6, factors
