@@ -769,6 +769,14 @@ _SUPER_PERIOD_CASES = ["index 0.4", "index 0", "after a 4.05 ns ramp",
                        "10 MHz", "ends mid-super-period"]
 
 
+@functools.cache
+def _super_period_reference(kind, midband):
+    """_literal_reference of one _super_period_case on the no-bend device,
+    shared by the two tests that compare modulated traces with it."""
+    return _literal_reference(qubit_device(bend_c_series=None), qubit_q1(),
+                              _super_period_case(kind, midband))
+
+
 def _modulation_slices(protocol):
     """(frequency, read offsets) of every modulation slice that _schedule
     names, in order from tune_time, each item's repeats spelled out."""
@@ -826,23 +834,33 @@ def test_slice_end_samples_are_read_once(midband):
     assert np.all((d[~on_end] > 0) & (d[~on_end] < dt))
 
 
+@pytest.mark.parametrize("kind", _SUPER_PERIOD_CASES)
+def test_super_period_matches_literal_stepping(qubit_spec_nobend, q1, midband,
+                                               kind):
+    """Traces read by super-period blocks follow literal complex stepping
+    (_literal_reference) within 1e-12: criterion 9's index-0.4 trace over
+    600 ns (120 super-periods), its 250 ns index-0 trace, the index-0.4
+    trace after a 4.05 ns ramp, a 10 MHz modulation (200 samples per
+    super-period) and a trace ending mid-super-period.  Measured worst
+    cases 1.5e-14, 9.2e-14, 7.3e-15, 1.6e-13 and 1.5e-14."""
+    p = simulate_emission(qubit_spec_nobend, q1,
+                          _super_period_case(kind, midband)).p_e
+    np.testing.assert_allclose(p, _super_period_reference(kind, midband),
+                               rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("kind", _SUPER_PERIOD_CASES + ["613 MHz"])
 def test_modulation_matches_split_slice_reference(qubit_spec_nobend, q1,
                                                   midband, kind):
     """Every modulated trace reads each sample at t_k: it follows literal
     stepping of the protocol's slices, each sample read from its slice's
-    start (_literal_reference), within 1e-12, whether read by super-period
-    blocks or, at 613 MHz, slice by slice.  The cases: criterion 9's
-    index-0.4 trace over 600 ns (120 super-periods), its 250 ns index-0
-    trace, the index-0.4 trace after a 4.05 ns ramp, a 10 MHz modulation
-    (200 samples per super-period) and a trace ending mid-super-period,
-    measured worst cases 1.5e-14, 9.2e-14, 7.3e-15, 1.6e-13 (over 1 us) and
-    1.5e-14; 8.0e-15 at 613 MHz."""
-    prot = _super_period_case(kind, midband)
-    p = simulate_emission(qubit_spec_nobend, q1, prot).p_e
-    np.testing.assert_allclose(
-        p, _literal_reference(qubit_spec_nobend, q1, prot),
-        rtol=0, atol=1e-12)
+    start (_literal_reference), within 1e-12, with and without a
+    super-period (613 MHz).  Measured worst case 1.6e-13 (10 MHz over
+    1 us), 8.0e-15 at 613 MHz."""
+    p = simulate_emission(qubit_spec_nobend, q1,
+                          _super_period_case(kind, midband)).p_e
+    np.testing.assert_allclose(p, _super_period_reference(kind, midband),
+                               rtol=0, atol=1e-12)
 
 
 def test_slow_modulation_has_no_staircase(qubit_spec_nobend, q1, midband):
